@@ -13,7 +13,6 @@ from .fading import (
     FadingChannel,
     LinkGeometry,
     Links,
-    derive_params,
     expand_links,
     loss_db,
     mean_transmittance,
@@ -37,9 +36,6 @@ from .numerics import (
     McSpec,
     QuadratureSpec,
     bessel_i,
-    erfc,
-    integrate_1d,
-    integrate_2d,
     mc_expectation,
 )
 from .postselect import (
@@ -90,14 +86,10 @@ __all__ = [
     "apply_loss",
     "bessel_i",
     "classical_postselect",
-    "derive_params",
     "direct_ensemble",
     "direct_realization",
     "ensemble_cm",
-    "erfc",
     "expand_links",
-    "integrate_1d",
-    "integrate_2d",
     "is_entangled",
     "log_negativity",
     "loss_db",

@@ -27,8 +27,10 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -38,7 +40,7 @@ import numpy as np
 
 from .effective import ordering_check, try_effective
 from .errors import ConfigError, DomainError, NumericalError
-from .fading import LinkGeometry, expand_links, loss_db, sample
+from .fading import LinkGeometry, expand_links, loss_db, mean_transmittance, sample
 from .gaussian import Squeezing, log_negativity
 from .numerics import McSpec, QuadratureSpec, mc_expectation
 from .postselect import (
@@ -225,59 +227,58 @@ def write_csv(rows: list[dict], stream) -> None:
         writer.writerow([format_value(row[col]) for col in CSV_COLUMNS])
 
 
-def _effective_cells(cm) -> dict:
+def _row(cfg: SchemeConfig, up, down, cm, e_ln: float, p_success: float) -> dict:
     eff = try_effective(cm)
     return {
+        "scheme": cfg.kind, "sigma_b": cfg.geometry.sigma_b, "r": cfg.squeezing.r, "chi": cfg.chi,
+        "e_ln": e_ln, "p_success": p_success,
         "eff_r": eff.r_e if eff is not None else None,
         "eff_eta_a": eff.eta_a if eff is not None else None,
         "eff_eta_b": eff.eta_b if eff is not None else None,
+        "mean_loss_up_db": loss_db(up, cfg.quad), "mean_loss_down_db": loss_db(down, cfg.quad),
     }
 
 
-def _sweep_point(task: tuple) -> dict:
-    kind, sigma_b, r, k1, k2, beta, w, chi, nodes, subdiv = task
-    quad = QuadratureSpec(nodes_1d=nodes, subdivisions=subdiv)
-    cfg = SchemeConfig(
-        kind=kind, squeezing=Squeezing(r), geometry=LinkGeometry(sigma_b=sigma_b, k1=k1, k2=k2),
-        beta=beta, w=w, chi=chi, quad=quad,
-    )
+def _sweep_point(cfg: SchemeConfig) -> dict:
     cm = ensemble_cm(cfg)
-    up, down = cfg.links()
-    row = {
-        "scheme": kind, "sigma_b": sigma_b, "r": r, "chi": chi,
-        "e_ln": log_negativity(cm), "p_success": 1.0,
-        "mean_loss_up_db": loss_db(up, quad), "mean_loss_down_db": loss_db(down, quad),
-    }
-    row.update(_effective_cells(cm))
-    return row
+    return _row(cfg, *cfg.links(), cm, log_negativity(cm), 1.0)
 
 
-def _postselect_point(task: tuple) -> dict:
-    sigma_b, r, threshold, k1, k2, beta, w, chi, nodes, subdiv, ps_kind, tap_t = task
-    quad = QuadratureSpec(nodes_1d=nodes, subdivisions=subdiv)
-    links = expand_links(LinkGeometry(sigma_b=sigma_b, k1=k1, k2=k2), beta, w)
-    ch_up, ch_down = links.a_s, links.s_b
-    sq = Squeezing(r)
-    if ps_kind == "classical":
-        res = classical_postselect(sq, ch_up, ch_down, ClassicalPsConfig(threshold), quad, chi)
-    else:
-        res = quantum_postselect(
-            sq, ch_up, ch_down, QuantumPsConfig(tap_t=tap_t, q_th=threshold), quad, chi
-        )
-    row = {
-        "scheme": "direct", "sigma_b": sigma_b, "r": r, "chi": chi,
-        "e_ln": res.e_ln, "p_success": res.p_success,
-        "mean_loss_up_db": loss_db(ch_up, quad), "mean_loss_down_db": loss_db(ch_down, quad),
-    }
-    row.update(_effective_cells(res.cm))
-    return row
+def _postselect_point(cfg: SchemeConfig, ps: ClassicalPsConfig | QuantumPsConfig) -> dict:
+    ch_up, ch_down = cfg.links()
+    select = classical_postselect if isinstance(ps, ClassicalPsConfig) else quantum_postselect
+    res = select(cfg.squeezing, ch_up, ch_down, ps, cfg.quad, cfg.chi)
+    return _row(cfg, ch_up, ch_down, res.cm, res.e_ln, res.p_success)
+
+
+def _pool_size(workers: int, tasks: int) -> int:
+    """Worker processes worth starting: never more than the tasks or the CPUs."""
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
+    return min(workers, tasks, os.cpu_count() or 1)
 
 
 def _map_tasks(fn, tasks: list[tuple], workers: int) -> list[dict]:
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks, chunksize=1))
+    """fn(*task) for every task, in order, on a process pool when that helps."""
+    size = _pool_size(workers, len(tasks))
+    if size <= 1:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return list(pool.map(fn, *zip(*tasks), chunksize=1))
+
+
+def _scheme_config(scenario: Scenario, kind: str, sigma_b: float, r: float) -> SchemeConfig:
+    return SchemeConfig(
+        kind=kind, squeezing=Squeezing(r),
+        geometry=LinkGeometry(sigma_b=sigma_b, k1=scenario.k1, k2=scenario.k2),
+        beta=scenario.beta, w=scenario.w, chi=scenario.chi, quad=scenario.quad,
+    )
+
+
+def _ps_config(ps: PsSpec, threshold: float) -> ClassicalPsConfig | QuantumPsConfig:
+    if ps.kind == "classical":
+        return ClassicalPsConfig(threshold)
+    return QuantumPsConfig(tap_t=ps.tap_t, q_th=threshold)
 
 
 def run_sweep(scenario: Scenario, workers: int = 1) -> list[dict]:
@@ -289,8 +290,7 @@ def run_sweep(scenario: Scenario, workers: int = 1) -> list[dict]:
     if scenario.postselect is not None:
         return run_postselect(scenario, workers=workers)
     tasks = [
-        (kind, sigma_b, r, scenario.k1, scenario.k2, scenario.beta, scenario.w,
-         scenario.chi, scenario.quad.nodes_1d, scenario.quad.subdivisions)
+        (_scheme_config(scenario, kind, sigma_b, r),)
         for kind in sorted(scenario.schemes)
         for sigma_b in scenario.sigma_b_grid
         for r in scenario.r_grid
@@ -306,8 +306,7 @@ def run_postselect(scenario: Scenario, workers: int = 1) -> list[dict]:
     if scenario.schemes != ("direct",):
         raise ConfigError("post-selection applies to the direct scheme only; set schemes = direct")
     tasks = [
-        (sigma_b, r, threshold, scenario.k1, scenario.k2, scenario.beta, scenario.w,
-         scenario.chi, scenario.quad.nodes_1d, scenario.quad.subdivisions, ps.kind, ps.tap_t)
+        (_scheme_config(scenario, "direct", sigma_b, r), _ps_config(ps, threshold))
         for sigma_b in scenario.sigma_b_grid
         for r in scenario.r_grid
         for threshold in ps.thresholds
@@ -375,12 +374,10 @@ def run_validate(scenario: Scenario) -> dict:
         for sigma_b in _grid_probes(scenario.sigma_b_grid):
             for r in _grid_probes(scenario.r_grid):
                 name = f"convergence/{kind}/sigma_b={sigma_b:g}/r={r:g}"
-                geom = LinkGeometry(sigma_b=sigma_b, k1=scenario.k1, k2=scenario.k2)
                 try:
-                    base = dict(kind=kind, squeezing=Squeezing(r), geometry=geom,
-                                beta=scenario.beta, w=scenario.w, chi=scenario.chi)
-                    e_coarse = log_negativity(ensemble_cm(SchemeConfig(quad=scenario.quad, **base)))
-                    e_fine = log_negativity(ensemble_cm(SchemeConfig(quad=fine, **base)))
+                    cfg = _scheme_config(scenario, kind, sigma_b, r)
+                    e_coarse = log_negativity(ensemble_cm(cfg))
+                    e_fine = log_negativity(ensemble_cm(dataclasses.replace(cfg, quad=fine)))
                 except (DomainError, NumericalError) as exc:
                     record(name, False, f"evaluation failed: {exc}")
                     continue
@@ -394,8 +391,6 @@ def run_validate(scenario: Scenario) -> dict:
         for label, ch in (("uplink", links.a_s), ("downlink", links.s_b)):
             if ch.point_mass:
                 continue
-            from .fading import mean_transmittance
-
             quad_mean = mean_transmittance(ch, scenario.quad)
             mc_mean, se = mc_expectation(
                 lambda rng, n, _ch=ch: sample(_ch, rng, n), lambda e: e, scenario.mc
@@ -403,10 +398,8 @@ def run_validate(scenario: Scenario) -> dict:
             err = abs(quad_mean - mc_mean)
             record(f"mc/{label}-mean-transmittance", err <= 4.0 * se + 1e-12,
                    f"quadrature {quad_mean:.9g} vs MC {mc_mean:.9g} (stderr {se:.2e})")
-        v = Squeezing(scenario.r_grid[-1]).v
-        cfg = SchemeConfig(kind="direct", squeezing=Squeezing(scenario.r_grid[-1]),
-                           geometry=geom, beta=scenario.beta, w=scenario.w,
-                           chi=scenario.chi, quad=scenario.quad)
+        cfg = _scheme_config(scenario, "direct", scenario.sigma_b_grid[-1], scenario.r_grid[-1])
+        v = cfg.squeezing.v
         b_quad = float(ensemble_cm(cfg).m[2, 2])
         b_mc, se = mc_expectation(
             lambda rng, n: (sample(links.a_s, rng, n), sample(links.s_b, rng, n)),
@@ -421,10 +414,8 @@ def run_validate(scenario: Scenario) -> dict:
         threshold = ps.thresholds[len(ps.thresholds) // 2]
         name = f"postselect/{ps.kind}/threshold={threshold:g}"
         try:
-            task = (scenario.sigma_b_grid[-1], scenario.r_grid[-1], threshold,
-                    scenario.k1, scenario.k2, scenario.beta, scenario.w, scenario.chi,
-                    scenario.quad.nodes_1d, scenario.quad.subdivisions, ps.kind, ps.tap_t)
-            row = _postselect_point(task)
+            cfg = _scheme_config(scenario, "direct", scenario.sigma_b_grid[-1], scenario.r_grid[-1])
+            row = _postselect_point(cfg, _ps_config(ps, threshold))
         except (DomainError, NumericalError) as exc:
             record(name, False, f"evaluation failed: {exc}")
         else:
@@ -435,17 +426,16 @@ def run_validate(scenario: Scenario) -> dict:
     return {"passed": all(c["passed"] for c in checks), "checks": checks}
 
 
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
+def _load(args) -> Scenario:
+    """The scenario file with the command line's quadrature override applied."""
+    scenario = parse_scenario(args.scenario)
     quad = scenario.quad
     if args.quad_nodes is not None or args.quad_subdiv is not None:
         quad = QuadratureSpec(
             nodes_1d=args.quad_nodes if args.quad_nodes is not None else quad.nodes_1d,
             subdivisions=args.quad_subdiv if args.quad_subdiv is not None else quad.subdivisions,
         )
-    mc = scenario.mc
-    if args.seed is not None and mc is not None:
-        mc = McSpec(samples=mc.samples, seed=args.seed)
-    return dataclasses.replace(scenario, quad=quad, mc=mc)
+    return dataclasses.replace(scenario, quad=quad)
 
 
 def _open_out(args, scenario: Scenario):
@@ -465,36 +455,38 @@ def _emit(args, scenario: Scenario, text: str) -> None:
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
-    import io
-
     buf = io.StringIO()
     write_csv(rows, buf)
     return buf.getvalue()
 
 
 def _cmd_sweep(args) -> int:
-    scenario = _apply_overrides(parse_scenario(args.scenario), args)
+    scenario = _load(args)
     rows = run_sweep(scenario, workers=args.workers)
     _emit(args, scenario, _rows_to_csv(rows))
     return 0
 
 
 def _cmd_postselect(args) -> int:
-    scenario = _apply_overrides(parse_scenario(args.scenario), args)
+    scenario = _load(args)
     rows = run_postselect(scenario, workers=args.workers)
     _emit(args, scenario, _rows_to_csv(rows))
     return 0
 
 
 def _cmd_effective(args) -> int:
-    scenario = _apply_overrides(parse_scenario(args.scenario), args)
+    scenario = _load(args)
     report = run_effective(scenario)
     _emit(args, scenario, json.dumps(report, indent=2) + "\n")
     return 0
 
 
 def _cmd_validate(args) -> int:
-    scenario = _apply_overrides(parse_scenario(args.scenario), args)
+    scenario = _load(args)
+    if args.seed is not None:
+        if scenario.mc is None:
+            raise ConfigError("--seed needs a scenario with an mc.* block")
+        scenario = dataclasses.replace(scenario, mc=McSpec(samples=scenario.mc.samples, seed=args.seed))
     report = run_validate(scenario)
     _emit(args, scenario, json.dumps(report, indent=2) + "\n")
     return 0 if report["passed"] else 4
@@ -513,24 +505,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def scenario_command(name: str, help_text: str):
+    def scenario_command(name: str, help_text: str, func):
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(func=func)
         cmd.add_argument("scenario", help="path to a scenario file")
         cmd.add_argument("--out", default=None, help="output file (default: scenario output or stdout)")
-        cmd.add_argument("--workers", type=int, default=1, help="parallel worker processes")
-        cmd.add_argument("--seed", type=int, default=None, help="override the Monte Carlo seed")
         cmd.add_argument("--quad-nodes", type=int, default=None, help="override quadrature nodes per panel")
         cmd.add_argument("--quad-subdiv", type=int, default=None, help="override quadrature subdivisions")
         return cmd
 
-    scenario_command("sweep", "entanglement of every scheme over the scenario grid (CSV)") \
-        .set_defaults(func=_cmd_sweep)
-    scenario_command("postselect", "post-selected entanglement vs success probability (CSV)") \
-        .set_defaults(func=_cmd_postselect)
-    scenario_command("effective", "effective-channel summary and scheme ordering (JSON)") \
-        .set_defaults(func=_cmd_effective)
-    scenario_command("validate", "numerical self-consistency audit (JSON)") \
-        .set_defaults(func=_cmd_validate)
+    for name, help_text, func in (
+        ("sweep", "entanglement of every scheme over the scenario grid (CSV)", _cmd_sweep),
+        ("postselect", "post-selected entanglement vs success probability (CSV)", _cmd_postselect),
+    ):
+        scenario_command(name, help_text, func).add_argument(
+            "--workers", type=int, default=1, help="parallel worker processes (at most one per CPU)")
+    scenario_command("effective", "effective-channel summary and scheme ordering (JSON)", _cmd_effective)
+    scenario_command("validate", "numerical self-consistency audit (JSON)", _cmd_validate).add_argument(
+        "--seed", type=int, default=None, help="override the Monte Carlo seed of the mc.* block")
 
     rate = sub.add_parser("rate", help="delivered pair rate from success probability")
     rate.add_argument("--p", type=float, required=True, help="post-selection success probability")

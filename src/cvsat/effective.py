@@ -40,10 +40,8 @@ from .fading import (
     transmittance_nodes,
 )
 from .gaussian import Squeezing, StandardFormCM, TwoModeCM, standard_form
-from .numerics import DEFAULT_QUAD, QuadratureSpec, panel_nodes
-from .schemes import SchemeConfig, _pair_sums
-
-_CHUNK_ROWS = 256
+from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums, panel_nodes, tensor_rule
+from .schemes import SchemeConfig
 
 
 @dataclass(frozen=True)
@@ -122,22 +120,19 @@ class SwapEtaAverages:
 
 def _swap_eta_integrals(ch_a: FadingChannel, ch_b: FadingChannel, v: float,
                         quad: QuadratureSpec) -> SwapEtaAverages:
-    def num_a(e, ep):
-        return -(e + ep - 1.0) * (v - 1.0) / (e * (1.0 - v) + 2.0 * (ep - 1.0))
+    def integrand(e, ep):
+        across = -(e + ep - 1.0) * (v - 1.0)
+        num_a = across / (e * (1.0 - v) + 2.0 * (ep - 1.0))
+        num_b = across / (ep * (1.0 - v) + 2.0 * (e - 1.0))
+        yield np.maximum(num_a, 0.0)
+        yield np.maximum(num_b, 0.0)
+        yield num_a
+        yield num_b
+        yield ((e + ep) < 1.0) * 1.0
 
-    def num_b(e, ep):
-        return -(e + ep - 1.0) * (v - 1.0) / (ep * (1.0 - v) + 2.0 * (e - 1.0))
-
-    def separable(e, ep):
-        return ((e + ep) < 1.0) * 1.0
-
-    sums = _pair_sums(ch_a, ch_b, quad, (
-        lambda e, ep: np.maximum(num_a(e, ep), 0.0),
-        lambda e, ep: np.maximum(num_b(e, ep), 0.0),
-        num_a,
-        num_b,
-        separable,
-    ))
+    eta_b, w_b = transmittance_nodes(ch_b, quad)
+    sums = pair_sums(transmittance_nodes(ch_a, quad), tensor_rule(eta_b, w_b), eta_b.size,
+                     integrand)
     return SwapEtaAverages(eta_a=sums[0], eta_b=sums[1], signed_eta_a=sums[2],
                            signed_eta_b=sums[3], separable_mass=sums[4])
 
@@ -163,40 +158,64 @@ def _swap_cosh_average(ch_a: FadingChannel, ch_b: FadingChannel, v: float,
     eta_b_floor = float(eta_of_deflection(ch_b, d_hi))
     lam, l_s, sig = ch_b.lambda_shape, ch_b.l_scale, ch_b.sigma_b
 
-    def smooth_part(e, d):
-        num = (e * e + _eta(d) ** 2) * (1.0 - v) + e * _eta(d) * (v * v + 3.0) \
-            + (e + _eta(d)) * (v - 3.0) + 2.0
-        return rayleigh_pdf(d, sig) * num / ((e + _eta(d)) * (v - 1.0) + 2.0)
+    def smooth_part(e, d, eb):
+        num = (e * e + eb ** 2) * (1.0 - v) + e * eb * (v * v + 3.0) \
+            + (e + eb) * (v - 3.0) + 2.0
+        return rayleigh_pdf(d, sig) * num / ((e + eb) * (v - 1.0) + 2.0)
 
-    def _eta(d):
-        return eta_of_deflection(ch_b, d)
+    def crossing(e):
+        return np.asarray(deflection_of_eta(ch_b, 1.0 - e), dtype=float)
 
-    total = 0.0
-    pv_used = False
-    for start in range(0, eta_a.size, _CHUNK_ROWS):
-        e = eta_a[start:start + _CHUNK_ROWS]
-        we = w_a[start:start + _CHUNK_ROWS]
-        pole = (e > 1.0 - ch_b.eta0) & (e < 1.0 - eta_b_floor)
-        if np.any(~pole):
-            ep = e[~pole, None]
-            d = np.broadcast_to(d_hi * t01[None, :], (ep.shape[0], t01.size))
-            vals = smooth_part(ep, d) / (ep + _eta(d) - 1.0)
-            total += float(we[~pole] @ (vals @ (d_hi * w01)))
-        if np.any(pole):
-            pv_used = True
-            ep = e[pole]
-            wp = we[pole]
-            d0 = np.asarray(deflection_of_eta(ch_b, 1.0 - ep), dtype=float)
-            # Slope of s(d) = e + eta_b(d) - 1 at the crossing.
-            slope = -(1.0 - ep) * 0.5 * lam * d0 ** (lam - 1.0) / l_s**lam
-            k = smooth_part(ep[:, None], d0[:, None])[:, 0] / slope
-            for lo, width in ((np.zeros_like(d0), d0), (d0, d_hi - d0)):
-                d = lo[:, None] + width[:, None] * t01[None, :]
-                s = ep[:, None] + _eta(d) - 1.0
-                reg = smooth_part(ep[:, None], d) / s - k[:, None] / (d - d0[:, None])
-                total += float(wp @ ((reg * width[:, None]) @ w01))
-            total += float(wp @ (k * np.log((d_hi - d0) / d0)))
-    return total, pv_used
+    def residue(e, d0):
+        # Slope of s(d) = e + eta_b(d) - 1 at the crossing.
+        slope = -(1.0 - e) * 0.5 * lam * d0 ** (lam - 1.0) / l_s**lam
+        return smooth_part(e, d0, eta_of_deflection(ch_b, d0)) / slope
+
+    def plain(e, d):
+        eb = eta_of_deflection(ch_b, d)
+        yield smooth_part(e, d, eb) / (e + eb - 1.0)
+
+    def split_at_pole(e, w):
+        d0 = crossing(e)[:, None]
+        width = d_hi - d0
+        d = np.concatenate((d0 * t01, d0 + width * t01), axis=1)
+        return d, w[:, None] * np.concatenate((d0 * w01, width * w01), axis=1)
+
+    def subtracted(e, d):
+        d0 = crossing(e)
+        eb = eta_of_deflection(ch_b, d)
+        yield smooth_part(e, d, eb) / (e + eb - 1.0) - residue(e, d0) / (d - d0)
+
+    pole = (eta_a > 1.0 - ch_b.eta0) & (eta_a < 1.0 - eta_b_floor)
+    # Each sum is empty, hence 0, when no row falls on its side of the split.
+    total = sum(pair_sums((eta_a[~pole], w_a[~pole]), tensor_rule(d_hi * t01, d_hi * w01),
+                          t01.size, plain))
+    if np.any(pole):
+        e, w = eta_a[pole], w_a[pole]
+        total += sum(pair_sums((e, w), split_at_pole, 2 * t01.size, subtracted))
+        d0 = crossing(e)
+        total += float(w @ (residue(e, d0) * np.log((d_hi - d0) / d0)))
+    return total, bool(np.any(pole))
+
+
+def _swap_summary(cfg: SchemeConfig, include_squeezing: bool = True) -> tuple[EffectiveParams, dict]:
+    """Swap effective parameters plus the diagnostics ordering_check reports."""
+    ch_a, ch_b = cfg.links()
+    v = cfg.squeezing.v
+    etas = _swap_eta_integrals(ch_a, ch_b, v, cfg.quad)
+    cosh_avg, pv_used, r_e = None, False, float("nan")
+    if include_squeezing:
+        cosh_avg, pv_used = _swap_cosh_average(ch_a, ch_b, v, cfg.quad)
+        if cosh_avg >= 1.0:
+            r_e = 0.5 * math.acosh(cosh_avg)
+    diagnostics = {
+        "swap_separable_mass": etas.separable_mass,
+        "swap_signed_eta_a": etas.signed_eta_a,
+        "swap_signed_eta_b": etas.signed_eta_b,
+        "swap_pv_used": pv_used,
+        "swap_cosh_avg": cosh_avg,
+    }
+    return EffectiveParams(r_e=r_e, eta_a=etas.eta_a, eta_b=etas.eta_b), diagnostics
 
 
 def scheme_effective_summary(cfg: SchemeConfig) -> EffectiveParams:
@@ -207,19 +226,17 @@ def scheme_effective_summary(cfg: SchemeConfig) -> EffectiveParams:
     transmittivities average.  Swapping averages both.
     """
     ch_a, ch_b = cfg.links()
-    v = cfg.squeezing.v
     quad = cfg.quad
     if cfg.kind == "direct":
-        (zeta_mean,) = _pair_sums(ch_a, ch_b, quad, (lambda e, ep: e * ep,))
+        eta_b, w_b = transmittance_nodes(ch_b, quad)
+        (zeta_mean,) = pair_sums(transmittance_nodes(ch_a, quad), tensor_rule(eta_b, w_b),
+                                 eta_b.size, lambda e, ep: (e * ep,))
         return EffectiveParams(r_e=cfg.squeezing.r, eta_a=1.0, eta_b=zeta_mean)
     if cfg.kind == "satellite":
         ea, wa = transmittance_nodes(ch_a, quad)
         eb, wb = transmittance_nodes(ch_b, quad)
         return EffectiveParams(r_e=cfg.squeezing.r, eta_a=float(wa @ ea), eta_b=float(wb @ eb))
-    etas = _swap_eta_integrals(ch_a, ch_b, v, quad)
-    cosh_avg, _ = _swap_cosh_average(ch_a, ch_b, v, quad)
-    r_e = 0.5 * math.acosh(cosh_avg) if cosh_avg >= 1.0 else float("nan")
-    return EffectiveParams(r_e=r_e, eta_a=etas.eta_a, eta_b=etas.eta_b)
+    return _swap_summary(cfg)[0]
 
 
 def ordering_check(
@@ -238,27 +255,14 @@ def ordering_check(
     returned dict, never raised.
     """
     report: dict = {}
-    per_scheme: dict[str, EffectiveParams] = {}
     for kind in ("direct", "satellite", "swap"):
         cfg = SchemeConfig(kind=kind, squeezing=sq, geometry=geometry,
                            beta=beta, w=w, quad=quad)
         if kind == "swap":
-            ch_a, ch_b = cfg.links()
-            etas = _swap_eta_integrals(ch_a, ch_b, sq.v, quad)
-            if include_swap_squeezing:
-                cosh_avg, pv_used = _swap_cosh_average(ch_a, ch_b, sq.v, quad)
-                r_e = 0.5 * math.acosh(cosh_avg) if cosh_avg >= 1.0 else float("nan")
-            else:
-                cosh_avg, pv_used, r_e = None, False, float("nan")
-            params = EffectiveParams(r_e=r_e, eta_a=etas.eta_a, eta_b=etas.eta_b)
-            report["swap_separable_mass"] = etas.separable_mass
-            report["swap_signed_eta_a"] = etas.signed_eta_a
-            report["swap_signed_eta_b"] = etas.signed_eta_b
-            report["swap_pv_used"] = pv_used
-            report["swap_cosh_avg"] = cosh_avg
+            params, diagnostics = _swap_summary(cfg, include_swap_squeezing)
+            report.update(diagnostics)
         else:
             params = scheme_effective_summary(cfg)
-        per_scheme[kind] = params
         report[kind] = {"r_e": params.r_e, "eta_a": params.eta_a, "eta_b": params.eta_b,
                         "eta_product": params.eta_a * params.eta_b}
     direct_p = report["direct"]["eta_product"]

@@ -71,42 +71,37 @@ def panel_nodes(
     return x, w
 
 
-def _eval_on(f, *nodes: np.ndarray) -> np.ndarray:
-    y = np.asarray(f(*nodes), dtype=float)
-    shape = np.broadcast_shapes(*(n.shape for n in nodes))
-    if y.shape != shape:
-        y = np.broadcast_to(y, shape).copy()
-    if not np.all(np.isfinite(y)):
-        raise NumericalError("integrand returned non-finite values")
-    return y
+# Elements per block of a channel-pair sum.  Bounds the memory of every 2D
+# integrand: each output array of a block holds this many floats.
+_BLOCK_ELEMENTS = 1 << 17
 
 
-def integrate_1d(f, lo: float, hi: float, spec: QuadratureSpec = DEFAULT_QUAD) -> float:
-    """Composite Gauss-Legendre estimate of the integral of f over [lo, hi]."""
-    if lo == hi:
-        return 0.0
-    x, w = panel_nodes(lo, hi, spec)
-    return float(w @ _eval_on(f, x))
+def pair_sums(outer, inner, width: int, integrand) -> list[float]:
+    """Weighted sums over a channel pair, one per output of the integrand.
+
+    outer = (x, w) is the outer node table.  inner(x, w) takes a block of
+    outer rows and returns the inner nodes y and the joint weights, each
+    broadcastable to (rows, width); the inner rule may differ from row to
+    row.  integrand(x[:, None], y) yields its output arrays one at a time, so
+    shared subexpressions are computed once per block.  Rows are processed
+    in blocks of about _BLOCK_ELEMENTS points.
+    """
+    x, w = outer
+    totals: list[float] = []
+    step = max(1, _BLOCK_ELEMENTS // width)
+    for start in range(0, x.size, step):
+        xb = x[start:start + step]
+        y, wgt = inner(xb, w[start:start + step])
+        parts = [float((wgt * vals).sum()) for vals in integrand(xb[:, None], y)]
+        totals = [t + p for t, p in zip(totals, parts)] if totals else parts
+    if not all(math.isfinite(t) for t in totals):
+        raise NumericalError("channel-pair integrand returned non-finite values")
+    return totals
 
 
-def integrate_2d(
-    f,
-    box: tuple[tuple[float, float], tuple[float, float]],
-    spec: QuadratureSpec = DEFAULT_QUAD,
-) -> float:
-    """Tensor-product Gauss-Legendre estimate of the integral of f(x, y) over a box."""
-    (lo1, hi1), (lo2, hi2) = box
-    if lo1 == hi1 or lo2 == hi2:
-        return 0.0
-    x, wx = panel_nodes(lo1, hi1, spec)
-    y, wy = panel_nodes(lo2, hi2, spec)
-    vals = _eval_on(f, x[:, None], y[None, :])
-    return float(wx @ vals @ wy)
-
-
-def erfc(x):
-    """Complementary error function; accepts scalars or arrays."""
-    return special.erfc(x)
+def tensor_rule(y: np.ndarray, wy: np.ndarray):
+    """Inner rule for pair_sums that pairs every outer row with the same table (y, wy)."""
+    return lambda x, w: (y[None, :], w[:, None] * wy[None, :])
 
 
 def bessel_i(order: int, x):

@@ -38,12 +38,10 @@ from .fading import (
     transmittance_nodes,
 )
 from .gaussian import Squeezing, TwoModeCM, log_negativity
-from .numerics import DEFAULT_QUAD, QuadratureSpec, panel_nodes
+from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums, panel_nodes, tensor_rule
 
 # Selections rarer than this are treated as numerically empty.
 P_SUCCESS_FLOOR = 1e-12
-
-_CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -95,8 +93,8 @@ class QuantumMoments:
 
 
 def _selection_sums(ch_up: FadingChannel, ch_down: FadingChannel, zeta_th: float,
-                    quad: QuadratureSpec, fns):
-    """Weighted sums of fns(zeta) over the region eta * eta' > zeta_th.
+                    quad: QuadratureSpec, integrand):
+    """pair_sums of integrand(zeta) over the region eta * eta' > zeta_th.
 
     Iterated rule in the deflection domain: the uplink rule ends exactly at
     the deflection where selection becomes impossible, and for each uplink
@@ -105,7 +103,6 @@ def _selection_sums(ch_up: FadingChannel, ch_down: FadingChannel, zeta_th: float
     cut keeps every panel's integrand smooth; masking nodes with an indicator
     instead would lose several digits at the selection boundary.
     """
-    totals = [0.0] * len(fns)
     if ch_up.point_mass:
         eta_u = np.array([ch_up.eta0])
         w_u = np.array([1.0])
@@ -114,7 +111,7 @@ def _selection_sums(ch_up: FadingChannel, ch_down: FadingChannel, zeta_th: float
         if zeta_th > 0.0:
             eta_cut = zeta_th / ch_down.eta0
             if eta_cut >= ch_up.eta0:
-                return totals
+                raise NumericalError("selection region is numerically empty: no node clears zeta_th")
             d_up_hi = min(d_up_hi, float(deflection_of_eta(ch_up, eta_cut)))
         d_u, wd_u = panel_nodes(0.0, d_up_hi, quad,
                                 subdivisions=scaled_subdivisions(ch_up, quad))
@@ -122,17 +119,15 @@ def _selection_sums(ch_up: FadingChannel, ch_down: FadingChannel, zeta_th: float
         w_u = wd_u * rayleigh_pdf(d_u, ch_up.sigma_b)
 
     if ch_down.point_mass:
-        zeta = eta_u * ch_down.eta0
-        keep = zeta > zeta_th
-        for k, f in enumerate(fns):
-            totals[k] = float((w_u[keep] * f(zeta[keep])).sum())
-        return totals
+        def inner(eu, wu):
+            return np.array([ch_down.eta0]), (wu * (eu * ch_down.eta0 > zeta_th))[:, None]
+
+        return pair_sums((eta_u, w_u), inner, 1, lambda eu, ed: integrand(eu * ed))
 
     d_hi = D_MAX_SIGMAS * ch_down.sigma_b
     t01, w01 = panel_nodes(0.0, 1.0, quad, subdivisions=scaled_subdivisions(ch_down, quad))
-    for start in range(0, eta_u.size, _CHUNK_ROWS):
-        eu = eta_u[start:start + _CHUNK_ROWS]
-        wu = w_u[start:start + _CHUNK_ROWS]
+
+    def inner(eu, wu):
         if zeta_th > 0.0:
             ratio = eu * ch_down.eta0 / zeta_th
             cap = np.zeros_like(eu)
@@ -145,12 +140,9 @@ def _selection_sums(ch_up: FadingChannel, ch_down: FadingChannel, zeta_th: float
             cap = np.full_like(eu, d_hi)
         d = cap[:, None] * t01[None, :]
         wgt = (wu * cap)[:, None] * w01[None, :] * rayleigh_pdf(d, ch_down.sigma_b)
-        zeta = eu[:, None] * ch_down.eta0 * np.exp(
-            -0.5 * (d / ch_down.l_scale) ** ch_down.lambda_shape
-        )
-        for k, f in enumerate(fns):
-            totals[k] += float((wgt * f(zeta)).sum())
-    return totals
+        return eta_of_deflection(ch_down, d), wgt
+
+    return pair_sums((eta_u, w_u), inner, t01.size, lambda eu, ed: integrand(eu * ed))
 
 
 def classical_postselect(
@@ -170,11 +162,13 @@ def classical_postselect(
     if chi < 0.0:
         raise DomainError(f"chi must be >= 0, got {chi}")
     v = sq.v
-    p_s, num_b, num_c = _selection_sums(ch_up, ch_down, cfg.zeta_th, quad, (
-        lambda z: np.ones_like(z),
-        lambda z: 1.0 + z * (v - 1.0),
-        lambda z: np.sqrt(z),
-    ))
+
+    def integrand(zeta):
+        yield np.ones_like(zeta)
+        yield 1.0 + zeta * (v - 1.0)
+        yield np.sqrt(zeta)
+
+    p_s, num_b, num_c = _selection_sums(ch_up, ch_down, cfg.zeta_th, quad, integrand)
     if p_s < P_SUCCESS_FLOOR:
         raise NumericalError(f"selection region is numerically empty: P_s={p_s:.3e}")
     b = num_b / p_s + chi
@@ -249,25 +243,18 @@ def quantum_postselect(
         raise DomainError(f"chi must be >= 0, got {chi}")
     v = sq.v
     t = cfg.tap_t
-    eta_u, w_u = transmittance_nodes(ch_up, quad)
-    eta_d, w_d = transmittance_nodes(ch_down, quad)
 
-    sums = np.zeros(8)
-    for start in range(0, eta_u.size, _CHUNK_ROWS):
-        eu = eta_u[start:start + _CHUNK_ROWS, None]
-        wu = w_u[start:start + _CHUNK_ROWS, None]
-        wgt = wu * w_d[None, :]
-        zeta = eu * eta_d[None, :]
+    def integrand(eu, ed):
         q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, b_q, c_q = _tap_moments(
-            v, zeta, t, cfg.q_th, chi
+            v, eu * ed, t, cfg.q_th, chi
         )
-        for k, arr in enumerate((
-            p_sel, q_a, q_b, q_a_sq, q_b_sq, q_ab,
-            p_sel * (t * b_q + (1.0 - t)),       # p-sector variance at station B
-            p_sel * (-math.sqrt(t) * c_q),       # p-sector cross term (negative branch)
-        )):
-            sums[k] += float((wgt * arr).sum())
+        yield from (p_sel, q_a, q_b, q_a_sq, q_b_sq, q_ab)
+        yield p_sel * (t * b_q + (1.0 - t))       # p-sector variance at station B
+        yield p_sel * (-math.sqrt(t) * c_q)       # p-sector cross term (negative branch)
 
+    eta_d, w_d = transmittance_nodes(ch_down, quad)
+    sums = pair_sums(transmittance_nodes(ch_up, quad), tensor_rule(eta_d, w_d), eta_d.size,
+                     integrand)
     p_s = sums[0]
     if p_s < P_SUCCESS_FLOOR:
         raise NumericalError(f"selection region is numerically empty: P_s={p_s:.3e}")

@@ -23,12 +23,9 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .fading import FadingChannel, LinkGeometry, expand_links, transmittance_nodes
 from .gaussian import Squeezing, StandardFormCM, TwoModeCM
-from .numerics import DEFAULT_QUAD, QuadratureSpec
+from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums, tensor_rule
 
 KINDS = ("direct", "satellite", "swap")
-
-# Cap on 2D tensor chunk size, in elements, when averaging over two channels.
-_CHUNK_ELEMENTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -66,26 +63,6 @@ def _standard_cm(a: float, b: float, c: float) -> TwoModeCM:
     return StandardFormCM(a=a, b=b, c_plus=c, c_minus=-c).to_cm()
 
 
-def _pair_sums(ch_a: FadingChannel, ch_b: FadingChannel, quad: QuadratureSpec, fns):
-    """Weighted sums of fns(eta, eta') over the product of two channel rules.
-
-    Evaluates sum_ij w_i w'_j f(eta_i, eta'_j) for every f in fns, chunking the
-    outer axis so wide high-loss rules do not materialize huge tensors.
-    """
-    eta_a, w_a = transmittance_nodes(ch_a, quad)
-    eta_b, w_b = transmittance_nodes(ch_b, quad)
-    totals = [0.0] * len(fns)
-    step = max(1, _CHUNK_ELEMENTS // eta_b.size)
-    for start in range(0, eta_a.size, step):
-        ea = eta_a[start:start + step, None]
-        wa = w_a[start:start + step, None]
-        wgt = wa * w_b[None, :]
-        eb = eta_b[None, :]
-        for k, f in enumerate(fns):
-            totals[k] += float((wgt * f(ea, eb)).sum())
-    return totals
-
-
 def direct_realization(sq: Squeezing, eta: float, eta_prime: float, chi: float = 0.0) -> TwoModeCM:
     """CM after one mode of a squeezed pair crosses both links with given transmittances."""
     _check_transmittance("eta", eta)
@@ -105,10 +82,15 @@ def direct_ensemble(cfg: SchemeConfig) -> TwoModeCM:
         raise DomainError(f"expected a direct config, got kind={cfg.kind!r}")
     ch_up, ch_down = cfg.links()
     v = cfg.squeezing.v
-    b_avg, c_avg = _pair_sums(ch_up, ch_down, cfg.quad, (
-        lambda e, ep: 1.0 + e * ep * (v - 1.0),
-        lambda e, ep: np.sqrt(e * ep),
-    ))
+
+    def integrand(e, ep):
+        zeta = e * ep
+        yield 1.0 + zeta * (v - 1.0)
+        yield np.sqrt(zeta)
+
+    eta_b, w_b = transmittance_nodes(ch_down, cfg.quad)
+    b_avg, c_avg = pair_sums(transmittance_nodes(ch_up, cfg.quad), tensor_rule(eta_b, w_b),
+                             eta_b.size, integrand)
     return _standard_cm(a=v, b=b_avg + cfg.chi, c=c_avg * math.sqrt(v * v - 1.0))
 
 
@@ -252,14 +234,15 @@ def swap_ensemble(cfg: SchemeConfig) -> TwoModeCM:
     v2m1 = v * v - 1.0
     chi2 = 2.0 * cfg.chi
 
-    def shared(e, ep):
-        return v2m1 / (2.0 + (e + ep) * (v - 1.0) + chi2)
+    def integrand(e, ep):
+        shared = v2m1 / (2.0 + (e + ep) * (v - 1.0) + chi2)
+        yield v - e * shared
+        yield v - ep * shared
+        yield np.sqrt(e * ep) * shared
 
-    a_avg, b_avg, c_avg = _pair_sums(ch_a, ch_b, cfg.quad, (
-        lambda e, ep: v - e * shared(e, ep),
-        lambda e, ep: v - ep * shared(e, ep),
-        lambda e, ep: np.sqrt(e * ep) * shared(e, ep),
-    ))
+    eta_b, w_b = transmittance_nodes(ch_b, cfg.quad)
+    a_avg, b_avg, c_avg = pair_sums(transmittance_nodes(ch_a, cfg.quad), tensor_rule(eta_b, w_b),
+                                    eta_b.size, integrand)
     return _standard_cm(a=a_avg, b=b_avg, c=c_avg)
 
 

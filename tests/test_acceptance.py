@@ -13,7 +13,7 @@ import numpy as np
 
 from acceptance_log import LINES
 from cvsat.effective import ordering_check, try_effective
-from cvsat.fading import LinkGeometry, derive_params, expand_links, loss_db, sample
+from cvsat.fading import FadingChannel, LinkGeometry, expand_links, loss_db, sample
 from cvsat.gaussian import Squeezing, apply_loss, log_negativity, tmsv_cm
 from cvsat.numerics import DEFAULT_QUAD, QuadratureSpec
 from cvsat.postselect import (
@@ -114,7 +114,7 @@ def test_a3_mean_channel_losses():
     rows = []
     worst = 0.0
     for ratio, sigma, target, label in anchors:
-        db = loss_db(derive_params(sigma, 1.0, 1.0 / ratio), DEFAULT_QUAD)
+        db = loss_db(FadingChannel(sigma, 1.0, 1.0 / ratio), DEFAULT_QUAD)
         worst = max(worst, abs(db - target))
         rows.append(f"{label} b/W={ratio} sigma={sigma}: {db:.2f} (ref {target})")
     elapsed = time.perf_counter() - t0

@@ -6,11 +6,13 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cvsat.cli import (
     CSV_COLUMNS,
+    _pool_size,
     format_value,
     main,
     parse_scenario,
@@ -449,6 +451,38 @@ class TestCommandLine:
         assert res.returncode == 3
         assert "numerical error" in res.stderr
 
+    def test_under_resolved_quadrature_exits_3(self):
+        # an 8-node single-panel rule cannot resolve the narrow downlink
+        # (sigma_b = 0.032); the weight-sum check reports it as numerical
+        scenario = Path(__file__).resolve().parents[1] / "scenarios" / "lowloss_bw1.0.scn"
+        res = run_cli("sweep", str(scenario), "--quad-nodes", "8", "--quad-subdiv", "1")
+        assert res.returncode == 3
+        assert "numerical error" in res.stderr
+        assert "under-resolved" in res.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("effective", "--workers", "2"),
+        ("effective", "--seed", "5"),
+        ("validate", "--workers", "2"),
+        ("sweep", "--seed", "5"),
+    ])
+    def test_flag_a_command_ignores_is_rejected(self, tmp_path, argv):
+        command, *flags = argv
+        res = run_cli(command, scn(tmp_path, SMALL), *flags)
+        assert res.returncode == 2
+        assert "unrecognized arguments" in res.stderr
+
+    def test_seed_without_mc_block_exits_2(self, tmp_path):
+        res = run_cli("validate", scn(tmp_path, SMALL), "--seed", "5")
+        assert res.returncode == 2
+        assert "configuration error" in res.stderr and "mc.*" in res.stderr
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2(self, tmp_path, workers):
+        res = run_cli("sweep", scn(tmp_path, SMALL), "--workers", workers)
+        assert res.returncode == 2
+        assert "configuration error" in res.stderr and "--workers" in res.stderr
+
     def test_unwritable_output_exits_2(self, tmp_path):
         res = run_cli(
             "sweep", scn(tmp_path, SMALL),
@@ -466,6 +500,24 @@ class TestCommandLine:
             "sweep", scn(tmp_path, text), "--quad-nodes", "32", "--quad-subdiv", "4"
         )
         assert res.returncode == 0, res.stderr
+
+
+class TestPoolSize:
+    def test_clamped_to_tasks_and_cpus(self, monkeypatch):
+        monkeypatch.setattr("cvsat.cli.os.cpu_count", lambda: 4)
+        assert _pool_size(1, 100) == 1
+        assert _pool_size(2, 100) == 2
+        assert _pool_size(10**6, 100) == 4
+        assert _pool_size(8, 3) == 3
+
+    def test_unknown_cpu_count_means_one(self, monkeypatch):
+        monkeypatch.setattr("cvsat.cli.os.cpu_count", lambda: None)
+        assert _pool_size(16, 100) == 1
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_fewer_than_one(self, workers):
+        with pytest.raises(ConfigError, match="--workers"):
+            _pool_size(workers, 10)
 
 
 class TestMainInProcess:

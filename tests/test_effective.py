@@ -24,8 +24,8 @@ from cvsat.effective import (
 from cvsat.errors import DomainError, NumericalError
 from cvsat.fading import (
     D_MAX_SIGMAS,
+    FadingChannel,
     LinkGeometry,
-    derive_params,
     deflection_of_eta,
     eta_of_deflection,
     rayleigh_pdf,
@@ -187,27 +187,27 @@ class TestSchemeEffectiveSummary:
 
 class TestSwapCoshAverage:
     def test_point_mass_pair_plain_average(self):
-        ch_a = derive_params(0.0, 1.0, 1.0)
-        ch_b = derive_params(0.0, 1.0, 1.0)
+        ch_a = FadingChannel(0.0, 1.0, 1.0)
+        ch_b = FadingChannel(0.0, 1.0, 1.0)
         v = Squeezing(1.0).v
         got, pv_used = _swap_cosh_average(ch_a, ch_b, v, config("swap").quad)
         assert not pv_used
         assert got == pytest.approx(float(_cosh_swapped(ch_a.eta0, ch_b.eta0, v)), rel=1e-12)
 
     def test_point_mass_on_boundary_raises(self):
-        ch_a = derive_params(0.0, 0.4, 1.0)
+        ch_a = FadingChannel(0.0, 0.4, 1.0)
         # choose beta so that eta0_b = 1 - eta0_a to float rounding
         target = 1.0 - ch_a.eta0
         beta_b = math.sqrt(-0.5 * math.log(1.0 - target * target))
-        ch_b = derive_params(0.0, beta_b, 1.0)
+        ch_b = FadingChannel(0.0, beta_b, 1.0)
         with pytest.raises(NumericalError):
             _swap_cosh_average(ch_a, ch_b, Squeezing(1.0).v, config("swap").quad)
 
     def test_principal_value_against_scipy_cauchy(self):
         # point-mass A side inside the pole window reduces the average to a
         # single principal-value integral scipy can check directly
-        ch_a = derive_params(0.0, 1.0, 1.0)
-        ch_b = derive_params(0.7, 1.0, 1.0)
+        ch_a = FadingChannel(0.0, 1.0, 1.0)
+        ch_b = FadingChannel(0.7, 1.0, 1.0)
         v = Squeezing(1.0).v
         e = ch_a.eta0
         assert 1.0 - ch_b.eta0 < e < 1.0
@@ -239,8 +239,8 @@ class TestSwapCoshAverage:
     def test_all_mass_on_entangled_side_needs_no_pv(self):
         # with eta0 pairs summing below 1 the whole support is separable side;
         # with tight wander around high eta0 it is all entangled side
-        ch_a = derive_params(0.05, 1.5, 1.0)
-        ch_b = derive_params(0.05, 1.5, 1.0)
+        ch_a = FadingChannel(0.05, 1.5, 1.0)
+        ch_b = FadingChannel(0.05, 1.5, 1.0)
         got, pv_used = _swap_cosh_average(ch_a, ch_b, Squeezing(1.0).v, config("swap").quad)
         assert not pv_used
         assert got > 1.0
@@ -280,7 +280,7 @@ class TestOrderingCheck:
     def test_point_mass_geometry(self):
         geom = LinkGeometry(sigma_b=0.0, k1=0.5, k2=0.64)
         report = ordering_check(geom, Squeezing(1.0), beta=1.0, w=1.0)
-        eta0 = derive_params(0.0, 1.0, 1.0).eta0
+        eta0 = FadingChannel(0.0, 1.0, 1.0).eta0
         assert report["direct"]["eta_product"] == pytest.approx(eta0 * eta0, rel=1e-12)
         assert report["satellite_ge_direct"]
         assert report["swap_le_direct"]

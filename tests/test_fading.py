@@ -17,7 +17,6 @@ from cvsat.fading import (
     D_MAX_SIGMAS,
     FadingChannel,
     LinkGeometry,
-    derive_params,
     deflection_of_eta,
     eta_of_deflection,
     expand_links,
@@ -51,7 +50,7 @@ def params_oracle(beta: float, w: float) -> tuple[float, float, float, float]:
 class TestDeriveParams:
     @pytest.mark.parametrize("beta,w", [(0.4, 1.0), (0.5, 1.0), (1.0, 1.0), (2.0, 1.3)])
     def test_matches_series_oracle(self, beta, w):
-        ch = derive_params(0.7, beta, w)
+        ch = FadingChannel(0.7, beta, w)
         h, eta0, lam, l_scale = params_oracle(beta, w)
         assert ch.h == pytest.approx(h, rel=1e-14)
         assert ch.eta0 == pytest.approx(eta0, rel=1e-13)
@@ -59,8 +58,8 @@ class TestDeriveParams:
         assert ch.l_scale == pytest.approx(l_scale, rel=1e-12)
 
     def test_params_do_not_depend_on_sigma(self):
-        a = derive_params(0.2, 0.5, 1.0)
-        b = derive_params(5.0, 0.5, 1.0)
+        a = FadingChannel(0.2, 0.5, 1.0)
+        b = FadingChannel(5.0, 0.5, 1.0)
         assert (a.h, a.eta0, a.lambda_shape, a.l_scale) == (
             b.h,
             b.eta0,
@@ -70,42 +69,42 @@ class TestDeriveParams:
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(DomainError):
-            derive_params(0.7, -0.5, 1.0)
+            FadingChannel(0.7, -0.5, 1.0)
         with pytest.raises(DomainError):
-            derive_params(0.7, 0.5, 0.0)
+            FadingChannel(0.7, 0.5, 0.0)
         with pytest.raises(DomainError):
-            derive_params(-0.1, 0.5, 1.0)
+            FadingChannel(-0.1, 0.5, 1.0)
         with pytest.raises(DomainError):
-            derive_params(math.inf, 0.5, 1.0)
+            FadingChannel(math.inf, 0.5, 1.0)
 
     def test_degenerate_aperture_raises(self):
         with pytest.raises(NumericalError):
-            derive_params(0.7, 1e-9, 1.0)
+            FadingChannel(0.7, 1e-9, 1.0)
 
     def test_point_mass_flag(self):
-        assert derive_params(0.0, 0.5, 1.0).point_mass
-        assert not derive_params(0.1, 0.5, 1.0).point_mass
+        assert FadingChannel(0.0, 0.5, 1.0).point_mass
+        assert not FadingChannel(0.1, 0.5, 1.0).point_mass
 
 
 class TestEtaOfDeflection:
     def test_zero_deflection_gives_eta0(self):
-        ch = derive_params(0.7, 0.5, 1.0)
+        ch = FadingChannel(0.7, 0.5, 1.0)
         assert eta_of_deflection(ch, 0.0) == pytest.approx(ch.eta0)
 
     def test_scale_deflection(self):
         # at d = l_scale the exponent is exactly -1/2
-        ch = derive_params(0.7, 0.5, 1.0)
+        ch = FadingChannel(0.7, 0.5, 1.0)
         assert eta_of_deflection(ch, ch.l_scale) == pytest.approx(
             ch.eta0 * math.exp(-0.5), rel=1e-14
         )
 
     def test_monotone_decreasing(self):
-        ch = derive_params(0.7, 0.5, 1.0)
+        ch = FadingChannel(0.7, 0.5, 1.0)
         eta = eta_of_deflection(ch, np.linspace(0.0, 10.0, 200))
         assert np.all(np.diff(eta) < 0.0)
 
     def test_inverse_round_trip(self):
-        ch = derive_params(0.7, 0.5, 1.0)
+        ch = FadingChannel(0.7, 0.5, 1.0)
         d = np.linspace(0.05, 8.0, 50)
         assert deflection_of_eta(ch, eta_of_deflection(ch, d)) == pytest.approx(d, rel=1e-10)
 
@@ -113,13 +112,13 @@ class TestEtaOfDeflection:
 class TestPdf:
     @pytest.mark.parametrize("sigma,beta", [(0.32, 0.5), (0.7, 1.0), (1.0, 0.5)])
     def test_normalized(self, sigma, beta):
-        ch = derive_params(sigma, beta, 1.0)
+        ch = FadingChannel(sigma, beta, 1.0)
         total, err = integrate.quad(lambda e: pdf(ch, e), 0.0, ch.eta0, limit=200)
         assert err < 1e-8
         assert total == pytest.approx(1.0, abs=1e-7)
 
     def test_tail_mass_matches_deflection_cdf(self):
-        ch = derive_params(0.7, 0.5, 1.0)
+        ch = FadingChannel(0.7, 0.5, 1.0)
         for x in (0.1, 0.3, 0.5, 0.65):
             mass, err = integrate.quad(lambda e: pdf(ch, e), x, ch.eta0, limit=200)
             assert err < 1e-9
@@ -127,32 +126,32 @@ class TestPdf:
             assert mass == pytest.approx(expected, abs=1e-8)
 
     def test_zero_outside_support(self):
-        ch = derive_params(0.7, 0.5, 1.0)
+        ch = FadingChannel(0.7, 0.5, 1.0)
         assert pdf(ch, -0.1) == 0.0
         assert pdf(ch, 0.0) == 0.0
         assert pdf(ch, ch.eta0 + 1e-6) == 0.0
 
     def test_scalar_and_array_shapes(self):
-        ch = derive_params(0.7, 0.5, 1.0)
+        ch = FadingChannel(0.7, 0.5, 1.0)
         assert isinstance(pdf(ch, 0.3), float)
         arr = pdf(ch, np.array([0.1, 0.3]))
         assert arr.shape == (2,)
 
     def test_point_mass_has_no_density(self):
         with pytest.raises(DomainError):
-            pdf(derive_params(0.0, 0.5, 1.0), 0.3)
+            pdf(FadingChannel(0.0, 0.5, 1.0), 0.3)
 
 
 class TestSample:
     def test_within_support(self):
-        ch = derive_params(0.7, 0.5, 1.0)
+        ch = FadingChannel(0.7, 0.5, 1.0)
         draws = sample(ch, np.random.default_rng(7), 5000)
         assert np.all(draws > 0.0)
         assert np.all(draws <= ch.eta0)
 
     @pytest.mark.parametrize("sigma", [0.32, 0.7, 2.0])
     def test_kolmogorov_smirnov(self, sigma):
-        ch = derive_params(sigma, 0.5, 1.0)
+        ch = FadingChannel(sigma, 0.5, 1.0)
         n = 20_000
         draws = np.sort(sample(ch, np.random.default_rng(42), n))
         emp_hi = np.arange(1, n + 1) / n
@@ -164,13 +163,13 @@ class TestSample:
 
     def test_point_mass_rejected(self):
         with pytest.raises(DomainError):
-            sample(derive_params(0.0, 0.5, 1.0), np.random.default_rng(0))
+            sample(FadingChannel(0.0, 0.5, 1.0), np.random.default_rng(0))
 
 
 class TestTransmittanceNodes:
     @pytest.mark.parametrize("sigma", [0.32, 0.7, 1.0, 2.0, 22.0])
     def test_weights_sum_to_one(self, sigma):
-        ch = derive_params(sigma, 0.5, 1.0)
+        ch = FadingChannel(sigma, 0.5, 1.0)
         eta, w = transmittance_nodes(ch)
         assert np.all(w > 0.0)
         # deep-tail nodes may underflow to exactly 0 for very wide channels
@@ -179,63 +178,63 @@ class TestTransmittanceNodes:
 
     @pytest.mark.parametrize("sigma", [0.32, 0.7, 2.0])
     def test_mean_against_dense_oracle(self, sigma):
-        ch = derive_params(sigma, 0.5, 1.0)
+        ch = FadingChannel(sigma, 0.5, 1.0)
         assert mean_transmittance(ch) == pytest.approx(
             dense_channel_average(ch, lambda e: e), abs=1e-9
         )
 
     def test_second_moment_against_dense_oracle(self):
-        ch = derive_params(0.7, 1.0, 1.0)
+        ch = FadingChannel(0.7, 1.0, 1.0)
         eta, w = transmittance_nodes(ch)
         assert float(w @ (eta * eta)) == pytest.approx(
             dense_channel_average(ch, lambda e: e * e), abs=1e-9
         )
 
     def test_mean_against_monte_carlo(self):
-        ch = derive_params(0.7, 0.5, 1.0)
+        ch = FadingChannel(0.7, 0.5, 1.0)
         draws = sample(ch, np.random.default_rng(11), 200_000)
         stderr = float(draws.std(ddof=1)) / math.sqrt(draws.size)
         assert abs(mean_transmittance(ch) - float(draws.mean())) < 4.0 * stderr
 
     @pytest.mark.parametrize("sigma", [0.32, 0.7, 2.0, 22.0])
     def test_converged_in_quadrature(self, sigma):
-        ch = derive_params(sigma, 0.5, 1.0)
+        ch = FadingChannel(sigma, 0.5, 1.0)
         coarse = mean_transmittance(ch, QuadratureSpec(nodes_1d=32, subdivisions=4))
         assert mean_transmittance(ch) == pytest.approx(coarse, abs=1e-9)
 
     def test_point_mass_single_node(self):
-        ch = derive_params(0.0, 0.5, 1.0)
+        ch = FadingChannel(0.0, 0.5, 1.0)
         eta, w = transmittance_nodes(ch)
         assert eta.tolist() == [ch.eta0]
         assert w.tolist() == [1.0]
         assert mean_transmittance(ch) == ch.eta0
 
     def test_truncation_leaves_negligible_tail(self):
-        ch = derive_params(0.7, 0.5, 1.0)
+        ch = FadingChannel(0.7, 0.5, 1.0)
         assert math.exp(-0.5 * D_MAX_SIGMAS**2) < 1e-30
 
 
 class TestScaledSubdivisions:
     def test_wide_channels_get_more_panels(self):
         quad = QuadratureSpec(nodes_1d=32, subdivisions=4)
-        narrow = derive_params(0.3, 0.5, 1.0)
-        wide = derive_params(22.0, 0.5, 1.0)
+        narrow = FadingChannel(0.3, 0.5, 1.0)
+        wide = FadingChannel(22.0, 0.5, 1.0)
         assert scaled_subdivisions(narrow, quad) == 4
         assert scaled_subdivisions(wide, quad) == 4 * 44
 
 
 class TestLossDb:
     def test_matches_mean_power_definition(self):
-        ch = derive_params(0.7, 1.0, 1.0)
+        ch = FadingChannel(0.7, 1.0, 1.0)
         mean_power = dense_channel_average(ch, lambda e: e * e)
         assert loss_db(ch) == pytest.approx(-10.0 * math.log10(mean_power), abs=1e-8)
 
     def test_point_mass(self):
-        ch = derive_params(0.0, 0.5, 1.0)
+        ch = FadingChannel(0.0, 0.5, 1.0)
         assert loss_db(ch) == pytest.approx(-20.0 * math.log10(ch.eta0), rel=1e-12)
 
     def test_loss_grows_with_wander(self):
-        losses = [loss_db(derive_params(s, 0.5, 1.0)) for s in (0.1, 0.5, 1.0, 2.0)]
+        losses = [loss_db(FadingChannel(s, 0.5, 1.0)) for s in (0.1, 0.5, 1.0, 2.0)]
         assert losses == sorted(losses)
 
 

@@ -3,19 +3,33 @@ import math
 import numpy as np
 import pytest
 
+from cvsat import numerics
 from cvsat.errors import DomainError, NumericalError
+from cvsat.fading import FadingChannel, transmittance_nodes
 from cvsat.numerics import (
     DEFAULT_QUAD,
     McSpec,
     QuadratureSpec,
     bessel_i,
-    erfc,
-    integrate_1d,
-    integrate_2d,
     mc_expectation,
+    pair_sums,
     panel_nodes,
+    tensor_rule,
 )
 from oracles import bessel_i0_series, bessel_i1_series
+
+
+def integrate_1d(f, lo, hi, spec=DEFAULT_QUAD):
+    x, w = panel_nodes(lo, hi, spec)
+    return float(w @ f(x))
+
+
+def integrate_2d(f, box, spec=DEFAULT_QUAD):
+    (lo1, hi1), (lo2, hi2) = box
+    y, wy = panel_nodes(lo2, hi2, spec)
+    (total,) = pair_sums(panel_nodes(lo1, hi1, spec), tensor_rule(y, wy), y.size,
+                         lambda x, y: (f(x, y),))
+    return total
 
 
 class TestSpecs:
@@ -57,8 +71,12 @@ class TestIntegrate1d:
         assert integrate_1d(np.exp, 1.0, 1.0) == 0.0
 
     def test_rejects_non_finite_integrand(self):
+        # pair_sums with a one-node inner rule of weight 1 is a 1D sum
+        def one_node(x, w):
+            return np.zeros((1, 1)), w[:, None]
+
         with np.errstate(divide="ignore"), pytest.raises(NumericalError):
-            integrate_1d(lambda x: 1.0 / (x - x), 0.0, 1.0)
+            pair_sums(panel_nodes(0.0, 1.0), one_node, 1, lambda x, y: (1.0 / (x - x),))
 
     def test_panel_nodes_cover_interval(self):
         x, w = panel_nodes(2.0, 5.0, QuadratureSpec(8, 3))
@@ -83,15 +101,47 @@ class TestIntegrate2d:
         assert integrate_2d(lambda x, y: x + y, ((0.0, 0.0), (0.0, 1.0))) == 0.0
 
 
+class TestPairSums:
+    def test_independent_of_block_size(self, monkeypatch):
+        # the swap uplinks at sigma_b = 1.5, k2 = 0.64 (1024 x 512 nodes) and
+        # the swap ensemble's integrands at r = 1
+        eta_a, w_a = transmittance_nodes(FadingChannel(1.5, 1.0, 1.0))
+        eta_b, w_b = transmittance_nodes(FadingChannel(0.96, 1.0, 1.0))
+        v = math.cosh(2.0)
+
+        def integrand(e, ep):
+            shared = (v * v - 1.0) / (2.0 + (e + ep) * (v - 1.0))
+            yield v - e * shared
+            yield v - ep * shared
+            yield np.sqrt(e * ep) * shared
+
+        def sums():
+            return pair_sums((eta_a, w_a), tensor_rule(eta_b, w_b), eta_b.size, integrand)
+
+        default = sums()
+        monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 3 * eta_b.size + 7)
+        tiny = sums()
+        assert len(tiny) == 3
+        for got, want in zip(tiny, default):
+            assert got == pytest.approx(want, rel=1e-14)
+
+    def test_row_dependent_inner_rule(self):
+        # the inner interval [0, 1 - x] shrinks with the outer node
+        t, wt = panel_nodes(0.0, 1.0, QuadratureSpec(16, 2))
+
+        def triangle(x, w):
+            cap = (1.0 - x)[:, None]
+            return cap * t[None, :], (w[:, None] * cap) * wt[None, :]
+
+        (got,) = pair_sums(panel_nodes(0.0, 1.0), triangle, t.size, lambda x, y: (x + y,))
+        assert got == pytest.approx(1.0 / 3.0, rel=1e-14)
+
+    def test_empty_outer_table(self):
+        empty = (np.empty(0), np.empty(0))
+        assert pair_sums(empty, tensor_rule(*panel_nodes(0.0, 1.0)), 1, lambda x, y: (x,)) == []
+
+
 class TestSpecialFunctions:
-    def test_erfc_matches_stdlib(self):
-        for x in np.linspace(-6.0, 6.0, 49):
-            assert erfc(x) == pytest.approx(math.erfc(x), rel=1e-13, abs=1e-300)
-
-    def test_erfc_vectorized(self):
-        x = np.array([-1.0, 0.0, 2.5])
-        assert np.allclose(erfc(x), [math.erfc(v) for v in x], rtol=1e-13)
-
     def test_bessel_matches_series(self):
         for x in (0.0, 1e-3, 0.5, 4.0, 16.0, 64.0):
             assert bessel_i(0, x) == pytest.approx(bessel_i0_series(x), rel=1e-13)

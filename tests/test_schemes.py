@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cvsat.errors import DomainError
-from cvsat.fading import LinkGeometry, derive_params, sample
+from cvsat.fading import FadingChannel, LinkGeometry, sample
 from cvsat.gaussian import (
     Squeezing,
     add_excess_noise,
