@@ -50,13 +50,10 @@ from .schemes import (
     GeneralBipartiteInput,
     SchemeConfig,
     SwapGains,
-    direct_ensemble,
     direct_realization,
     ensemble_cm,
     optimal_gains,
-    satellite_ensemble,
     swap_conditional,
-    swap_ensemble,
     swap_ensemble_cm,
     swap_realization,
 )
@@ -86,7 +83,6 @@ __all__ = [
     "apply_loss",
     "bessel_i",
     "classical_postselect",
-    "direct_ensemble",
     "direct_realization",
     "ensemble_cm",
     "expand_links",
@@ -101,11 +97,9 @@ __all__ = [
     "quantum_moments_realization",
     "quantum_postselect",
     "sample",
-    "satellite_ensemble",
     "scheme_effective_summary",
     "standard_form",
     "swap_conditional",
-    "swap_ensemble",
     "swap_ensemble_cm",
     "swap_realization",
     "symplectic_spectrum_pt",

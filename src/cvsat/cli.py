@@ -58,6 +58,8 @@ CSV_COLUMNS = (
 
 # Absolute tolerance of the subdivision-doubling convergence gate.
 CONVERGENCE_TOL = 1e-7
+# Convergence gaps below this are summation round-off and print as "< 1e-12".
+ROUND_OFF_GAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -382,8 +384,9 @@ def run_validate(scenario: Scenario) -> dict:
                     record(name, False, f"evaluation failed: {exc}")
                     continue
                 diff = abs(e_coarse - e_fine)
+                gap = f"< {ROUND_OFF_GAP:g}" if diff < ROUND_OFF_GAP else f"= {diff:.3e}"
                 record(name, diff < CONVERGENCE_TOL,
-                       f"|E_LN({scenario.quad.subdivisions} subdiv) - E_LN({fine.subdivisions})| = {diff:.3e}")
+                       f"|E_LN({scenario.quad.subdivisions} subdiv) - E_LN({fine.subdivisions})| {gap}")
 
     if scenario.mc is not None:
         geom = LinkGeometry(sigma_b=scenario.sigma_b_grid[-1], k1=scenario.k1, k2=scenario.k2)

@@ -41,7 +41,7 @@ from .fading import (
 )
 from .gaussian import Squeezing, StandardFormCM, TwoModeCM, standard_form
 from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums, panel_nodes, tensor_rule
-from .schemes import SchemeConfig
+from .schemes import SchemeConfig, path_moments
 
 
 @dataclass(frozen=True)
@@ -225,18 +225,10 @@ def scheme_effective_summary(cfg: SchemeConfig) -> EffectiveParams:
     effective squeezing equals the source squeezing and only the
     transmittivities average.  Swapping averages both.
     """
-    ch_a, ch_b = cfg.links()
-    quad = cfg.quad
-    if cfg.kind == "direct":
-        eta_b, w_b = transmittance_nodes(ch_b, quad)
-        (zeta_mean,) = pair_sums(transmittance_nodes(ch_a, quad), tensor_rule(eta_b, w_b),
-                                 eta_b.size, lambda e, ep: (e * ep,))
-        return EffectiveParams(r_e=cfg.squeezing.r, eta_a=1.0, eta_b=zeta_mean)
-    if cfg.kind == "satellite":
-        ea, wa = transmittance_nodes(ch_a, quad)
-        eb, wb = transmittance_nodes(ch_b, quad)
-        return EffectiveParams(r_e=cfg.squeezing.r, eta_a=float(wa @ ea), eta_b=float(wb @ eb))
-    return _swap_summary(cfg)[0]
+    if cfg.kind == "swap":
+        return _swap_summary(cfg)[0]
+    (eta_a, _), (eta_b, _) = path_moments(cfg)
+    return EffectiveParams(r_e=cfg.squeezing.r, eta_a=eta_a, eta_b=eta_b)
 
 
 def ordering_check(

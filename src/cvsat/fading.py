@@ -34,6 +34,9 @@ _DEGENERACY_TOL = 1e-12
 # Largest |sum(w) - 1| a resolved rule shows: 16x2 stays below 1.1e-13 at any
 # sigma_b, while 8x1 misses by 7.3e-3 at sigma_b = 0.1.
 _WEIGHT_SUM_TOL = 1e-9
+# Most nodes on one axis of a channel average; the largest rule in use, 64x8
+# at sigma_b = 22 beam radii, needs 11,264.
+_MAX_NODES_PER_AXIS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -118,9 +121,14 @@ def scaled_subdivisions(ch: FadingChannel, quad: QuadratureSpec) -> int:
 
     The transmittance varies over deflections of order l_scale (comparable to
     beta); for high-loss channels the Rayleigh support is much wider than that,
-    so panels are added proportionally.
+    so panels are added proportionally, up to _MAX_NODES_PER_AXIS nodes.
     """
-    return quad.subdivisions * max(1, math.ceil(ch.sigma_b / ch.beta))
+    subs = quad.subdivisions * max(1, math.ceil(ch.sigma_b / ch.beta))
+    n = quad.nodes_1d * subs
+    if n > _MAX_NODES_PER_AXIS:
+        raise DomainError(f"sigma_b={ch.sigma_b:g} with the {quad.nodes_1d}x{quad.subdivisions} "
+                          f"rule needs {n} nodes per axis, above the limit {_MAX_NODES_PER_AXIS}")
+    return subs
 
 
 def transmittance_nodes(

@@ -16,6 +16,13 @@ from scipy import special
 from .errors import DomainError, NumericalError
 
 
+# Largest Gauss-Legendre rule per panel: an n-node rule is built from the
+# eigenvalues of an n x n matrix, 8 MB and 0.15 s at n = 1024 on 2 vCPUs.
+_MAX_NODES_1D = 1 << 10
+# Largest Monte Carlo sample count; each drawn array holds 8 bytes a sample.
+_MAX_MC_SAMPLES = 1 << 22
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Composite Gauss-Legendre rule: nodes_1d points on each of `subdivisions` panels."""
@@ -24,8 +31,8 @@ class QuadratureSpec:
     subdivisions: int = 8
 
     def __post_init__(self) -> None:
-        if self.nodes_1d < 8:
-            raise DomainError(f"nodes_1d must be >= 8, got {self.nodes_1d}")
+        if not (8 <= self.nodes_1d <= _MAX_NODES_1D):
+            raise DomainError(f"nodes_1d must lie in [8, {_MAX_NODES_1D}], got {self.nodes_1d}")
         if self.subdivisions < 1:
             raise DomainError(f"subdivisions must be >= 1, got {self.subdivisions}")
 
@@ -41,8 +48,8 @@ class McSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.samples < 10_000:
-            raise DomainError(f"samples must be >= 10000, got {self.samples}")
+        if not (10_000 <= self.samples <= _MAX_MC_SAMPLES):
+            raise DomainError(f"samples must lie in [10000, {_MAX_MC_SAMPLES}], got {self.samples}")
         if not (0 <= self.seed < 2**64):
             raise DomainError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 

@@ -76,37 +76,23 @@ def direct_realization(sq: Squeezing, eta: float, eta_prime: float, chi: float =
     )
 
 
-def direct_ensemble(cfg: SchemeConfig) -> TwoModeCM:
-    """Ensemble CM of direct transmission, averaged over both fading links."""
-    if cfg.kind != "direct":
-        raise DomainError(f"expected a direct config, got kind={cfg.kind!r}")
-    ch_up, ch_down = cfg.links()
-    v = cfg.squeezing.v
+def path_moments(cfg: SchemeConfig) -> list[tuple[float, float]]:
+    """(E[eta], E[sqrt(eta)]) of the paths modes A and B cross in the direct or satellite scheme.
 
-    def integrand(e, ep):
-        zeta = e * ep
-        yield 1.0 + zeta * (v - 1.0)
-        yield np.sqrt(zeta)
-
-    eta_b, w_b = transmittance_nodes(ch_down, cfg.quad)
-    b_avg, c_avg = pair_sums(transmittance_nodes(ch_up, cfg.quad), tensor_rule(eta_b, w_b),
-                             eta_b.size, integrand)
-    return _standard_cm(a=v, b=b_avg + cfg.chi, c=c_avg * math.sqrt(v * v - 1.0))
-
-
-def satellite_ensemble(cfg: SchemeConfig) -> TwoModeCM:
-    """Ensemble CM when the squeezed source sits on the satellite."""
-    if cfg.kind != "satellite":
-        raise DomainError(f"expected a satellite config, got kind={cfg.kind!r}")
+    Direct: mode A stays home (1, 1); mode B crosses the uplink, then the
+    downlink.  Satellite: each mode crosses its own downlink.  Links fade
+    independently, so a path's moments are products of its links' moments.
+    """
     ch_a, ch_b = cfg.links()
-    v = cfg.squeezing.v
-    eta_a, w_a = transmittance_nodes(ch_a, cfg.quad)
-    eta_b, w_b = transmittance_nodes(ch_b, cfg.quad)
-    a_avg = 1.0 + float(w_a @ eta_a) * (v - 1.0)
-    b_avg = 1.0 + float(w_b @ eta_b) * (v - 1.0)
-    # The links are independent, so the cross term factorizes exactly.
-    c_avg = float(w_a @ np.sqrt(eta_a)) * float(w_b @ np.sqrt(eta_b)) * math.sqrt(v * v - 1.0)
-    return _standard_cm(a=a_avg + cfg.chi, b=b_avg + cfg.chi, c=c_avg)
+    moments = []
+    for path in ((), (ch_a, ch_b)) if cfg.kind == "direct" else ((ch_a,), (ch_b,)):
+        mean = root = 1.0
+        for ch in path:
+            eta, w = transmittance_nodes(ch, cfg.quad)
+            mean *= float(w @ eta)
+            root *= float(w @ np.sqrt(eta))
+        moments.append((mean, root))
+    return moments
 
 
 @dataclass(frozen=True)
@@ -225,10 +211,8 @@ def swap_realization(sq: Squeezing, eta: float, eta_prime: float, chi: float = 0
     return swap_ensemble_cm(inp, general_optimal_gains(inp))
 
 
-def swap_ensemble(cfg: SchemeConfig) -> TwoModeCM:
+def _swap_ensemble(cfg: SchemeConfig) -> TwoModeCM:
     """Ensemble CM of the swapping scheme, averaged over both uplinks."""
-    if cfg.kind != "swap":
-        raise DomainError(f"expected a swap config, got kind={cfg.kind!r}")
     ch_a, ch_b = cfg.links()
     v = cfg.squeezing.v
     v2m1 = v * v - 1.0
@@ -247,9 +231,15 @@ def swap_ensemble(cfg: SchemeConfig) -> TwoModeCM:
 
 
 def ensemble_cm(cfg: SchemeConfig) -> TwoModeCM:
-    """Ensemble CM for any scheme kind."""
-    if cfg.kind == "direct":
-        return direct_ensemble(cfg)
-    if cfg.kind == "satellite":
-        return satellite_ensemble(cfg)
-    return swap_ensemble(cfg)
+    """Ensemble CM of the scheme cfg.kind, averaged over the fading of its links.
+
+    Direct and satellite entries follow from path_moments (direct station A
+    keeps v exactly, without chi); swap does not factorize over its links.
+    """
+    if cfg.kind == "swap":
+        return _swap_ensemble(cfg)
+    (mean_a, root_a), (mean_b, root_b) = path_moments(cfg)
+    v = cfg.squeezing.v
+    a = v if cfg.kind == "direct" else 1.0 + mean_a * (v - 1.0) + cfg.chi
+    return _standard_cm(a=a, b=1.0 + mean_b * (v - 1.0) + cfg.chi,
+                        c=root_a * root_b * math.sqrt(v * v - 1.0))

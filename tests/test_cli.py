@@ -1,15 +1,18 @@
 """Scenario parsing, CSV formatting, and end-to-end command-line behavior."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import cvsat
 from cvsat.cli import (
     CSV_COLUMNS,
     _pool_size,
@@ -18,9 +21,13 @@ from cvsat.cli import (
     parse_scenario,
     rate_estimate,
     run_sweep,
+    run_validate,
     write_csv,
 )
 from cvsat.errors import ConfigError, DomainError
+from cvsat.numerics import QuadratureSpec
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 BASE = """\
 schemes = direct, satellite, swap
@@ -301,9 +308,12 @@ class TestRateEstimate:
 
 
 def run_cli(*argv):
+    # The child imports the same cvsat as this process, installed or not.
+    src = str(Path(cvsat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "cvsat.cli", *argv],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -418,6 +428,18 @@ class TestCommandLine:
         failed = [check for check in report["checks"] if not check["passed"]]
         assert failed and failed[0]["name"].startswith("postselect/")
 
+    def test_validate_prints_round_off_gaps_as_a_bound(self):
+        # at the shipped rule every subdivision-doubling gap is summation
+        # round-off, which must not reach the report; a coarse rule's is printed
+        scenario = parse_scenario(SCENARIOS / "lowloss_bw1.0.scn")
+        report = run_validate(scenario)
+        gaps = [c["detail"] for c in report["checks"] if c["name"].startswith("convergence/")]
+        assert len(gaps) == 27
+        assert all(gap.endswith("| < 1e-12") for gap in gaps)
+        assert report["passed"] is True
+        coarse = run_validate(dataclasses.replace(scenario, quad=QuadratureSpec(16, 2)))
+        assert any("| = " in c["detail"] for c in coarse["checks"])
+
     def test_rate_command(self):
         res = run_cli("rate", "--p", "1e-4", "--tx-hz", "1e8")
         assert res.returncode == 0
@@ -454,7 +476,7 @@ class TestCommandLine:
     def test_under_resolved_quadrature_exits_3(self):
         # an 8-node single-panel rule cannot resolve the narrow downlink
         # (sigma_b = 0.032); the weight-sum check reports it as numerical
-        scenario = Path(__file__).resolve().parents[1] / "scenarios" / "lowloss_bw1.0.scn"
+        scenario = SCENARIOS / "lowloss_bw1.0.scn"
         res = run_cli("sweep", str(scenario), "--quad-nodes", "8", "--quad-subdiv", "1")
         assert res.returncode == 3
         assert "numerical error" in res.stderr
@@ -500,6 +522,31 @@ class TestCommandLine:
             "sweep", scn(tmp_path, text), "--quad-nodes", "32", "--quad-subdiv", "4"
         )
         assert res.returncode == 0, res.stderr
+
+
+class TestSizeLimits:
+    """Requests that would allocate without bound exit 2 before allocating."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_allocation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            pytest.fail("an oversized request reached an allocating call")
+
+        monkeypatch.setattr("cvsat.numerics._leggauss", refuse)
+        monkeypatch.setattr("cvsat.cli.sample", refuse)
+        monkeypatch.setattr("cvsat.cli.mc_expectation", refuse)
+
+    @pytest.mark.parametrize("command,text,flags,message", [
+        ("sweep", SMALL, ("--quad-nodes", "100000"), "nodes_1d must lie in"),
+        ("sweep", SMALL, ("--quad-subdiv", "1000000000"), "nodes per axis"),
+        ("sweep", SMALL.replace("sigma_b.min = 0.4", "sigma_b.min = 1e6")
+                       .replace("sigma_b.max = 0.8", "sigma_b.max = 2e6"), (), "sigma_b=1e+06"),
+        ("validate", SMALL + "mc.samples = 100000000\n", (), "samples must lie in"),
+    ])
+    def test_exits_2_before_allocating(self, tmp_path, capsys, command, text, flags, message):
+        assert main([command, scn(tmp_path, text), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "domain error" in err and message in err
 
 
 class TestPoolSize:

@@ -22,7 +22,7 @@ from cvsat.postselect import (
     quantum_moments_realization,
     quantum_postselect,
 )
-from cvsat.schemes import SchemeConfig, direct_ensemble
+from cvsat.schemes import SchemeConfig, ensemble_cm
 
 from oracles import fading_cdf, mc_ratio, tap_moments_wigner
 
@@ -61,7 +61,7 @@ class TestClassicalPostselect:
         cfg = direct_cfg()
         up, down = links(cfg)
         res = classical_postselect(cfg.squeezing, up, down, ClassicalPsConfig(0.0))
-        np.testing.assert_allclose(res.cm.m, direct_ensemble(cfg).m, atol=1e-9)
+        np.testing.assert_allclose(res.cm.m, ensemble_cm(cfg).m, atol=1e-9)
         assert res.p_success == pytest.approx(1.0, abs=1e-12)
 
     def test_threshold_above_support_rejected(self):
@@ -221,7 +221,7 @@ class TestQuantumPostselect:
         cfg = direct_cfg()
         up, down = links(cfg)
         res = quantum_postselect(cfg.squeezing, up, down, QuantumPsConfig(0.93, -40.0))
-        want = apply_loss(direct_ensemble(cfg), 1.0, 0.93)
+        want = apply_loss(ensemble_cm(cfg), 1.0, 0.93)
         np.testing.assert_allclose(res.cm.m, want.m, atol=1e-9)
         assert res.p_success == pytest.approx(1.0, abs=1e-12)
 
@@ -229,7 +229,7 @@ class TestQuantumPostselect:
         cfg = direct_cfg()
         up, down = links(cfg)
         res = quantum_postselect(cfg.squeezing, up, down, QuantumPsConfig(1.0, 0.7))
-        np.testing.assert_allclose(res.cm.m, direct_ensemble(cfg).m, atol=1e-10)
+        np.testing.assert_allclose(res.cm.m, ensemble_cm(cfg).m, atol=1e-10)
         assert res.p_success == pytest.approx(0.5 * special.erfc(0.7 / math.sqrt(2.0)),
                                               rel=1e-12)
 

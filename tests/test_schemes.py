@@ -10,8 +10,9 @@ import math
 import numpy as np
 import pytest
 
+from cvsat.effective import scheme_effective_summary
 from cvsat.errors import DomainError
-from cvsat.fading import FadingChannel, LinkGeometry, sample
+from cvsat.fading import FadingChannel, LinkGeometry, sample, transmittance_nodes
 from cvsat.gaussian import (
     Squeezing,
     add_excess_noise,
@@ -19,19 +20,16 @@ from cvsat.gaussian import (
     log_negativity,
     tmsv_cm,
 )
-from cvsat.numerics import QuadratureSpec
+from cvsat.numerics import QuadratureSpec, pair_sums, tensor_rule
 from cvsat.schemes import (
     GeneralBipartiteInput,
     SchemeConfig,
     SwapGains,
-    direct_ensemble,
     direct_realization,
     ensemble_cm,
     general_optimal_gains,
     optimal_gains,
-    satellite_ensemble,
     swap_conditional,
-    swap_ensemble,
     swap_ensemble_cm,
     swap_inputs,
     swap_realization,
@@ -106,24 +104,41 @@ class TestDirectEnsemble:
         cfg = config("direct", geom=POINT, beta=0.5, chi=0.03)
         up, down = cfg.links()
         want = direct_realization(cfg.squeezing, up.eta0, down.eta0, cfg.chi)
-        np.testing.assert_allclose(direct_ensemble(cfg).m, want.m, atol=1e-12)
+        np.testing.assert_allclose(ensemble_cm(cfg).m, want.m, atol=1e-12)
 
     def test_entries_match_factorized_dense_average(self):
-        # independent links: E[f(eta) g(eta')] = E[f] * E[g]
-        cfg = config("direct", r=0.8, beta=0.5)
-        up, down = cfg.links()
-        v = cfg.squeezing.v
-        b_want = 1.0 + (v - 1.0) * (
-            dense_channel_average(up, lambda e: e) * dense_channel_average(down, lambda e: e)
-        )
-        c_want = math.sqrt(v * v - 1.0) * (
-            dense_channel_average(up, np.sqrt) * dense_channel_average(down, np.sqrt)
-        )
-        m = direct_ensemble(cfg).m
-        assert m[0, 0] == pytest.approx(v, abs=1e-12)
-        assert m[2, 2] == pytest.approx(b_want, abs=1e-9)
-        assert m[0, 2] == pytest.approx(c_want, abs=1e-9)
-        assert m[1, 3] == pytest.approx(-c_want, abs=1e-9)
+        # independent links: E[f(eta) g(eta')] = E[f] * E[g].  The 2D pair sum
+        # over both node tables is the unfactorized reference; the dense
+        # trapezoid average is an independent one.
+        highloss = LinkGeometry(sigma_b=22.0, k1=1.0 / 11.0, k2=1.0)
+        for cfg in (
+            config("direct", r=0.8, beta=0.5),
+            config("direct", r=0.8, geom=POINT, beta=0.5, chi=0.03),
+            config("direct", r=1.2, geom=LinkGeometry(sigma_b=0.1, k1=0.5, k2=0.64), beta=0.5),
+            config("direct", r=1.5, geom=highloss, w=2.0, chi=0.01,
+                   quad=QuadratureSpec(nodes_1d=32, subdivisions=4)),
+        ):
+            up, down = cfg.links()
+            v = cfg.squeezing.v
+            eta_d, w_d = transmittance_nodes(down, cfg.quad)
+            b_sum, c_sum, zeta = pair_sums(
+                transmittance_nodes(up, cfg.quad), tensor_rule(eta_d, w_d), eta_d.size,
+                lambda e, ep: (1.0 + e * ep * (v - 1.0), np.sqrt(e * ep), e * ep),
+            )
+            b, c = b_sum + cfg.chi, c_sum * math.sqrt(v * v - 1.0)
+            want = np.array([[v, 0, c, 0], [0, v, 0, -c], [c, 0, b, 0], [0, -c, 0, b]])
+            np.testing.assert_allclose(ensemble_cm(cfg).m, want, rtol=1e-14, atol=0)
+            assert scheme_effective_summary(cfg).eta_b == pytest.approx(zeta, rel=1e-14, abs=0)
+            if up.point_mass:
+                continue
+            b_dense = 1.0 + cfg.chi + (v - 1.0) * (
+                dense_channel_average(up, lambda e: e) * dense_channel_average(down, lambda e: e)
+            )
+            c_dense = math.sqrt(v * v - 1.0) * (
+                dense_channel_average(up, np.sqrt) * dense_channel_average(down, np.sqrt)
+            )
+            assert b == pytest.approx(b_dense, abs=1e-9)
+            assert c == pytest.approx(c_dense, abs=1e-9)
 
     def test_against_monte_carlo(self):
         cfg = config("direct", r=1.0, beta=0.5)
@@ -133,18 +148,14 @@ class TestDirectEnsemble:
         e = sample(up, rng, 400_000)
         ep = sample(down, rng, 400_000)
         for draws, entry in (
-            (1.0 + e * ep * (v - 1.0), direct_ensemble(cfg).m[2, 2]),
-            (np.sqrt(e * ep) * math.sqrt(v * v - 1.0), direct_ensemble(cfg).m[0, 2]),
+            (1.0 + e * ep * (v - 1.0), ensemble_cm(cfg).m[2, 2]),
+            (np.sqrt(e * ep) * math.sqrt(v * v - 1.0), ensemble_cm(cfg).m[0, 2]),
         ):
             stderr = draws.std(ddof=1) / math.sqrt(draws.size)
             assert abs(entry - draws.mean()) < 4.0 * stderr
 
-    def test_rejects_wrong_kind(self):
-        with pytest.raises(DomainError):
-            direct_ensemble(config("swap"))
-
     def test_chi_reduces_entanglement(self):
-        vals = [log_negativity(direct_ensemble(config("direct", chi=c)))
+        vals = [log_negativity(ensemble_cm(config("direct", chi=c)))
                 for c in (0.0, 0.02, 0.05)]
         assert vals[0] > vals[1] > vals[2]
 
@@ -156,13 +167,13 @@ class TestSatelliteEnsemble:
         want = add_excess_noise(
             apply_loss(tmsv_cm(cfg.squeezing), ch_a.eta0, ch_b.eta0), cfg.chi, cfg.chi
         )
-        np.testing.assert_allclose(satellite_ensemble(cfg).m, want.m, atol=1e-12)
+        np.testing.assert_allclose(ensemble_cm(cfg).m, want.m, atol=1e-12)
 
     def test_entries_match_dense_average(self):
         cfg = config("satellite", r=1.1, beta=0.5)
         ch_a, ch_b = cfg.links()
         v = cfg.squeezing.v
-        m = satellite_ensemble(cfg).m
+        m = ensemble_cm(cfg).m
         assert m[0, 0] == pytest.approx(
             1.0 + (v - 1.0) * dense_channel_average(ch_a, lambda e: e), abs=1e-9
         )
@@ -178,12 +189,12 @@ class TestSatelliteEnsemble:
 
     def test_symmetric_links_give_symmetric_state(self):
         cfg = config("satellite", geom=LinkGeometry(sigma_b=0.7, k1=1.0, k2=1.0))
-        m = satellite_ensemble(cfg).m
+        m = ensemble_cm(cfg).m
         assert m[0, 0] == pytest.approx(m[2, 2], rel=1e-12)
 
     def test_beats_direct_at_reference_point(self):
-        assert log_negativity(satellite_ensemble(config("satellite"))) > log_negativity(
-            direct_ensemble(config("direct"))
+        assert log_negativity(ensemble_cm(config("satellite"))) > log_negativity(
+            ensemble_cm(config("direct"))
         )
 
 
@@ -270,7 +281,7 @@ class TestSwapEnsemble:
         cfg = config("swap", geom=POINT, beta=0.5, chi=0.02)
         ch_a, ch_b = cfg.links()
         want = swap_realization(cfg.squeezing, ch_a.eta0, ch_b.eta0, cfg.chi)
-        np.testing.assert_allclose(swap_ensemble(cfg).m, want.m, atol=1e-12)
+        np.testing.assert_allclose(ensemble_cm(cfg).m, want.m, atol=1e-12)
 
     def test_against_monte_carlo_realizations(self):
         cfg = config("swap", r=1.0, beta=1.0)
@@ -283,28 +294,18 @@ class TestSwapEnsemble:
         for i in range(n):
             m = swap_realization(cfg.squeezing, e[i], ep[i]).m
             draws[i] = (m[0, 0], m[2, 2], m[0, 2])
-        got = swap_ensemble(cfg).m
+        got = ensemble_cm(cfg).m
         for k, entry in enumerate((got[0, 0], got[2, 2], got[0, 2])):
             stderr = draws[:, k].std(ddof=1) / math.sqrt(n)
             assert abs(entry - draws[:, k].mean()) < 4.0 * stderr
 
     def test_chi_reduces_entanglement(self):
-        vals = [log_negativity(swap_ensemble(config("swap", chi=c)))
+        vals = [log_negativity(ensemble_cm(config("swap", chi=c)))
                 for c in (0.0, 0.02, 0.05)]
         assert vals[0] > vals[1] > vals[2]
 
 
 class TestEnsembleCmDispatch:
-    def test_matches_specific_functions(self):
-        pairs = (
-            ("direct", direct_ensemble),
-            ("satellite", satellite_ensemble),
-            ("swap", swap_ensemble),
-        )
-        for kind, fn in pairs:
-            cfg = config(kind)
-            np.testing.assert_array_equal(ensemble_cm(cfg).m, fn(cfg).m)
-
     def test_reference_point_ordering(self):
         e = {k: log_negativity(ensemble_cm(config(k))) for k in ("direct", "satellite", "swap")}
         assert e["satellite"] > e["direct"] > e["swap"] > 0.0
