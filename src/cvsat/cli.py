@@ -56,6 +56,8 @@ CSV_COLUMNS = (
     "eff_r", "eff_eta_a", "eff_eta_b", "mean_loss_up_db", "mean_loss_down_db",
 )
 
+# Most rows (schemes x sigma_b x r x thresholds) a scenario may ask for; shipped grids have <= 675.
+MAX_ROWS = 1 << 16
 # Absolute tolerance of the subdivision-doubling convergence gate.
 CONVERGENCE_TOL = 1e-7
 # Convergence gaps below this are summation round-off and print as "< 1e-12".
@@ -108,7 +110,8 @@ def _pop_int(data, key, default=_REQUIRED):
     return _pop(data, key, int, default)
 
 
-def _grid(data: dict, prefix: str, sep: str = ".") -> tuple[float, ...]:
+def _axis(data: dict, prefix: str, sep: str = ".") -> tuple[float, float, int]:
+    """(min, max, steps) of a grid axis; _grid lays out its points."""
     lo = _pop_float(data, f"{prefix}{sep}min")
     steps = _pop_int(data, f"{prefix}{sep}steps", 1)
     hi = _pop_float(data, f"{prefix}{sep}max", lo)
@@ -116,11 +119,14 @@ def _grid(data: dict, prefix: str, sep: str = ".") -> tuple[float, ...]:
         raise ConfigError(f"scenario key {prefix}{sep}steps must be >= 1, got {steps}")
     if hi < lo:
         raise ConfigError(f"scenario key {prefix}{sep}max must be >= {prefix}{sep}min")
-    if steps == 1:
-        return (lo,)
-    if hi == lo:
+    if steps > 1 and hi == lo:
         raise ConfigError(f"scenario key {prefix}{sep}max must exceed {prefix}{sep}min when steps > 1")
-    return tuple(np.linspace(lo, hi, steps))
+    return lo, hi, steps
+
+
+def _grid(axis: tuple[float, float, int]) -> tuple[float, ...]:
+    lo, hi, steps = axis
+    return (lo,) if steps == 1 else tuple(np.linspace(lo, hi, steps))
 
 
 def parse_scenario(path: str | Path) -> Scenario:
@@ -148,8 +154,8 @@ def parse_scenario(path: str | Path) -> Scenario:
     if len(set(schemes)) != len(schemes):
         raise ConfigError("scenario key 'schemes' lists a scheme twice")
 
-    r_grid = _grid(data, "r")
-    sigma_grid = _grid(data, "sigma_b")
+    r_axis = _axis(data, "r")
+    sigma_axis = _axis(data, "sigma_b")
     beta = _pop_float(data, "beta", 1.0)
     w = _pop_float(data, "w", None)
     beta_over_w = _pop_float(data, "beta_over_w", None)
@@ -168,8 +174,8 @@ def parse_scenario(path: str | Path) -> Scenario:
         ("k1", k1, 0.0 <= k1 <= 1.0),
         ("k2", k2, k2 >= 0.0),
         ("chi", chi, chi >= 0.0),
-        ("sigma_b.min", sigma_grid[0], sigma_grid[0] >= 0.0),
-        ("r.min", r_grid[0], r_grid[0] >= 0.0),
+        ("sigma_b.min", sigma_axis[0], sigma_axis[0] >= 0.0),
+        ("r.min", r_axis[0], r_axis[0] >= 0.0),
     ):
         if not ok:
             raise ConfigError(f"scenario key {key!r} is out of range: {value}")
@@ -184,26 +190,30 @@ def parse_scenario(path: str | Path) -> Scenario:
     elif "mc.seed" in data:
         raise ConfigError("scenario sets 'mc.seed' without 'mc.samples'")
 
-    ps = None
+    ps_axis = None
     if any(key.startswith("postselect.") for key in data):
         kind = _pop(data, "postselect.type", str, _REQUIRED)
         if kind not in ("classical", "quantum"):
             raise ConfigError(
                 f"scenario key 'postselect.type' must be classical or quantum, got {kind!r}"
             )
-        thresholds = _grid(data, "postselect.threshold", sep="_")
+        ps_axis = _axis(data, "postselect.threshold", sep="_")
         tap_t = _pop_float(data, "postselect.tap_t", None)
         if kind == "quantum" and tap_t is None:
             raise ConfigError("quantum post-selection requires 'postselect.tap_t'")
         if kind == "classical" and tap_t is not None:
             raise ConfigError("'postselect.tap_t' only applies to quantum post-selection")
-        ps = PsSpec(kind=kind, thresholds=thresholds, tap_t=tap_t)
 
     output = _pop(data, "output", str, None)
     if data:
         raise ConfigError(f"unknown scenario key(s): {', '.join(sorted(data))}")
+    rows = len(schemes) * r_axis[2] * sigma_axis[2] * (ps_axis[2] if ps_axis else 1)
+    if rows > MAX_ROWS:
+        raise ConfigError(f"scenario grid has {rows} rows (schemes x sigma_b x r x thresholds), "
+                          f"above the limit {MAX_ROWS}")
+    ps = PsSpec(kind=kind, thresholds=_grid(ps_axis), tap_t=tap_t) if ps_axis else None
     return Scenario(
-        schemes=schemes, r_grid=r_grid, sigma_b_grid=sigma_grid, beta=beta, w=w,
+        schemes=schemes, r_grid=_grid(r_axis), sigma_b_grid=_grid(sigma_axis), beta=beta, w=w,
         k1=k1, k2=k2, chi=chi, quad=quad, mc=mc, postselect=ps, output=output,
     )
 
@@ -362,6 +372,11 @@ def _grid_probes(grid: tuple[float, ...]) -> list[float]:
     return sorted(probes)
 
 
+def _draw(ch, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n transmittance draws; a point-mass link always gives its fixed eta0."""
+    return np.full(n, ch.eta0) if ch.point_mass else sample(ch, rng, n)
+
+
 def run_validate(scenario: Scenario) -> dict:
     """Self-consistency audit: quadrature convergence, physicality, MC agreement."""
     checks: list[dict] = []
@@ -396,7 +411,7 @@ def run_validate(scenario: Scenario) -> dict:
                 continue
             quad_mean = mean_transmittance(ch, scenario.quad)
             mc_mean, se = mc_expectation(
-                lambda rng, n, _ch=ch: sample(_ch, rng, n), lambda e: e, scenario.mc
+                lambda rng, n, _ch=ch: _draw(_ch, rng, n), lambda e: e, scenario.mc
             )
             err = abs(quad_mean - mc_mean)
             record(f"mc/{label}-mean-transmittance", err <= 4.0 * se + 1e-12,
@@ -405,7 +420,7 @@ def run_validate(scenario: Scenario) -> dict:
         v = cfg.squeezing.v
         b_quad = float(ensemble_cm(cfg).m[2, 2])
         b_mc, se = mc_expectation(
-            lambda rng, n: (sample(links.a_s, rng, n), sample(links.s_b, rng, n)),
+            lambda rng, n: (_draw(links.a_s, rng, n), _draw(links.s_b, rng, n)),
             lambda e, ep: 1.0 + e * ep * (v - 1.0) + scenario.chi,
             scenario.mc,
         )

@@ -143,15 +143,12 @@ def _swap_cosh_average(ch_a: FadingChannel, ch_b: FadingChannel, v: float,
 
     Returns (value, pv_used).  For each A-side node with eta above 1 - eta0'
     the B-side deflection integral crosses the pole once; the singular part is
-    subtracted analytically and added back in closed form.
+    subtracted analytically and added back in closed form.  Every other row
+    sums _cosh_swapped over the B-side node table.
     """
     eta_a, w_a = transmittance_nodes(ch_a, quad)
-
-    if ch_b.point_mass:
-        s = eta_a + ch_b.eta0 - 1.0
-        if np.any(np.abs(s) < 1e-9):
-            raise NumericalError("point-mass node sits on the swapped-state boundary")
-        return float(w_a @ _cosh_swapped(eta_a, ch_b.eta0, v)), False
+    if ch_b.point_mass and np.any(np.abs(eta_a + ch_b.eta0 - 1.0) < 1e-9):
+        raise NumericalError("point-mass node sits on the swapped-state boundary")
 
     d_hi = D_MAX_SIGMAS * ch_b.sigma_b
     t01, w01 = panel_nodes(0.0, 1.0, quad, subdivisions=scaled_subdivisions(ch_b, quad))
@@ -171,10 +168,6 @@ def _swap_cosh_average(ch_a: FadingChannel, ch_b: FadingChannel, v: float,
         slope = -(1.0 - e) * 0.5 * lam * d0 ** (lam - 1.0) / l_s**lam
         return smooth_part(e, d0, eta_of_deflection(ch_b, d0)) / slope
 
-    def plain(e, d):
-        eb = eta_of_deflection(ch_b, d)
-        yield smooth_part(e, d, eb) / (e + eb - 1.0)
-
     def split_at_pole(e, w):
         d0 = crossing(e)[:, None]
         width = d_hi - d0
@@ -188,8 +181,9 @@ def _swap_cosh_average(ch_a: FadingChannel, ch_b: FadingChannel, v: float,
 
     pole = (eta_a > 1.0 - ch_b.eta0) & (eta_a < 1.0 - eta_b_floor)
     # Each sum is empty, hence 0, when no row falls on its side of the split.
-    total = sum(pair_sums((eta_a[~pole], w_a[~pole]), tensor_rule(d_hi * t01, d_hi * w01),
-                          t01.size, plain))
+    eta_b, w_b = transmittance_nodes(ch_b, quad)
+    total = sum(pair_sums((eta_a[~pole], w_a[~pole]), tensor_rule(eta_b, w_b), eta_b.size,
+                          lambda e, eb: (_cosh_swapped(e, eb, v),)))
     if np.any(pole):
         e, w = eta_a[pole], w_a[pole]
         total += sum(pair_sums((e, w), split_at_pole, 2 * t01.size, subtracted))

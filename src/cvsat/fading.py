@@ -132,26 +132,35 @@ def scaled_subdivisions(ch: FadingChannel, quad: QuadratureSpec) -> int:
 
 
 def transmittance_nodes(
-    ch: FadingChannel, quad: QuadratureSpec = DEFAULT_QUAD
+    ch: FadingChannel, quad: QuadratureSpec = DEFAULT_QUAD, eta_min=0.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature nodes (eta_i, w_i) such that sum(w_i * g(eta_i)) = E[g(eta)].
+    """Quadrature nodes (eta_i, w_i) such that sum(w_i * g(eta_i)) = E[g(eta) * 1{eta > eta_min}].
 
-    The rule lives in the deflection domain; weights include the Rayleigh
-    density and sum to 1 up to the negligible truncated tail.  A rule whose
-    weights miss 1 by more than _WEIGHT_SUM_TOL is too coarse for the channel
-    and raises NumericalError.  A point-mass channel yields the single node
-    (eta0, 1).
+    The rule lives in the deflection domain and ends on the cut eta_min (a
+    scalar, or a column for a table with one row per cut), so no panel
+    straddles it.  Weights include the Rayleigh density; a rule whose weights
+    miss its mass up to the end (1 but for a negligible tail when uncut) by
+    more than _WEIGHT_SUM_TOL is too coarse and raises NumericalError.  A
+    point-mass channel yields the single node eta0, weighted 1 where it
+    clears the cut.
     """
+    cut = np.asarray(eta_min, dtype=float)
     if ch.point_mass:
-        return np.array([ch.eta0]), np.array([1.0])
+        return np.array([ch.eta0]), np.atleast_1d(1.0 * (ch.eta0 > cut))
     subs = scaled_subdivisions(ch, quad)
-    d, wd = panel_nodes(0.0, D_MAX_SIGMAS * ch.sigma_b, quad, subdivisions=subs)
+    d_hi = D_MAX_SIGMAS * ch.sigma_b
+    if (cut > 0.0).any():
+        # Cuts at or above eta0 end the rule at d = 0; cuts at or below 0 leave it uncut.
+        d_cut = deflection_of_eta(ch, np.clip(cut, np.finfo(float).tiny, ch.eta0))
+        d_hi = np.minimum(d_hi, np.where(cut > 0.0, d_cut, np.inf))
+    d, wd = panel_nodes(0.0, d_hi, quad, subdivisions=subs)
     w = wd * rayleigh_pdf(d, ch.sigma_b)
-    excess = float(w.sum()) - 1.0
-    if abs(excess) > _WEIGHT_SUM_TOL:
+    # Weight sum minus the Rayleigh mass below d_hi, row by row.
+    excess = np.abs(w.sum(axis=-1, keepdims=True) + np.expm1(-0.5 * (d_hi / ch.sigma_b) ** 2)).max()
+    if excess > _WEIGHT_SUM_TOL:
         raise NumericalError(
             f"under-resolved quadrature at sigma_b={ch.sigma_b:g}: the {quad.nodes_1d}-node x "
-            f"{subs}-panel rule has weights summing to 1{excess:+.2e}"
+            f"{subs}-panel rule's weights miss their Rayleigh mass by {excess:.2e}"
         )
     return eta_of_deflection(ch, d), w
 

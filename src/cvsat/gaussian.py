@@ -9,7 +9,7 @@ Quadratures are ordered (q1, p1, q2, p2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,19 +106,20 @@ class StandardFormCM:
     b: float
     c_plus: float
     c_minus: float
+    _cm: TwoModeCM = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # Physicality (and with it a >= 1, b >= 1) is enforced by the embedding.
-        self.to_cm()
-
-    def to_cm(self) -> TwoModeCM:
+        # Physicality (and with it a >= 1, b >= 1) is enforced by the embedding, built once here.
         a, b, cp, cm = self.a, self.b, self.c_plus, self.c_minus
-        return TwoModeCM(np.array([
+        object.__setattr__(self, "_cm", TwoModeCM(np.array([
             [a, 0.0, cp, 0.0],
             [0.0, a, 0.0, cm],
             [cp, 0.0, b, 0.0],
             [0.0, cm, 0.0, b],
-        ]))
+        ])))
+
+    def to_cm(self) -> TwoModeCM:
+        return self._cm
 
 
 def standard_form(cm: TwoModeCM) -> StandardFormCM:

@@ -61,20 +61,23 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def panel_nodes(
     lo: float,
-    hi: float,
+    hi,
     spec: QuadratureSpec = DEFAULT_QUAD,
     subdivisions: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite Gauss-Legendre rule on [lo, hi]."""
-    if not (lo <= hi):
+    """Nodes and weights of the composite Gauss-Legendre rule on [lo, hi], one row per end of a column hi."""
+    hi = np.asarray(hi, dtype=float)
+    if not (lo <= hi).all():
         raise DomainError(f"integration bounds must satisfy lo <= hi, got [{lo}, {hi}]")
     subs = spec.subdivisions if subdivisions is None else subdivisions
     xg, wg = _leggauss(spec.nodes_1d)
-    edges = np.linspace(lo, hi, subs + 1)
+    # np.linspace(lo, hi, subs + 1) written out, so a column of ends gives C-contiguous rows.
+    edges = np.arange(subs + 1) * ((hi - lo) / subs) + lo
+    edges[..., -1:] = hi
     half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    x = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-    w = (half[:, None] * wg[None, :]).ravel()
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
+    x = (mid[..., None] + half[..., None] * xg).reshape(*mid.shape[:-1], -1)
+    w = (half[..., None] * wg).reshape(*mid.shape[:-1], -1)
     return x, w
 
 

@@ -28,17 +28,9 @@ import numpy as np
 from scipy import special
 
 from .errors import DomainError, NumericalError
-from .fading import (
-    D_MAX_SIGMAS,
-    FadingChannel,
-    deflection_of_eta,
-    eta_of_deflection,
-    rayleigh_pdf,
-    scaled_subdivisions,
-    transmittance_nodes,
-)
-from .gaussian import Squeezing, TwoModeCM, log_negativity
-from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums, panel_nodes, tensor_rule
+from .fading import FadingChannel, transmittance_nodes
+from .gaussian import Squeezing, StandardFormCM, TwoModeCM, log_negativity
+from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums
 
 # Selections rarer than this are treated as numerically empty.
 P_SUCCESS_FLOOR = 1e-12
@@ -93,56 +85,26 @@ class QuantumMoments:
 
 
 def _selection_sums(ch_up: FadingChannel, ch_down: FadingChannel, zeta_th: float,
-                    quad: QuadratureSpec, integrand):
-    """pair_sums of integrand(zeta) over the region eta * eta' > zeta_th.
+                    quad: QuadratureSpec, integrand) -> list[float]:
+    """pair_sums of integrand(zeta) over zeta = eta * eta' > zeta_th; the first output is P_s.
 
-    Iterated rule in the deflection domain: the uplink rule ends exactly at
-    the deflection where selection becomes impossible, and for each uplink
-    node the selected downlink deflections form an interval [0, cap], handled
-    by scaling one reference composite rule.  Aligning both domains with the
-    cut keeps every panel's integrand smooth; masking nodes with an indicator
-    instead would lose several digits at the selection boundary.
+    Both rules end on the selection boundary, the uplink at zeta_th / eta0'
+    and each uplink row's downlink at zeta_th / eta, which keeps every
+    panel's integrand smooth (masking nodes would lose digits there).  With
+    no threshold all rows share the full downlink table and eta, which
+    underflows to 0 on high-loss links, is never divided by.
     """
-    if ch_up.point_mass:
-        eta_u = np.array([ch_up.eta0])
-        w_u = np.array([1.0])
-    else:
-        d_up_hi = D_MAX_SIGMAS * ch_up.sigma_b
-        if zeta_th > 0.0:
-            eta_cut = zeta_th / ch_down.eta0
-            if eta_cut >= ch_up.eta0:
-                raise NumericalError("selection region is numerically empty: no node clears zeta_th")
-            d_up_hi = min(d_up_hi, float(deflection_of_eta(ch_up, eta_cut)))
-        d_u, wd_u = panel_nodes(0.0, d_up_hi, quad,
-                                subdivisions=scaled_subdivisions(ch_up, quad))
-        eta_u = eta_of_deflection(ch_up, d_u)
-        w_u = wd_u * rayleigh_pdf(d_u, ch_up.sigma_b)
-
-    if ch_down.point_mass:
-        def inner(eu, wu):
-            return np.array([ch_down.eta0]), (wu * (eu * ch_down.eta0 > zeta_th))[:, None]
-
-        return pair_sums((eta_u, w_u), inner, 1, lambda eu, ed: integrand(eu * ed))
-
-    d_hi = D_MAX_SIGMAS * ch_down.sigma_b
-    t01, w01 = panel_nodes(0.0, 1.0, quad, subdivisions=scaled_subdivisions(ch_down, quad))
+    full = transmittance_nodes(ch_down, quad)
 
     def inner(eu, wu):
-        if zeta_th > 0.0:
-            ratio = eu * ch_down.eta0 / zeta_th
-            cap = np.zeros_like(eu)
-            open_rows = ratio > 1.0
-            cap[open_rows] = np.minimum(
-                ch_down.l_scale * (2.0 * np.log(ratio[open_rows])) ** (1.0 / ch_down.lambda_shape),
-                d_hi,
-            )
-        else:
-            cap = np.full_like(eu, d_hi)
-        d = cap[:, None] * t01[None, :]
-        wgt = (wu * cap)[:, None] * w01[None, :] * rayleigh_pdf(d, ch_down.sigma_b)
-        return eta_of_deflection(ch_down, d), wgt
+        eta, w = transmittance_nodes(ch_down, quad, zeta_th / eu[:, None]) if zeta_th > 0.0 else full
+        return eta, wu[:, None] * w
 
-    return pair_sums((eta_u, w_u), inner, t01.size, lambda eu, ed: integrand(eu * ed))
+    sums = pair_sums(transmittance_nodes(ch_up, quad, zeta_th / ch_down.eta0), inner, full[0].size,
+                     lambda eu, ed: integrand(eu * ed))
+    if sums[0] < P_SUCCESS_FLOOR:
+        raise NumericalError(f"selection region is numerically empty: P_s={sums[0]:.3e}")
+    return sums
 
 
 def classical_postselect(
@@ -169,16 +131,8 @@ def classical_postselect(
         yield np.sqrt(zeta)
 
     p_s, num_b, num_c = _selection_sums(ch_up, ch_down, cfg.zeta_th, quad, integrand)
-    if p_s < P_SUCCESS_FLOOR:
-        raise NumericalError(f"selection region is numerically empty: P_s={p_s:.3e}")
-    b = num_b / p_s + chi
     c = num_c / p_s * math.sqrt(v * v - 1.0)
-    cm = TwoModeCM(np.array([
-        [v, 0.0, c, 0.0],
-        [0.0, v, 0.0, -c],
-        [c, 0.0, b, 0.0],
-        [0.0, -c, 0.0, b],
-    ]))
+    cm = StandardFormCM(a=v, b=num_b / p_s + chi, c_plus=c, c_minus=-c).to_cm()
     return PostSelectionResult(cm=cm, p_success=p_s, e_ln=log_negativity(cm))
 
 
@@ -244,20 +198,15 @@ def quantum_postselect(
     v = sq.v
     t = cfg.tap_t
 
-    def integrand(eu, ed):
-        q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, b_q, c_q = _tap_moments(
-            v, eu * ed, t, cfg.q_th, chi
-        )
+    def integrand(zeta):
+        q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, b_q, c_q = _tap_moments(v, zeta, t, cfg.q_th, chi)
         yield from (p_sel, q_a, q_b, q_a_sq, q_b_sq, q_ab)
         yield p_sel * (t * b_q + (1.0 - t))       # p-sector variance at station B
         yield p_sel * (-math.sqrt(t) * c_q)       # p-sector cross term (negative branch)
 
-    eta_d, w_d = transmittance_nodes(ch_down, quad)
-    sums = pair_sums(transmittance_nodes(ch_up, quad), tensor_rule(eta_d, w_d), eta_d.size,
-                     integrand)
+    # The tap outcome depends on the channels only through eta * eta'.
+    sums = _selection_sums(ch_up, ch_down, 0.0, quad, integrand)
     p_s = sums[0]
-    if p_s < P_SUCCESS_FLOOR:
-        raise NumericalError(f"selection region is numerically empty: P_s={p_s:.3e}")
     mean_a, mean_b = sums[1] / p_s, sums[2] / p_s
     a_q = sums[3] / p_s - mean_a**2
     b_q_d = sums[4] / p_s - mean_b**2

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cvsat
@@ -401,16 +402,18 @@ class TestCommandLine:
         assert point["direct"]["eta_a"] == pytest.approx(1.0)
 
     def test_validate_passes_on_sane_scenario(self, tmp_path):
-        text = (
-            "schemes = direct\nr.min = 1.0\nsigma_b.min = 0.5\n"
-            "beta = 0.5\nbeta_over_w = 1\nk1 = 0.5\nk2 = 0.64\n"
-            "quad.nodes = 48\nquad.subdiv = 6\nmc.samples = 20000\nmc.seed = 3\n"
-        )
-        res = run_cli("validate", scn(tmp_path, text))
-        assert res.returncode == 0, res.stderr
-        report = json.loads(res.stdout)
-        assert report["passed"] is True
-        assert all(check["passed"] for check in report["checks"])
+        # k1 = 0 makes the downlink a point mass; sigma_b = 0 makes both links one.
+        for link in ("sigma_b.min = 0.5\nk1 = 0.5", "sigma_b.min = 0.5\nk1 = 0", "sigma_b.min = 0\nk1 = 0.5"):
+            text = (
+                f"schemes = direct\nr.min = 1.0\n{link}\n"
+                "beta = 0.5\nbeta_over_w = 1\nk2 = 0.64\n"
+                "quad.nodes = 48\nquad.subdiv = 6\nmc.samples = 20000\nmc.seed = 3\n"
+            )
+            res = run_cli("validate", scn(tmp_path, text))
+            assert res.returncode == 0, (link, res.stderr)
+            report = json.loads(res.stdout)
+            assert report["passed"] is True, link
+            assert all(check["passed"] for check in report["checks"])
 
     def test_validate_failure_exits_4(self, tmp_path):
         # classical threshold above the maximum transmittance product is
@@ -532,21 +535,36 @@ class TestSizeLimits:
         def refuse(*args, **kwargs):
             pytest.fail("an oversized request reached an allocating call")
 
+        linspace = np.linspace
+
+        def small_linspace(start, stop, num=50, **kwargs):
+            if num > 1024:
+                refuse()
+            return linspace(start, stop, num, **kwargs)
+
         monkeypatch.setattr("cvsat.numerics._leggauss", refuse)
         monkeypatch.setattr("cvsat.cli.sample", refuse)
         monkeypatch.setattr("cvsat.cli.mc_expectation", refuse)
+        monkeypatch.setattr(np, "linspace", small_linspace)
 
-    @pytest.mark.parametrize("command,text,flags,message", [
-        ("sweep", SMALL, ("--quad-nodes", "100000"), "nodes_1d must lie in"),
-        ("sweep", SMALL, ("--quad-subdiv", "1000000000"), "nodes per axis"),
+    @pytest.mark.parametrize("command,text,flags,error,message", [
+        ("sweep", SMALL, ("--quad-nodes", "100000"), "domain error", "nodes_1d must lie in"),
+        ("sweep", SMALL, ("--quad-subdiv", "1000000000"), "domain error", "nodes per axis"),
         ("sweep", SMALL.replace("sigma_b.min = 0.4", "sigma_b.min = 1e6")
-                       .replace("sigma_b.max = 0.8", "sigma_b.max = 2e6"), (), "sigma_b=1e+06"),
-        ("validate", SMALL + "mc.samples = 100000000\n", (), "samples must lie in"),
+                       .replace("sigma_b.max = 0.8", "sigma_b.max = 2e6"), (), "domain error",
+         "sigma_b=1e+06"),
+        ("validate", SMALL + "mc.samples = 100000000\n", (), "domain error", "samples must lie in"),
+        ("sweep", SMALL.replace("r.steps = 2", "r.steps = 1000000000"), (), "configuration error",
+         "4000000000 rows"),
+        # every axis alone is small; their product (2 x 2000 x 2000) is not
+        ("sweep", SMALL.replace("r.steps = 2", "r.steps = 2000")
+                       .replace("sigma_b.steps = 2", "sigma_b.steps = 2000"), (), "configuration error",
+         "8000000 rows"),
     ])
-    def test_exits_2_before_allocating(self, tmp_path, capsys, command, text, flags, message):
+    def test_exits_2_before_allocating(self, tmp_path, capsys, command, text, flags, error, message):
         assert main([command, scn(tmp_path, text), *flags]) == 2
         err = capsys.readouterr().err
-        assert "domain error" in err and message in err
+        assert error in err and message in err
 
 
 class TestPoolSize:

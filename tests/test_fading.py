@@ -209,6 +209,37 @@ class TestTransmittanceNodes:
         assert w.tolist() == [1.0]
         assert mean_transmittance(ch) == ch.eta0
 
+    @pytest.mark.parametrize("sigma,quad", [(0.7, QuadratureSpec()), (22.0, QuadratureSpec(32, 4))])
+    def test_cut_weights_sum_to_rayleigh_cdf(self, sigma, quad):
+        ch = FadingChannel(sigma, 0.5, 1.0)
+        for frac in (1e-6, 0.05, 0.3, 0.7, 0.95):
+            cut = frac * ch.eta0
+            eta, w = transmittance_nodes(ch, quad, cut)
+            d_c = float(deflection_of_eta(ch, cut))
+            assert float(w.sum()) == pytest.approx(-math.expm1(-0.5 * (d_c / sigma) ** 2), abs=1e-12)
+            assert np.all(eta > cut)
+        for cut in (ch.eta0, 1.5 * ch.eta0):
+            assert not np.any(transmittance_nodes(ch, quad, cut)[1])
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.7, 22.0])
+    def test_column_of_cuts_matches_scalar_cuts(self, sigma):
+        ch = FadingChannel(sigma, 0.5, 1.0)
+        quad = QuadratureSpec(32, 4)
+        cuts = np.array([0.0, 1e-300, 0.1 * ch.eta0, 0.5 * ch.eta0, ch.eta0, np.inf])
+        eta, w = transmittance_nodes(ch, quad, cuts[:, None])
+        assert w.flags.c_contiguous
+        eta = np.broadcast_to(eta, w.shape)
+        for i, cut in enumerate(cuts):
+            eta_i, w_i = transmittance_nodes(ch, quad, cut)
+            assert np.array_equal(eta[i], eta_i) and np.array_equal(w[i], w_i)
+
+    def test_point_mass_cut(self):
+        ch = FadingChannel(0.0, 0.5, 1.0)
+        for cut, weight in ((0.0, 1.0), (0.5 * ch.eta0, 1.0), (ch.eta0, 0.0), (1.5 * ch.eta0, 0.0)):
+            eta, w = transmittance_nodes(ch, eta_min=cut)
+            assert eta.tolist() == [ch.eta0]
+            assert w.tolist() == [weight]
+
     def test_truncation_leaves_negligible_tail(self):
         ch = FadingChannel(0.7, 0.5, 1.0)
         assert math.exp(-0.5 * D_MAX_SIGMAS**2) < 1e-30

@@ -79,10 +79,30 @@ class TestIntegrate1d:
             pair_sums(panel_nodes(0.0, 1.0), one_node, 1, lambda x, y: (1.0 / (x - x),))
 
     def test_panel_nodes_cover_interval(self):
-        x, w = panel_nodes(2.0, 5.0, QuadratureSpec(8, 3))
-        assert x.size == 24
-        assert np.all((x > 2.0) & (x < 5.0))
-        assert float(w.sum()) == pytest.approx(3.0, rel=1e-14)
+        # a scalar upper end, then a column of ends giving one row each
+        for hi, shape in ((5.0, (24,)), (np.array([[5.0], [2.5], [4.0]]), (3, 24))):
+            x, w = panel_nodes(2.0, hi, QuadratureSpec(8, 3))
+            assert x.shape == w.shape == shape
+            assert x.flags.c_contiguous and w.flags.c_contiguous
+            ends = np.reshape(hi, (-1, 1))
+            assert np.all((x > 2.0) & (x < ends))
+            np.testing.assert_allclose(w.sum(axis=-1), ends[:, 0] - 2.0, rtol=1e-14)
+
+    def test_panel_nodes_are_the_linspace_panels(self):
+        # uncut node tables must not move: the rule is bit-for-bit the one on
+        # np.linspace panel edges, and each row of a column of ends is
+        # bit-for-bit the rule of that end alone
+        spec = QuadratureSpec(16, 5)
+        xg, wg = np.polynomial.legendre.leggauss(16)
+        for hi in (0.0, 1.0, 8.4, 264.0):
+            edges = np.linspace(0.0, hi, 6)
+            half = 0.5 * np.diff(edges)
+            mid = 0.5 * (edges[:-1] + edges[1:])
+            x, w = panel_nodes(0.0, hi, spec)
+            assert np.array_equal(x, (mid[:, None] + half[:, None] * xg).ravel())
+            assert np.array_equal(w, (half[:, None] * wg).ravel())
+            xc, wc = panel_nodes(0.0, np.array([[3.0], [hi], [0.0]]), spec)
+            assert np.array_equal(xc[1], x) and np.array_equal(wc[1], w)
 
 
 class TestIntegrate2d:

@@ -5,6 +5,7 @@ integral in three variables, the channel averaging against Monte Carlo, and
 the no-selection limits against the plain ensemble states.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from scipy import special
 from cvsat.errors import DomainError, NumericalError
 from cvsat.fading import LinkGeometry, sample
 from cvsat.gaussian import Squeezing, apply_loss, log_negativity
+from cvsat.numerics import QuadratureSpec
 from cvsat.postselect import (
     ClassicalPsConfig,
     QuantumPsConfig,
@@ -58,11 +60,15 @@ class TestConfigs:
 
 class TestClassicalPostselect:
     def test_zero_threshold_recovers_plain_ensemble(self):
-        cfg = direct_cfg()
-        up, down = links(cfg)
-        res = classical_postselect(cfg.squeezing, up, down, ClassicalPsConfig(0.0))
-        np.testing.assert_allclose(res.cm.m, ensemble_cm(cfg).m, atol=1e-9)
-        assert res.p_success == pytest.approx(1.0, abs=1e-12)
+        # the second link is the high-loss one, whose deep-tail uplink nodes underflow to eta = 0
+        high_loss = dataclasses.replace(
+            direct_cfg(geom=LinkGeometry(sigma_b=22.0, k1=1.0 / 11.0, k2=1.0), beta=1.0, w=2.0),
+            quad=QuadratureSpec(32, 4))
+        for cfg in (direct_cfg(), high_loss):
+            up, down = links(cfg)
+            res = classical_postselect(cfg.squeezing, up, down, ClassicalPsConfig(0.0), cfg.quad)
+            np.testing.assert_allclose(res.cm.m, ensemble_cm(cfg).m, atol=1e-9)
+            assert res.p_success == pytest.approx(1.0, abs=1e-12)
 
     def test_threshold_above_support_rejected(self):
         cfg = direct_cfg()
