@@ -35,7 +35,6 @@ from .numerics import (
     DEFAULT_QUAD,
     McSpec,
     QuadratureSpec,
-    bessel_i,
     mc_expectation,
 )
 from .postselect import (
@@ -81,7 +80,6 @@ __all__ = [
     "TwoModeCM",
     "add_excess_noise",
     "apply_loss",
-    "bessel_i",
     "classical_postselect",
     "direct_realization",
     "ensemble_cm",

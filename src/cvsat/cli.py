@@ -58,17 +58,12 @@ CSV_COLUMNS = (
 
 # Most rows (schemes x sigma_b x r x thresholds) a scenario may ask for; shipped grids have <= 675.
 MAX_ROWS = 1 << 16
+# Largest squeezing r a scenario may ask for; E_LN's relative error grows to 1e-12 at r = 3.
+MAX_R = 3.0
 # Absolute tolerance of the subdivision-doubling convergence gate.
 CONVERGENCE_TOL = 1e-7
 # Convergence gaps below this are summation round-off and print as "< 1e-12".
 ROUND_OFF_GAP = 1e-12
-
-
-@dataclass(frozen=True)
-class PsSpec:
-    kind: str
-    thresholds: tuple[float, ...]
-    tap_t: float | None
 
 
 @dataclass(frozen=True)
@@ -83,7 +78,7 @@ class Scenario:
     chi: float
     quad: QuadratureSpec
     mc: McSpec | None
-    postselect: PsSpec | None
+    postselect: tuple[ClassicalPsConfig | QuantumPsConfig, ...] | None
     output: str | None
 
 
@@ -168,17 +163,18 @@ def parse_scenario(path: str | Path) -> Scenario:
     k1 = _pop_float(data, "k1")
     k2 = _pop_float(data, "k2")
     chi = _pop_float(data, "chi", 0.0)
-    for key, value, ok in (
-        ("beta", beta, beta > 0.0),
-        ("w", w, w > 0.0),
-        ("k1", k1, 0.0 <= k1 <= 1.0),
-        ("k2", k2, k2 >= 0.0),
-        ("chi", chi, chi >= 0.0),
-        ("sigma_b.min", sigma_axis[0], sigma_axis[0] >= 0.0),
-        ("r.min", r_axis[0], r_axis[0] >= 0.0),
+    for key, value, ok, bound in (
+        ("beta", beta, beta > 0.0, "> 0"),
+        ("w", w, w > 0.0, "> 0"),
+        ("k1", k1, 0.0 <= k1 <= 1.0, "in [0, 1]"),
+        ("k2", k2, k2 >= 0.0, ">= 0"),
+        ("chi", chi, chi >= 0.0, ">= 0"),
+        ("sigma_b.min", sigma_axis[0], sigma_axis[0] >= 0.0, ">= 0"),
+        ("r.min", r_axis[0], r_axis[0] >= 0.0, ">= 0"),
+        ("r.max", r_axis[1], r_axis[1] <= MAX_R, f"<= {MAX_R:g}"),
     ):
         if not ok:
-            raise ConfigError(f"scenario key {key!r} is out of range: {value}")
+            raise ConfigError(f"scenario key {key!r} is out of range: {value} (must be {bound})")
     quad = QuadratureSpec(
         nodes_1d=_pop_int(data, "quad.nodes", 64),
         subdivisions=_pop_int(data, "quad.subdiv", 8),
@@ -211,7 +207,8 @@ def parse_scenario(path: str | Path) -> Scenario:
     if rows > MAX_ROWS:
         raise ConfigError(f"scenario grid has {rows} rows (schemes x sigma_b x r x thresholds), "
                           f"above the limit {MAX_ROWS}")
-    ps = PsSpec(kind=kind, thresholds=_grid(ps_axis), tap_t=tap_t) if ps_axis else None
+    ps = tuple(ClassicalPsConfig(th) if kind == "classical" else QuantumPsConfig(tap_t=tap_t, q_th=th)
+               for th in _grid(ps_axis)) if ps_axis else None
     return Scenario(
         schemes=schemes, r_grid=_grid(r_axis), sigma_b_grid=_grid(sigma_axis), beta=beta, w=w,
         k1=k1, k2=k2, chi=chi, quad=quad, mc=mc, postselect=ps, output=output,
@@ -287,12 +284,6 @@ def _scheme_config(scenario: Scenario, kind: str, sigma_b: float, r: float) -> S
     )
 
 
-def _ps_config(ps: PsSpec, threshold: float) -> ClassicalPsConfig | QuantumPsConfig:
-    if ps.kind == "classical":
-        return ClassicalPsConfig(threshold)
-    return QuantumPsConfig(tap_t=ps.tap_t, q_th=threshold)
-
-
 def run_sweep(scenario: Scenario, workers: int = 1) -> list[dict]:
     """One CSV row per (scheme, sigma_b, r[, threshold]), in deterministic sorted order.
 
@@ -312,16 +303,15 @@ def run_sweep(scenario: Scenario, workers: int = 1) -> list[dict]:
 
 def run_postselect(scenario: Scenario, workers: int = 1) -> list[dict]:
     """One CSV row per (sigma_b, r, threshold); thresholds ascend within a point."""
-    ps = scenario.postselect
-    if ps is None:
+    if scenario.postselect is None:
         raise ConfigError("scenario has no postselect.* section")
     if scenario.schemes != ("direct",):
         raise ConfigError("post-selection applies to the direct scheme only; set schemes = direct")
     tasks = [
-        (_scheme_config(scenario, "direct", sigma_b, r), _ps_config(ps, threshold))
+        (_scheme_config(scenario, "direct", sigma_b, r), ps)
         for sigma_b in scenario.sigma_b_grid
         for r in scenario.r_grid
-        for threshold in ps.thresholds
+        for ps in scenario.postselect
     ]
     return _map_tasks(_postselect_point, tasks, workers)
 
@@ -428,12 +418,13 @@ def run_validate(scenario: Scenario) -> dict:
                f"quadrature {b_quad:.9g} vs MC {b_mc:.9g} (stderr {se:.2e})")
 
     if scenario.postselect is not None:
-        ps = scenario.postselect
-        threshold = ps.thresholds[len(ps.thresholds) // 2]
-        name = f"postselect/{ps.kind}/threshold={threshold:g}"
+        ps = scenario.postselect[len(scenario.postselect) // 2]
+        classical = isinstance(ps, ClassicalPsConfig)
+        kind, threshold = ("classical", ps.zeta_th) if classical else ("quantum", ps.q_th)
+        name = f"postselect/{kind}/threshold={threshold:g}"
         try:
             cfg = _scheme_config(scenario, "direct", scenario.sigma_b_grid[-1], scenario.r_grid[-1])
-            row = _postselect_point(cfg, _ps_config(ps, threshold))
+            row = _postselect_point(cfg, ps)
         except (DomainError, NumericalError) as exc:
             record(name, False, f"evaluation failed: {exc}")
         else:
@@ -456,20 +447,13 @@ def _load(args) -> Scenario:
     return dataclasses.replace(scenario, quad=quad)
 
 
-def _open_out(args, scenario: Scenario):
+def _emit(args, scenario: Scenario, text: str) -> None:
     target = args.out or scenario.output
     if target is None or target == "-":
-        return sys.stdout, False
-    return open(target, "w", newline=""), True
-
-
-def _emit(args, scenario: Scenario, text: str) -> None:
-    stream, close = _open_out(args, scenario)
-    try:
+        sys.stdout.write(text)
+        return
+    with open(target, "w", newline="") as stream:
         stream.write(text)
-    finally:
-        if close:
-            stream.close()
 
 
 def _rows_to_csv(rows: list[dict]) -> str:

@@ -98,10 +98,11 @@ def _cosh_swapped(e, ep, v: float):
     return num / ((e + ep - 1.0) * ((e + ep) * (v - 1.0) + 2.0))
 
 
-@dataclass(frozen=True)
-class SwapEtaAverages:
+def _swap_eta_integrals(ch_a: FadingChannel, ch_b: FadingChannel, v: float,
+                        quad: QuadratureSpec) -> list[float]:
     """Fading averages of the swap effective transmittivities.
 
+    Returns [eta_a, eta_b, signed_eta_a, signed_eta_b, separable_mass].
     eta_a and eta_b average the per-realization values over the region where
     the reduction exists (the entangled side eta + eta' > 1) and count the
     separable side as zero, which is the continuous extension: the closed
@@ -110,16 +111,6 @@ class SwapEtaAverages:
     side carries mass and are reported for diagnosis, never used as
     transmittivities.
     """
-
-    eta_a: float
-    eta_b: float
-    signed_eta_a: float
-    signed_eta_b: float
-    separable_mass: float
-
-
-def _swap_eta_integrals(ch_a: FadingChannel, ch_b: FadingChannel, v: float,
-                        quad: QuadratureSpec) -> SwapEtaAverages:
     def integrand(e, ep):
         across = -(e + ep - 1.0) * (v - 1.0)
         num_a = across / (e * (1.0 - v) + 2.0 * (ep - 1.0))
@@ -131,10 +122,8 @@ def _swap_eta_integrals(ch_a: FadingChannel, ch_b: FadingChannel, v: float,
         yield ((e + ep) < 1.0) * 1.0
 
     eta_b, w_b = transmittance_nodes(ch_b, quad)
-    sums = pair_sums(transmittance_nodes(ch_a, quad), tensor_rule(eta_b, w_b), eta_b.size,
+    return pair_sums(transmittance_nodes(ch_a, quad), tensor_rule(eta_b, w_b), eta_b.size,
                      integrand)
-    return SwapEtaAverages(eta_a=sums[0], eta_b=sums[1], signed_eta_a=sums[2],
-                           signed_eta_b=sums[3], separable_mass=sums[4])
 
 
 def _swap_cosh_average(ch_a: FadingChannel, ch_b: FadingChannel, v: float,
@@ -192,37 +181,35 @@ def _swap_cosh_average(ch_a: FadingChannel, ch_b: FadingChannel, v: float,
     return total, bool(np.any(pole))
 
 
-def _swap_summary(cfg: SchemeConfig, include_squeezing: bool = True) -> tuple[EffectiveParams, dict]:
-    """Swap effective parameters plus the diagnostics ordering_check reports."""
+def _summary(cfg: SchemeConfig) -> tuple[EffectiveParams, dict]:
+    """Scheme-level effective parameters plus the diagnostics ordering_check reports.
+
+    Direct and satellite realizations are literal loss channels, so their
+    effective squeezing equals the source squeezing, only the
+    transmittivities average and there are no diagnostics.  Swapping
+    averages both.
+    """
+    if cfg.kind != "swap":
+        (eta_a, _), (eta_b, _) = path_moments(cfg)
+        return EffectiveParams(r_e=cfg.squeezing.r, eta_a=eta_a, eta_b=eta_b), {}
     ch_a, ch_b = cfg.links()
     v = cfg.squeezing.v
-    etas = _swap_eta_integrals(ch_a, ch_b, v, cfg.quad)
-    cosh_avg, pv_used, r_e = None, False, float("nan")
-    if include_squeezing:
-        cosh_avg, pv_used = _swap_cosh_average(ch_a, ch_b, v, cfg.quad)
-        if cosh_avg >= 1.0:
-            r_e = 0.5 * math.acosh(cosh_avg)
-    diagnostics = {
-        "swap_separable_mass": etas.separable_mass,
-        "swap_signed_eta_a": etas.signed_eta_a,
-        "swap_signed_eta_b": etas.signed_eta_b,
+    eta_a, eta_b, signed_eta_a, signed_eta_b, separable_mass = \
+        _swap_eta_integrals(ch_a, ch_b, v, cfg.quad)
+    cosh_avg, pv_used = _swap_cosh_average(ch_a, ch_b, v, cfg.quad)
+    r_e = 0.5 * math.acosh(cosh_avg) if cosh_avg >= 1.0 else float("nan")
+    return EffectiveParams(r_e=r_e, eta_a=eta_a, eta_b=eta_b), {
+        "swap_separable_mass": separable_mass,
+        "swap_signed_eta_a": signed_eta_a,
+        "swap_signed_eta_b": signed_eta_b,
         "swap_pv_used": pv_used,
         "swap_cosh_avg": cosh_avg,
     }
-    return EffectiveParams(r_e=r_e, eta_a=etas.eta_a, eta_b=etas.eta_b), diagnostics
 
 
 def scheme_effective_summary(cfg: SchemeConfig) -> EffectiveParams:
-    """Scheme-level effective parameters from per-realization reductions.
-
-    Direct and satellite realizations are literal loss channels, so their
-    effective squeezing equals the source squeezing and only the
-    transmittivities average.  Swapping averages both.
-    """
-    if cfg.kind == "swap":
-        return _swap_summary(cfg)[0]
-    (eta_a, _), (eta_b, _) = path_moments(cfg)
-    return EffectiveParams(r_e=cfg.squeezing.r, eta_a=eta_a, eta_b=eta_b)
+    """Scheme-level effective parameters from per-realization reductions."""
+    return _summary(cfg)[0]
 
 
 def ordering_check(
@@ -231,7 +218,6 @@ def ordering_check(
     beta: float,
     w: float,
     quad: QuadratureSpec = DEFAULT_QUAD,
-    include_swap_squeezing: bool = True,
 ) -> dict:
     """Compare total effective transmittivities of the three schemes.
 
@@ -242,13 +228,9 @@ def ordering_check(
     """
     report: dict = {}
     for kind in ("direct", "satellite", "swap"):
-        cfg = SchemeConfig(kind=kind, squeezing=sq, geometry=geometry,
-                           beta=beta, w=w, quad=quad)
-        if kind == "swap":
-            params, diagnostics = _swap_summary(cfg, include_swap_squeezing)
-            report.update(diagnostics)
-        else:
-            params = scheme_effective_summary(cfg)
+        params, diagnostics = _summary(SchemeConfig(kind=kind, squeezing=sq, geometry=geometry,
+                                                    beta=beta, w=w, quad=quad))
+        report.update(diagnostics)
         report[kind] = {"r_e": params.r_e, "eta_a": params.eta_a, "eta_b": params.eta_b,
                         "eta_product": params.eta_a * params.eta_b}
     direct_p = report["direct"]["eta_product"]

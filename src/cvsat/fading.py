@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy import special
 
 from .errors import DomainError, NumericalError
-from .numerics import DEFAULT_QUAD, QuadratureSpec, bessel_i, panel_nodes
+from .numerics import DEFAULT_QUAD, QuadratureSpec, panel_nodes
 
 # Rayleigh-domain truncation: the tail mass beyond 12 sigma is below 1e-31.
 D_MAX_SIGMAS = 12.0
@@ -57,14 +58,14 @@ class FadingChannel:
         if self.sigma_b < 0.0 or not math.isfinite(self.sigma_b):
             raise DomainError(f"sigma_b must be finite and >= 0, got {self.sigma_b}")
         h = (self.beta / self.w) ** 2
-        q = 1.0 - math.exp(-4.0 * h) * float(bessel_i(0, 4.0 * h))
+        q = 1.0 - math.exp(-4.0 * h) * float(special.i0(4.0 * h))
         if q <= _DEGENERACY_TOL:
             raise NumericalError(f"degenerate aperture geometry: h={h:.3e} is too small")
         eta0_sq = 1.0 - math.exp(-2.0 * h)
         t = math.log(2.0 * eta0_sq / q)
         if t <= _DEGENERACY_TOL:
             raise NumericalError(f"degenerate aperture geometry: h={h:.3e}")
-        lam = 8.0 * h * math.exp(-4.0 * h) * float(bessel_i(1, 4.0 * h)) / (q * t)
+        lam = 8.0 * h * math.exp(-4.0 * h) * float(special.i1(4.0 * h)) / (q * t)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "lambda_shape", lam)
         object.__setattr__(self, "l_scale", self.beta * t ** (-1.0 / lam))

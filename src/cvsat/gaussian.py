@@ -22,8 +22,6 @@ TOL_PHYS = 1e-9
 # Tolerance for internal algebraic consistency checks.
 TOL_NUM = 1e-12
 
-Z2 = np.diag([1.0, -1.0])
-
 
 def symplectic_form(n_modes: int = 2) -> np.ndarray:
     """Block-diagonal symplectic form with one [[0,1],[-1,0]] block per mode."""
@@ -48,10 +46,6 @@ def symplectic_eigenvalues(m: np.ndarray) -> np.ndarray:
     n = m.shape[0] // 2
     ev = np.linalg.eigvals(1j * symplectic_form(n) @ m)
     return np.sort(np.abs(ev))[::2]
-
-
-def min_symplectic_eigenvalue(m: np.ndarray) -> float:
-    return float(symplectic_eigenvalues(m)[0])
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Deterministic quadrature, special functions, and a seeded Monte Carlo engine.
+"""Deterministic quadrature and a seeded Monte Carlo engine.
 
 Integrands are evaluated on whole node arrays at once, so callables passed in
 must accept numpy arrays (plain arithmetic expressions broadcast as is).
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, NumericalError
 
@@ -114,15 +113,6 @@ def tensor_rule(y: np.ndarray, wy: np.ndarray):
     return lambda x, w: (y[None, :], w[:, None] * wy[None, :])
 
 
-def bessel_i(order: int, x):
-    """Modified Bessel function I0 or I1 for x >= 0."""
-    if order not in (0, 1):
-        raise DomainError(f"order must be 0 or 1, got {order}")
-    if np.any(np.asarray(x) < 0.0):
-        raise DomainError("bessel_i requires x >= 0")
-    return special.i0(x) if order == 0 else special.i1(x)
-
-
 def mc_expectation(sampler, g, spec: McSpec) -> tuple[float, float]:
     """Sample mean and standard error of g over seeded i.i.d. draws.
 
@@ -134,10 +124,8 @@ def mc_expectation(sampler, g, spec: McSpec) -> tuple[float, float]:
     if not isinstance(draws, tuple):
         draws = (draws,)
     vals = np.asarray(g(*draws), dtype=float)
-    if vals.ndim == 0:
-        vals = np.full(spec.samples, float(vals))
     if not np.all(np.isfinite(vals)):
         raise NumericalError("Monte Carlo integrand returned non-finite values")
     mean = float(vals.mean())
-    std_err = float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
+    std_err = float(vals.std(ddof=1) / math.sqrt(vals.size))
     return mean, std_err

@@ -415,8 +415,7 @@ def test_a9_effective_round_trip_and_ordering():
                         continue
                     back = apply_loss(tmsv_cm(Squeezing(eff.r_e)), eff.eta_a, eff.eta_b)
                     worst_rt = max(worst_rt, float(np.abs(back.m - cm.m).max()))
-                report = ordering_check(geom, sq, 1.0, w, FAST_QUAD,
-                                        include_swap_squeezing=False)
+                report = ordering_check(geom, sq, 1.0, w, FAST_QUAD)
                 gap = report["swap"]["eta_product"] - report["direct"]["eta_product"]
                 worst_gap = max(worst_gap, gap)
                 flags_ok = flags_ok and report["swap_le_direct"]

@@ -27,6 +27,7 @@ from cvsat.cli import (
 )
 from cvsat.errors import ConfigError, DomainError
 from cvsat.numerics import QuadratureSpec
+from cvsat.postselect import ClassicalPsConfig, QuantumPsConfig
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -133,6 +134,8 @@ class TestParseScenario:
             ("beta = 0.5", "beta = 0", "beta"),
             ("sigma_b.min = 0.4", "sigma_b.min = -0.1", "sigma_b.min"),
             ("r.min = 0.5", "r.min = -2", "r.min"),
+            ("r.max = 1.5", "r.max = 3.5", "r.max"),
+            ("r.max = 1.5", "r.max = 400", "r.max"),
         ],
     )
     def test_out_of_range(self, tmp_path, old, new, key):
@@ -177,8 +180,17 @@ class TestParseScenario:
             "postselect.threshold_steps = 5\n"
         )
         ps = parse_scenario(scn(tmp_path, text)).postselect
-        assert ps.kind == "classical" and ps.tap_t is None
-        assert ps.thresholds == pytest.approx((0.0, 0.1, 0.2, 0.3, 0.4))
+        assert all(type(cfg) is ClassicalPsConfig for cfg in ps)
+        assert [cfg.zeta_th for cfg in ps] == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4])
+
+    def test_quantum_postselect_block(self, tmp_path):
+        text = BASE + (
+            "postselect.type = quantum\npostselect.tap_t = 0.93\n"
+            "postselect.threshold_min = -1.0\npostselect.threshold_max = 1.0\n"
+            "postselect.threshold_steps = 3\n"
+        )
+        ps = parse_scenario(scn(tmp_path, text)).postselect
+        assert ps == tuple(QuantumPsConfig(tap_t=0.93, q_th=q) for q in (-1.0, 0.0, 1.0))
 
     def test_quantum_requires_tap(self, tmp_path):
         text = BASE + "postselect.type = quantum\npostselect.threshold_min = 1.0\n"
@@ -462,6 +474,24 @@ class TestCommandLine:
         res = run_cli("rate", "--p", "1.5", "--tx-hz", "1e8")
         assert res.returncode == 2
         assert "domain error" in res.stderr
+
+    def test_squeezing_above_limit_exits_2(self, tmp_path):
+        # r = 400 overflows cosh(2r); it must be refused before any row runs
+        text = SMALL.replace("r.min = 0.5\nr.max = 1.5\nr.steps = 2\n", "r.min = 400\n")
+        res = run_cli("sweep", scn(tmp_path, text))
+        assert res.returncode == 2, res.stderr
+        assert "configuration error" in res.stderr
+        assert "'r.max' is out of range: 400.0 (must be <= 3)" in res.stderr
+
+    @pytest.mark.parametrize("command", ["validate", "postselect", "effective"])
+    @pytest.mark.parametrize("block", [
+        "postselect.type = quantum\npostselect.tap_t = 1.5\npostselect.threshold_min = 1.0\n",
+        "postselect.type = classical\npostselect.threshold_min = -0.1\n",
+    ], ids=["tap_t", "negative_threshold"])
+    def test_invalid_postselect_values_exit_2(self, tmp_path, capsys, command, block):
+        text = SMALL.replace("schemes = direct, satellite", "schemes = direct") + block
+        assert main([command, scn(tmp_path, text)]) == 2
+        assert "domain error" in capsys.readouterr().err
 
     def test_numerical_error_exits_3(self, tmp_path):
         # a quantum threshold far beyond the tap distribution selects nothing

@@ -165,24 +165,24 @@ class TestSchemeEffectiveSummary:
         cfg = config("swap", r=1.0)
         ch_a, ch_b = cfg.links()
         v = cfg.squeezing.v
-        etas = _swap_eta_integrals(ch_a, ch_b, v, cfg.quad)
+        eta_a, _, signed_eta_a, _, separable_mass = _swap_eta_integrals(ch_a, ch_b, v, cfg.quad)
         rng = np.random.default_rng(77)
         n = 400_000
         e = sample(ch_a, rng, n)
         ep = sample(ch_b, rng, n)
         signed = -(e + ep - 1.0) * (v - 1.0) / (e * (1.0 - v) + 2.0 * (ep - 1.0))
-        for got, draws in ((etas.eta_a, np.maximum(signed, 0.0)),
-                           (etas.signed_eta_a, signed)):
+        for got, draws in ((eta_a, np.maximum(signed, 0.0)),
+                           (signed_eta_a, signed)):
             err = draws.std(ddof=1) / math.sqrt(n)
             assert abs(got - draws.mean()) < 4.0 * err + 1e-4
         sep_draws = (e + ep < 1.0).astype(float)
         err_s = sep_draws.std(ddof=1) / math.sqrt(n)
         # indicator integrand: the tensor rule resolves it only to the panel
         # scale, so allow a small systematic term on top of the MC error
-        assert abs(etas.separable_mass - sep_draws.mean()) < 4.0 * err_s + 2e-3
-        assert 0.0 <= etas.separable_mass <= 1.0
-        assert 0.0 <= etas.eta_a <= 1.0
-        assert etas.signed_eta_a <= etas.eta_a
+        assert abs(separable_mass - sep_draws.mean()) < 4.0 * err_s + 2e-3
+        assert 0.0 <= separable_mass <= 1.0
+        assert 0.0 <= eta_a <= 1.0
+        assert signed_eta_a <= eta_a
 
 
 class TestSwapCoshAverage:
@@ -263,19 +263,11 @@ class TestOrderingCheck:
     def test_swap_never_beats_direct_across_geometries(self):
         for sigma, beta in ((0.32, 0.5), (0.7, 1.0), (1.0, 0.5), (1.5, 0.4), (2.0, 0.5)):
             geom = LinkGeometry(sigma_b=sigma, k1=0.5, k2=0.64)
-            report = ordering_check(geom, Squeezing(1.5), beta=beta, w=1.0,
-                                    include_swap_squeezing=False)
+            report = ordering_check(geom, Squeezing(1.5), beta=beta, w=1.0)
             assert report["swap_le_direct"]
             assert report["swap"]["eta_product"] <= report["direct"]["eta_product"] + 1e-12
             assert 0.0 <= report["swap"]["eta_a"] <= 1.0
             assert 0.0 <= report["swap"]["eta_b"] <= 1.0
-
-    def test_skipping_swap_squeezing(self):
-        report = ordering_check(GEOM, Squeezing(1.0), beta=1.0, w=1.0,
-                                include_swap_squeezing=False)
-        assert math.isnan(report["swap"]["r_e"])
-        assert report["swap_cosh_avg"] is None
-        assert report["swap_pv_used"] is False
 
     def test_point_mass_geometry(self):
         geom = LinkGeometry(sigma_b=0.0, k1=0.5, k2=0.64)

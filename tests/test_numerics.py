@@ -10,13 +10,11 @@ from cvsat.numerics import (
     DEFAULT_QUAD,
     McSpec,
     QuadratureSpec,
-    bessel_i,
     mc_expectation,
     pair_sums,
     panel_nodes,
     tensor_rule,
 )
-from oracles import bessel_i0_series, bessel_i1_series
 
 
 def integrate_1d(f, lo, hi, spec=DEFAULT_QUAD):
@@ -159,19 +157,6 @@ class TestPairSums:
     def test_empty_outer_table(self):
         empty = (np.empty(0), np.empty(0))
         assert pair_sums(empty, tensor_rule(*panel_nodes(0.0, 1.0)), 1, lambda x, y: (x,)) == []
-
-
-class TestSpecialFunctions:
-    def test_bessel_matches_series(self):
-        for x in (0.0, 1e-3, 0.5, 4.0, 16.0, 64.0):
-            assert bessel_i(0, x) == pytest.approx(bessel_i0_series(x), rel=1e-13)
-            assert bessel_i(1, x) == pytest.approx(bessel_i1_series(x), rel=1e-13)
-
-    def test_bessel_validation(self):
-        with pytest.raises(DomainError):
-            bessel_i(2, 1.0)
-        with pytest.raises(DomainError):
-            bessel_i(0, -0.5)
 
 
 class TestMcExpectation:
