@@ -272,8 +272,9 @@ def _map_tasks(fn, tasks: list[tuple], workers: int) -> list[dict]:
     size = _pool_size(workers, len(tasks))
     if size <= 1:
         return [fn(*task) for task in tasks]
+    # About four chunks per worker: a message per task costs more than a fast task.
     with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(fn, *zip(*tasks), chunksize=1))
+        return list(pool.map(fn, *zip(*tasks), chunksize=max(1, len(tasks) // (4 * size))))
 
 
 def _scheme_config(scenario: Scenario, kind: str, sigma_b: float, r: float) -> SchemeConfig:

@@ -80,37 +80,46 @@ def panel_nodes(
     return x, w
 
 
-# Elements per block of a channel-pair sum.  Bounds the memory of every 2D
-# integrand: each output array of a block holds this many floats.
-_BLOCK_ELEMENTS = 1 << 17
+# Elements per block of a channel-pair sum.  Each output array of a block
+# holds this many floats: 128 KiB, so a block's temporaries stay in a core's
+# L2 cache instead of being page-faulted in again block after block.
+_BLOCK_ELEMENTS = 1 << 14
 
 
-def pair_sums(outer, inner, width: int, integrand) -> list[float]:
+def pair_sums(outer, inner, width: int, integrand) -> list:
     """Weighted sums over a channel pair, one per output of the integrand.
 
     outer = (x, w) is the outer node table.  inner(x, w) takes a block of
-    outer rows and returns the inner nodes y and the joint weights, each
-    broadcastable to (rows, width); the inner rule may differ from row to
-    row.  integrand(x[:, None], y) yields its output arrays one at a time, so
-    shared subexpressions are computed once per block.  Rows are processed
-    in blocks of about _BLOCK_ELEMENTS points.
+    outer rows and returns the inner nodes y, broadcastable to (rows, width),
+    and either the joint weights of that shape, for an inner rule that
+    differs from row to row, or the pair (outer weights, inner weights) of a
+    tensor_rule.  integrand(x[:, None], y) yields its output arrays one at a
+    time, so shared subexpressions are computed once per block.  Rows are
+    processed in blocks of about _BLOCK_ELEMENTS points.
+
+    Each sum is a float, or for a tensor rule with weight columns, outer w of
+    shape (n, m) and inner wy of shape (width, k), the (m, k) matrix of sums
+    of the output times every column pair.
     """
     x, w = outer
-    totals: list[float] = []
+    totals: list = []
     step = max(1, _BLOCK_ELEMENTS // width)
     for start in range(0, x.size, step):
         xb = x[start:start + step]
         y, wgt = inner(xb, w[start:start + step])
-        parts = [float((wgt * vals).sum()) for vals in integrand(xb[:, None], y)]
+        outputs = integrand(xb[:, None], y)
+        # A tensor rule reduces each output by matrix products, forming no joint weight.
+        parts = ([wgt[0].T @ (vals @ wgt[1]) for vals in outputs] if isinstance(wgt, tuple)
+                 else [(wgt * vals).sum() for vals in outputs])
         totals = [t + p for t, p in zip(totals, parts)] if totals else parts
-    if not all(math.isfinite(t) for t in totals):
+    if not all(np.isfinite(t).all() for t in totals):
         raise NumericalError("channel-pair integrand returned non-finite values")
-    return totals
+    return [t if np.ndim(t) else float(t) for t in totals]
 
 
 def tensor_rule(y: np.ndarray, wy: np.ndarray):
     """Inner rule for pair_sums that pairs every outer row with the same table (y, wy)."""
-    return lambda x, w: (y[None, :], w[:, None] * wy[None, :])
+    return lambda x, w: (y[None, :], (w, wy))
 
 
 def mc_expectation(sampler, g, spec: McSpec) -> tuple[float, float]:

@@ -30,7 +30,7 @@ from scipy import special
 from .errors import DomainError, NumericalError
 from .fading import FadingChannel, transmittance_nodes
 from .gaussian import Squeezing, StandardFormCM, TwoModeCM, log_negativity
-from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums
+from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums, tensor_rule
 
 # Selections rarer than this are treated as numerically empty.
 P_SUCCESS_FLOOR = 1e-12
@@ -102,9 +102,13 @@ def _selection_sums(ch_up: FadingChannel, ch_down: FadingChannel, zeta_th: float
 
     sums = pair_sums(transmittance_nodes(ch_up, quad, zeta_th / ch_down.eta0), inner, full[0].size,
                      lambda eu, ed: integrand(eu * ed))
-    if sums[0] < P_SUCCESS_FLOOR:
-        raise NumericalError(f"selection region is numerically empty: P_s={sums[0]:.3e}")
+    _check_success(sums[0])
     return sums
+
+
+def _check_success(p_s: float) -> None:
+    if p_s < P_SUCCESS_FLOOR:
+        raise NumericalError(f"selection region is numerically empty: P_s={p_s:.3e}")
 
 
 def classical_postselect(
@@ -195,28 +199,45 @@ def quantum_postselect(
     """
     if chi < 0.0:
         raise DomainError(f"chi must be >= 0, got {chi}")
-    v = sq.v
-    t = cfg.tap_t
+    v, t, r, q_th = sq.v, cfg.tap_t, cfg.tap_r, cfg.q_th
 
-    def integrand(zeta):
-        q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, b_q, c_q = _tap_moments(v, zeta, t, cfg.q_th, chi)
-        yield from (p_sel, q_a, q_b, q_a_sq, q_b_sq, q_ab)
-        yield p_sel * (t * b_q + (1.0 - t))       # p-sector variance at station B
-        yield p_sel * (-math.sqrt(t) * c_q)       # p-sector cross term (negative branch)
+    # The tap outcome depends on the channels only through zeta = eta * eta'.
+    # With u = 1 / sqrt(2 v_t), every moment of _tap_moments is a polynomial
+    # in sqrt(zeta) times erfc(q_th u) = 2 p_sel, exp(-(q_th u)^2) u =
+    # sqrt(pi) gauss or sqrt(pi) gauss / (2 v_t).  Weight columns eta^k w,
+    # k = 0, 1/2, ..., 2, on each side put the sums of each kernel times
+    # zeta^k on the diagonal of one pair sum.
+    (eta_u, w_u), (eta_d, w_d) = (transmittance_nodes(ch, quad) for ch in (ch_up, ch_down))
+    powers = np.arange(5) / 2.0
 
-    # The tap outcome depends on the channels only through eta * eta'.
-    sums = _selection_sums(ch_up, ch_down, 0.0, quad, integrand)
-    p_s = sums[0]
-    mean_a, mean_b = sums[1] / p_s, sums[2] / p_s
-    a_q = sums[3] / p_s - mean_a**2
-    b_q_d = sums[4] / p_s - mean_b**2
-    c_q_d = sums[5] / p_s - mean_a * mean_b
-    a_p = v
-    b_p_d = sums[6] / p_s
-    c_p_d = sums[7] / p_s
+    def integrand(e, ed):
+        u = 1.0 / np.sqrt(2.0 * (t + r * (1.0 + chi) + r * (v - 1.0) * (e * ed)))
+        gauss = np.exp(-(q_th * u) ** 2) * u
+        return special.erfc(q_th * u), gauss, gauss * u * u
+
+    erfc_z, gauss_z, slope_z = (np.diag(s) for s in pair_sums(
+        (eta_u, w_u[:, None] * eta_u[:, None] ** powers),
+        tensor_rule(eta_d, w_d[:, None] * eta_d[:, None] ** powers), eta_d.size, integrand))
+    # Sums of p_sel * zeta^k, gauss * zeta^k and q_th * gauss / v_t * zeta^k.
+    p_s, ph, p1 = (0.5 * erfc_z[:3]).tolist()
+    _check_success(p_s)
+    g0, gh, g1 = gauss_z[:3] / math.sqrt(math.pi)
+    h0, hh, h1, h3h, h2 = 2.0 * q_th / math.sqrt(math.pi) * slope_z
+    root, st = math.sqrt(v * v - 1.0), math.sqrt(t)
+    # b_q - 1 = (v - 1) zeta + chi, c_q = root sqrt(zeta), t b_q + r = 1 + t chi + t (v - 1) zeta.
+    p_var_b = (1.0 + t * chi) * p_s + t * (v - 1.0) * p1
+    mean_a = math.sqrt(r) * root * gh / p_s
+    mean_b = st * math.sqrt(r) * ((v - 1.0) * g1 + chi * g0) / p_s
+    a_q = (r * root**2 * h1 + v * p_s) / p_s - mean_a**2
+    b_q_d = (t * r * ((v - 1.0) ** 2 * h2 + 2.0 * chi * (v - 1.0) * h1 + chi**2 * h0)
+             + p_var_b) / p_s - mean_b**2
+    c_q_d = (st * r * root * ((v - 1.0) * h3h + chi * hh) + st * root * ph) / p_s \
+        - mean_a * mean_b
+    b_p_d = p_var_b / p_s
+    c_p_d = -st * root * ph / p_s
     cm = TwoModeCM(np.array([
         [a_q, 0.0, c_q_d, 0.0],
-        [0.0, a_p, 0.0, c_p_d],
+        [0.0, v, 0.0, c_p_d],
         [c_q_d, 0.0, b_q_d, 0.0],
         [0.0, c_p_d, 0.0, b_p_d],
     ]))

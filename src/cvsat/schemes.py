@@ -212,22 +212,24 @@ def swap_realization(sq: Squeezing, eta: float, eta_prime: float, chi: float = 0
 
 
 def _swap_ensemble(cfg: SchemeConfig) -> TwoModeCM:
-    """Ensemble CM of the swapping scheme, averaged over both uplinks."""
+    """Ensemble CM of the swapping scheme, averaged over both uplinks.
+
+    Its entries E[v - eta G], E[v - eta' G] and E[sqrt(eta eta') G] share the
+    factor G: one pair sum of G against weight columns w [1, eta, sqrt(eta)].
+    """
     ch_a, ch_b = cfg.links()
     v = cfg.squeezing.v
     v2m1 = v * v - 1.0
     chi2 = 2.0 * cfg.chi
+    (eta_a, w_a), (eta_b, w_b) = (transmittance_nodes(ch, cfg.quad) for ch in (ch_a, ch_b))
 
-    def integrand(e, ep):
-        shared = v2m1 / (2.0 + (e + ep) * (v - 1.0) + chi2)
-        yield v - e * shared
-        yield v - ep * shared
-        yield np.sqrt(e * ep) * shared
+    def columns(eta, w):
+        return np.stack((w, w * eta, w * np.sqrt(eta)), axis=1)
 
-    eta_b, w_b = transmittance_nodes(ch_b, cfg.quad)
-    a_avg, b_avg, c_avg = pair_sums(transmittance_nodes(ch_a, cfg.quad), tensor_rule(eta_b, w_b),
-                                    eta_b.size, integrand)
-    return _standard_cm(a=a_avg, b=b_avg, c=c_avg)
+    (s,) = pair_sums((eta_a, columns(eta_a, w_a)), tensor_rule(eta_b, columns(eta_b, w_b)),
+                     eta_b.size, lambda e, ep: (v2m1 / (2.0 + (e + ep) * (v - 1.0) + chi2),))
+    mass = v * w_a.sum() * w_b.sum()
+    return _standard_cm(a=mass - s[1, 0], b=mass - s[0, 1], c=s[2, 2])
 
 
 def ensemble_cm(cfg: SchemeConfig) -> TwoModeCM:

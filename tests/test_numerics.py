@@ -133,15 +133,27 @@ class TestPairSums:
             yield v - ep * shared
             yield np.sqrt(e * ep) * shared
 
-        def sums():
-            return pair_sums((eta_a, w_a), tensor_rule(eta_b, w_b), eta_b.size, integrand)
+        # weight columns w [1, sqrt(eta), eta] on the outer side, w' [1, eta'] on the inner
+        left = w_a[:, None] * eta_a[:, None] ** np.array([0.0, 0.5, 1.0])
+        right = w_b[:, None] * eta_b[:, None] ** np.array([0.0, 1.0])
 
-        default = sums()
+        def sums():
+            return (pair_sums((eta_a, w_a), tensor_rule(eta_b, w_b), eta_b.size, integrand),
+                    pair_sums((eta_a, left), tensor_rule(eta_b, right), eta_b.size, integrand))
+
+        default, default_cols = sums()
         monkeypatch.setattr(numerics, "_BLOCK_ELEMENTS", 3 * eta_b.size + 7)
-        tiny = sums()
-        assert len(tiny) == 3
+        tiny, tiny_cols = sums()
+        assert len(tiny) == 3 and all(isinstance(t, float) for t in tiny)
         for got, want in zip(tiny, default):
             assert got == pytest.approx(want, rel=1e-14)
+        for vals, got, want in zip(integrand(eta_a[:, None], eta_b[None, :]), tiny_cols,
+                                   default_cols):
+            double_sum = np.array([[(lp[:, None] * rq[None, :] * vals).sum() for rq in right.T]
+                                   for lp in left.T])
+            assert got.shape == (3, 2)
+            np.testing.assert_allclose(got, double_sum, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(want, double_sum, rtol=1e-14, atol=0)
 
     def test_row_dependent_inner_rule(self):
         # the inner interval [0, 1 - x] shrinks with the outer node

@@ -13,9 +13,9 @@ import pytest
 from scipy import special
 
 from cvsat.errors import DomainError, NumericalError
-from cvsat.fading import LinkGeometry, sample
+from cvsat.fading import LinkGeometry, sample, transmittance_nodes
 from cvsat.gaussian import Squeezing, apply_loss, log_negativity
-from cvsat.numerics import QuadratureSpec
+from cvsat.numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums
 from cvsat.postselect import (
     ClassicalPsConfig,
     QuantumPsConfig,
@@ -29,6 +29,8 @@ from cvsat.schemes import SchemeConfig, ensemble_cm
 from oracles import fading_cdf, mc_ratio, tap_moments_wigner
 
 GEOM = LinkGeometry(sigma_b=1.0, k1=0.5, k2=0.64)
+# 30 dB mean uplink loss, 10 dB downlink, as in scenarios/postselect_highloss.scn
+HIGHLOSS = LinkGeometry(sigma_b=22.0, k1=1.0 / 11.0, k2=1.0)
 SQ = Squeezing(1.5)
 
 
@@ -284,6 +286,37 @@ class TestQuantumPostselect:
         ):
             ratio, err = mc_ratio(num, p_sel)
             assert abs(got - (ratio - shift)) < 4.0 * err + 1e-9
+
+    @pytest.mark.parametrize("q_th", [0.0, 2.0, 4.0])
+    @pytest.mark.parametrize("chi", [0.0, 0.05])
+    @pytest.mark.parametrize("cfg,quad", [
+        (direct_cfg(), DEFAULT_QUAD),
+        (direct_cfg(geom=HIGHLOSS, beta=1.0, w=2.0), QuadratureSpec(32, 4)),
+    ], ids=["midloss", "highloss"])
+    def test_matches_tensor_sum_of_tap_moments(self, cfg, quad, q_th, chi):
+        # _tap_moments at every node pair, summed with a (rows x width) joint
+        # weight and assembled into central moments
+        up, down = links(cfg)
+        ps = QuantumPsConfig(tap_t=0.93, q_th=q_th)
+        t, v = ps.tap_t, cfg.squeezing.v
+        eta_d, w_d = transmittance_nodes(down, quad)
+
+        def integrand(eu, ed):
+            q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, b_q, c_q = _tap_moments(
+                v, eu * ed, t, q_th, chi)
+            return (p_sel, q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel * (t * b_q + 1.0 - t),
+                    -p_sel * math.sqrt(t) * c_q)
+
+        p_s, s_a, s_b, s_aa, s_bb, s_ab, s_pb, s_pab = pair_sums(
+            transmittance_nodes(up, quad), lambda x, w: (eta_d[None, :], w[:, None] * w_d[None, :]),
+            eta_d.size, integrand)
+        mean_a, mean_b = s_a / p_s, s_b / p_s
+        a_q, b_q, c_q = s_aa / p_s - mean_a**2, s_bb / p_s - mean_b**2, s_ab / p_s - mean_a * mean_b
+        want = np.array([[a_q, 0, c_q, 0], [0, v, 0, s_pab / p_s],
+                         [c_q, 0, b_q, 0], [0, s_pab / p_s, 0, s_pb / p_s]])
+        res = quantum_postselect(cfg.squeezing, up, down, ps, quad, chi)
+        assert res.p_success == pytest.approx(p_s, rel=1e-13, abs=0)
+        np.testing.assert_allclose(res.cm.m, want, rtol=1e-13, atol=0)
 
     def test_empty_selection_raises(self):
         cfg = direct_cfg()

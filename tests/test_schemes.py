@@ -283,6 +283,28 @@ class TestSwapEnsemble:
         want = swap_realization(cfg.squeezing, ch_a.eta0, ch_b.eta0, cfg.chi)
         np.testing.assert_allclose(ensemble_cm(cfg).m, want.m, atol=1e-12)
 
+    @pytest.mark.parametrize("geom", [LinkGeometry(sigma_b=0.1, k1=0.5, k2=0.64), GEOM,
+                                      LinkGeometry(sigma_b=1.5, k1=0.5, k2=0.64), POINT])
+    @pytest.mark.parametrize("r", [0.1, 2.0])
+    @pytest.mark.parametrize("chi", [0.0, 0.05])
+    def test_matches_joint_weight_pair_sum(self, geom, r, chi):
+        # the per-entry integrands summed with a (rows x width) joint weight:
+        # no weight columns, no matrix products
+        cfg = config("swap", r=r, geom=geom, chi=chi)
+        ch_a, ch_b = cfg.links()
+        v = cfg.squeezing.v
+        eta_b, w_b = transmittance_nodes(ch_b, cfg.quad)
+
+        def integrand(e, ep):
+            shared = (v * v - 1.0) / (2.0 + (e + ep) * (v - 1.0) + 2.0 * chi)
+            return v - e * shared, v - ep * shared, np.sqrt(e * ep) * shared
+
+        a, b, c = pair_sums(transmittance_nodes(ch_a, cfg.quad),
+                            lambda x, w: (eta_b[None, :], w[:, None] * w_b[None, :]),
+                            eta_b.size, integrand)
+        want = np.array([[a, 0, c, 0], [0, a, 0, -c], [c, 0, b, 0], [0, -c, 0, b]])
+        np.testing.assert_allclose(ensemble_cm(cfg).m, want, rtol=1e-14, atol=0)
+
     def test_against_monte_carlo_realizations(self):
         cfg = config("swap", r=1.0, beta=1.0)
         ch_a, ch_b = cfg.links()
