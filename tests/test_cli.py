@@ -393,6 +393,27 @@ class TestCommandLine:
         e = [float(row["e_ln"]) for row in rows]
         assert e[0] <= e[1] <= e[2]
 
+    def test_postselect_workers_output_is_deterministic(self, tmp_path):
+        # Every r reuses a threshold's selection sums; with two workers the r
+        # rows are split between them and each worker keeps its own memo.
+        text = (
+            "schemes = direct\nr.min = 1.0\nr.max = 2.0\nr.steps = 3\n"
+            "sigma_b.min = 0.5\nsigma_b.max = 1.0\nsigma_b.steps = 2\n"
+            "beta = 0.5\nbeta_over_w = 1\nk1 = 0.5\nk2 = 0.64\n"
+            "quad.nodes = 32\nquad.subdiv = 4\n"
+            "postselect.type = classical\n"
+            "postselect.threshold_min = 0.0\npostselect.threshold_max = 0.3\n"
+            "postselect.threshold_steps = 4\n"
+        )
+        path = scn(tmp_path, text)
+        outs = []
+        for workers in ("1", "2"):
+            res = run_cli("postselect", path, "--workers", workers)
+            assert res.returncode == 0, res.stderr
+            outs.append(res.stdout)
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == 1 + 2 * 3 * 4
+
     def test_effective_json_report(self, tmp_path):
         text = (
             "schemes = direct, satellite, swap\nr.min = 1.0\nsigma_b.min = 0.4\n"

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from cvsat import postselect
 from cvsat.errors import DomainError, NumericalError
 from cvsat.fading import LinkGeometry, sample, transmittance_nodes
 from cvsat.gaussian import Squeezing, apply_loss, log_negativity
@@ -155,6 +156,48 @@ class TestClassicalPostselect:
             classical_postselect(cfg.squeezing, up, down,
                                  ClassicalPsConfig(up.eta0 * down.eta0 * (1.0 - 1e-15)))
 
+    @pytest.mark.parametrize("chi", [0.0, 0.05])
+    @pytest.mark.parametrize("geom,beta,w,quad,thresholds", [
+        (GEOM, 0.5, 1.0, DEFAULT_QUAD, (0.0, 0.1, 0.2, 0.3)),
+        (HIGHLOSS, 1.0, 2.0, QuadratureSpec(32, 4), (0.0, 0.12, 0.24, 0.36)),
+    ], ids=["midloss", "highloss"])
+    def test_sweep_sums_each_threshold_once(self, monkeypatch, chi, geom, beta, w, quad,
+                                            thresholds):
+        # rows in the CLI's (r, threshold) order, each with freshly built channels
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return pair_sums(*args)
+
+        monkeypatch.setattr(postselect, "pair_sums", counted)
+        for r in (1.5, 1.75, 2.0):
+            for zeta_th in thresholds:
+                cfg = dataclasses.replace(direct_cfg(r=r, geom=geom, beta=beta, w=w, chi=chi),
+                                          quad=quad)
+                up, down = links(cfg)
+                res = classical_postselect(cfg.squeezing, up, down, ClassicalPsConfig(zeta_th),
+                                           quad, chi)
+                # the integrand (1, 1 + zeta (v - 1), sqrt(zeta)) summed per row
+                v = cfg.squeezing.v
+                full = transmittance_nodes(down, quad)
+
+                def inner(eu, wu):
+                    eta, wd = (transmittance_nodes(down, quad, zeta_th / eu[:, None])
+                               if zeta_th > 0.0 else full)
+                    return eta, wu[:, None] * wd
+
+                p_s, num_b, num_c = pair_sums(
+                    transmittance_nodes(up, quad, zeta_th / down.eta0), inner, full[0].size,
+                    lambda eu, ed: (np.ones_like(eu * ed), 1.0 + eu * ed * (v - 1.0),
+                                    np.sqrt(eu * ed)))
+                c = num_c / p_s * math.sqrt(v * v - 1.0)
+                want = np.array([[v, 0, c, 0], [0, v, 0, -c],
+                                 [c, 0, num_b / p_s + chi, 0], [0, -c, 0, num_b / p_s + chi]])
+                assert res.p_success == pytest.approx(p_s, rel=1e-14, abs=0)
+                np.testing.assert_allclose(res.cm.m, want, rtol=1e-14, atol=0)
+        assert len(calls) == len(thresholds)
+
 
 class TestTapMomentsRealization:
     @pytest.mark.parametrize("v_r,zeta,tap_t,q_th", [
@@ -287,7 +330,8 @@ class TestQuantumPostselect:
             ratio, err = mc_ratio(num, p_sel)
             assert abs(got - (ratio - shift)) < 4.0 * err + 1e-9
 
-    @pytest.mark.parametrize("q_th", [0.0, 2.0, 4.0])
+    # q_th < 0 takes erfc's reflection 2 - erfc(|x|) in quantum_postselect
+    @pytest.mark.parametrize("q_th", [-2.0, 0.0, 2.0, 4.0])
     @pytest.mark.parametrize("chi", [0.0, 0.05])
     @pytest.mark.parametrize("cfg,quad", [
         (direct_cfg(), DEFAULT_QUAD),
