@@ -11,7 +11,16 @@ the boundary eta + eta' = 1, where the swapped state crosses from entangled
 to separable.  When the fading statistics straddle that boundary the
 ensemble average of cosh(2 r'') exists only as a Cauchy principal value; it
 is computed here by a pole-subtracted rule and the amount of probability mass
-on the separable side is reported rather than clamped away.
+on the separable side is reported rather than clamped away.  Per
+realization, with s = eta + eta',
+
+    cosh(2 r'') = -1 + (v + 1) eta eta' / (s - 1) - (v^2 - 1) eta eta' / (s (v - 1) + 2),
+
+so the pole carries no squeezing beyond the factor v + 1, and the average is
+-M + (v + 1) P - (v^2 - 1) C(v).  The weight mass M, the principal value P
+and the separable mass depend only on the links and the rule; they are
+memoized per (links, rule), so every r of a sigma_b column reuses them.  Each
+r sums only the smooth kernel C(v), in the same pass as the transmittivities.
 
 The per-realization effective transmittivities are defined only on the
 entangled side; their closed forms vanish on the boundary and turn negative
@@ -25,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,63 +101,67 @@ def try_effective(cm: TwoModeCM | StandardFormCM) -> EffectiveParams | None:
         return None
 
 
-def _cosh_swapped(e, ep, v: float):
-    """Per-realization cosh(2 r'') of the swapped state; singular on e + ep = 1."""
-    num = (e * e + ep * ep) * (1.0 - v) + e * ep * (v * v + 3.0) \
-        + (e + ep) * (v - 3.0) + 2.0
-    return num / ((e + ep - 1.0) * ((e + ep) * (v - 1.0) + 2.0))
-
-
 def _swap_eta_integrals(ch_a: FadingChannel, ch_b: FadingChannel, v: float,
                         quad: QuadratureSpec) -> list[float]:
-    """Fading averages of the swap effective transmittivities.
+    """The squeezing-dependent swap sums: one pass over the plain tensor tables.
 
-    Returns [eta_a, eta_b, signed_eta_a, signed_eta_b, separable_mass].
-    eta_a and eta_b average the per-realization values over the region where
-    the reduction exists (the entangled side eta + eta' > 1) and count the
+    Returns [eta_a, eta_b, signed_eta_a, signed_eta_b, kernel].  eta_a and
+    eta_b average the per-realization values over the region where the
+    reduction exists (the entangled side eta + eta' > 1) and count the
     separable side as zero, which is the continuous extension: the closed
     forms vanish on the boundary.  The signed fields keep the closed forms
     integrated over the whole square; they go negative once the separable
     side carries mass and are reported for diagnosis, never used as
-    transmittivities.
+    transmittivities.  kernel is C(v), the smooth sum that _swap_cosh_average
+    takes.
     """
     def integrand(e, ep):
-        across = -(e + ep - 1.0) * (v - 1.0)
+        s = e + ep
+        across = -(s - 1.0) * (v - 1.0)
         num_a = across / (e * (1.0 - v) + 2.0 * (ep - 1.0))
         num_b = across / (ep * (1.0 - v) + 2.0 * (e - 1.0))
         yield np.maximum(num_a, 0.0)
         yield np.maximum(num_b, 0.0)
         yield num_a
         yield num_b
-        yield ((e + ep) < 1.0) * 1.0
+        yield e * ep / (s * (v - 1.0) + 2.0)
 
     eta_b, w_b = transmittance_nodes(ch_b, quad)
     return pair_sums(transmittance_nodes(ch_a, quad), tensor_rule(eta_b, w_b), eta_b.size,
                      integrand)
 
 
-def _swap_cosh_average(ch_a: FadingChannel, ch_b: FadingChannel, v: float,
-                       quad: QuadratureSpec) -> tuple[float, bool]:
-    """Fading average of cosh(2 r''), as a principal value where it straddles the pole.
+# Pole sums kept per (links, rule).  `cvsat effective` runs every r of one
+# sigma_b column in a row, so one entry lets a column build its pole split
+# once; the rest serve library callers that interleave a few columns.  Each
+# entry holds four numbers, never a node table.
+_POLE_MEMO_SIZE = 16
 
-    Returns (value, pv_used).  For each A-side node with eta above 1 - eta0'
-    the B-side deflection integral crosses the pole once; the singular part is
-    subtracted analytically and added back in closed form.  Every other row
-    sums _cosh_swapped over the B-side node table.
+
+@lru_cache(maxsize=_POLE_MEMO_SIZE)
+def _swap_pole_sums(ch_a: FadingChannel, ch_b: FadingChannel,
+                    quad: QuadratureSpec) -> tuple[float, float, float, bool]:
+    """The squeezing-independent swap sums (M, P, separable_mass, pv_used).
+
+    M is the weight mass of the rules below and P the fading average of
+    eta eta' / (s - 1), s = eta + eta', a principal value where the
+    statistics straddle the pole s = 1.  For each A-side node with eta above
+    1 - eta0' the B-side deflection integral crosses the pole once: the rule
+    splits there, the pole is subtracted and added back in closed form (the
+    log term).  Every other row sums over the B-side node table.
+    separable_mass is the probability of the separable side s < 1.
     """
     eta_a, w_a = transmittance_nodes(ch_a, quad)
     if ch_b.point_mass and np.any(np.abs(eta_a + ch_b.eta0 - 1.0) < 1e-9):
         raise NumericalError("point-mass node sits on the swapped-state boundary")
+    eta_b, w_b = transmittance_nodes(ch_b, quad)
+    (separable_mass,) = pair_sums((eta_a, w_a), tensor_rule(eta_b, w_b), eta_b.size,
+                                  lambda e, eb: (((e + eb) < 1.0) * 1.0,))
 
     d_hi = D_MAX_SIGMAS * ch_b.sigma_b
     t01, w01 = panel_nodes(0.0, 1.0, quad, subdivisions=scaled_subdivisions(ch_b, quad))
     eta_b_floor = float(eta_of_deflection(ch_b, d_hi))
     lam, l_s, sig = ch_b.lambda_shape, ch_b.l_scale, ch_b.sigma_b
-
-    def smooth_part(e, d, eb):
-        num = (e * e + eb ** 2) * (1.0 - v) + e * eb * (v * v + 3.0) \
-            + (e + eb) * (v - 3.0) + 2.0
-        return rayleigh_pdf(d, sig) * num / ((e + eb) * (v - 1.0) + 2.0)
 
     def crossing(e):
         return np.asarray(deflection_of_eta(ch_b, 1.0 - e), dtype=float)
@@ -155,7 +169,7 @@ def _swap_cosh_average(ch_a: FadingChannel, ch_b: FadingChannel, v: float,
     def residue(e, d0):
         # Slope of s(d) = e + eta_b(d) - 1 at the crossing.
         slope = -(1.0 - e) * 0.5 * lam * d0 ** (lam - 1.0) / l_s**lam
-        return smooth_part(e, d0, eta_of_deflection(ch_b, d0)) / slope
+        return rayleigh_pdf(d0, sig) * e * eta_of_deflection(ch_b, d0) / slope
 
     def split_at_pole(e, w):
         d0 = crossing(e)[:, None]
@@ -166,19 +180,35 @@ def _swap_cosh_average(ch_a: FadingChannel, ch_b: FadingChannel, v: float,
     def subtracted(e, d):
         d0 = crossing(e)
         eb = eta_of_deflection(ch_b, d)
-        yield smooth_part(e, d, eb) / (e + eb - 1.0) - residue(e, d0) / (d - d0)
+        density = rayleigh_pdf(d, sig)
+        yield density
+        yield density * e * eb / (e + eb - 1.0) - residue(e, d0) / (d - d0)
 
     pole = (eta_a > 1.0 - ch_b.eta0) & (eta_a < 1.0 - eta_b_floor)
     # Each sum is empty, hence 0, when no row falls on its side of the split.
-    eta_b, w_b = transmittance_nodes(ch_b, quad)
-    total = sum(pair_sums((eta_a[~pole], w_a[~pole]), tensor_rule(eta_b, w_b), eta_b.size,
-                          lambda e, eb: (_cosh_swapped(e, eb, v),)))
+    mass = float(w_a[~pole].sum()) * float(w_b.sum())
+    pv_sum = sum(pair_sums((eta_a[~pole], w_a[~pole]), tensor_rule(eta_b, w_b), eta_b.size,
+                           lambda e, eb: (e * eb / (e + eb - 1.0),)))
     if np.any(pole):
         e, w = eta_a[pole], w_a[pole]
-        total += sum(pair_sums((e, w), split_at_pole, 2 * t01.size, subtracted))
+        split_mass, split_pv = pair_sums((e, w), split_at_pole, 2 * t01.size, subtracted)
         d0 = crossing(e)
-        total += float(w @ (residue(e, d0) * np.log((d_hi - d0) / d0)))
-    return total, bool(np.any(pole))
+        mass += split_mass
+        pv_sum += split_pv + float(w @ (residue(e, d0) * np.log((d_hi - d0) / d0)))
+    return mass, pv_sum, separable_mass, bool(np.any(pole))
+
+
+def _swap_cosh_average(ch_a: FadingChannel, ch_b: FadingChannel, v: float, kernel: float,
+                       quad: QuadratureSpec) -> tuple[float, bool]:
+    """Fading average of cosh(2 r''), as a principal value where it straddles the pole.
+
+    Returns (value, pv_used).  The average is -M + (v + 1) P - (v^2 - 1) C(v)
+    by the per-realization identity in the module docstring: M and P come
+    from the _swap_pole_sums memo, and kernel is C(v) from
+    _swap_eta_integrals.
+    """
+    mass, pv_sum, _, pv_used = _swap_pole_sums(ch_a, ch_b, quad)
+    return -mass + (v + 1.0) * pv_sum - (v * v - 1.0) * kernel, pv_used
 
 
 def _summary(cfg: SchemeConfig) -> tuple[EffectiveParams, dict]:
@@ -194,9 +224,10 @@ def _summary(cfg: SchemeConfig) -> tuple[EffectiveParams, dict]:
         return EffectiveParams(r_e=cfg.squeezing.r, eta_a=eta_a, eta_b=eta_b), {}
     ch_a, ch_b = cfg.links()
     v = cfg.squeezing.v
-    eta_a, eta_b, signed_eta_a, signed_eta_b, separable_mass = \
+    eta_a, eta_b, signed_eta_a, signed_eta_b, kernel = \
         _swap_eta_integrals(ch_a, ch_b, v, cfg.quad)
-    cosh_avg, pv_used = _swap_cosh_average(ch_a, ch_b, v, cfg.quad)
+    cosh_avg, pv_used = _swap_cosh_average(ch_a, ch_b, v, kernel, cfg.quad)
+    separable_mass = _swap_pole_sums(ch_a, ch_b, cfg.quad)[2]
     r_e = 0.5 * math.acosh(cosh_avg) if cosh_avg >= 1.0 else float("nan")
     return EffectiveParams(r_e=r_e, eta_a=eta_a, eta_b=eta_b), {
         "swap_separable_mass": separable_mass,

@@ -23,29 +23,13 @@ TOL_PHYS = 1e-9
 TOL_NUM = 1e-12
 
 
-def symplectic_form(n_modes: int = 2) -> np.ndarray:
-    """Block-diagonal symplectic form with one [[0,1],[-1,0]] block per mode."""
-    if n_modes < 1:
-        raise DomainError(f"n_modes must be >= 1, got {n_modes}")
-    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(n_modes), block)
-
-
-OMEGA = symplectic_form(2)
-
-
-def symplectic_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Symplectic spectrum of a 2n x 2n matrix, ascending, one value per mode.
-
-    Computed as the moduli of the eigenvalues of i*Omega*M, which come in
-    +/- pairs for symmetric positive definite M.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2:
-        raise DomainError(f"expected an even-dimensional square matrix, got {m.shape}")
-    n = m.shape[0] // 2
-    ev = np.linalg.eigvals(1j * symplectic_form(n) @ m)
-    return np.sort(np.abs(ev))[::2]
+# Two-mode symplectic form: one [[0, 1], [-1, 0]] block per mode.
+OMEGA = np.array([
+    [0.0, 1.0, 0.0, 0.0],
+    [-1.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 1.0],
+    [0.0, 0.0, -1.0, 0.0],
+])
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,27 @@ def bessel_i1_series(x: float) -> float:
     return math.fsum(terms)
 
 
+def symplectic_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Symplectic spectrum of a 2n x 2n matrix, ascending, one value per mode.
+
+    The moduli of the eigenvalues of i*Omega*M, which come in +/- pairs for
+    symmetric positive definite M.
+    """
+    m = np.asarray(m, dtype=float)
+    omega = np.kron(np.eye(m.shape[0] // 2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    return np.sort(np.abs(np.linalg.eigvals(1j * omega @ m)))[::2]
+
+
+def cosh_swapped(e, ep, v: float):
+    """Per-realization cosh(2 r'') of the swapped state, in the pole-separated form.
+
+    With s = e + ep, cosh(2 r'') = -1 + (v + 1) e ep / (s - 1)
+    - (v^2 - 1) e ep / (s (v - 1) + 2); singular on s = 1.
+    """
+    s = e + ep
+    return -1.0 + (v + 1.0) * e * ep / (s - 1.0) - (v * v - 1.0) * e * ep / (s * (v - 1.0) + 2.0)
+
+
 def pt_spectrum_bruteforce(cm: TwoModeCM) -> tuple[float, float]:
     """Symplectic spectrum of the partial transpose by direct diagonalization.
 

@@ -13,9 +13,9 @@ from scipy import integrate
 
 from cvsat.effective import (
     EffectiveParams,
-    _cosh_swapped,
     _swap_cosh_average,
     _swap_eta_integrals,
+    _swap_pole_sums,
     ordering_check,
     scheme_effective_summary,
     to_effective,
@@ -30,17 +30,77 @@ from cvsat.fading import (
     eta_of_deflection,
     rayleigh_pdf,
     sample,
+    scaled_subdivisions,
+    transmittance_nodes,
 )
 from cvsat.gaussian import Squeezing, StandardFormCM, apply_loss, log_negativity, tmsv_cm
+from cvsat.numerics import QuadratureSpec, pair_sums, panel_nodes, tensor_rule
 from cvsat.schemes import SchemeConfig, swap_realization
 
-from oracles import dense_channel_average
+from oracles import cosh_swapped, dense_channel_average
 
 GEOM = LinkGeometry(sigma_b=0.7, k1=0.5, k2=0.64)
 
 
 def config(kind, r=1.0, geom=GEOM, beta=1.0, w=1.0):
     return SchemeConfig(kind=kind, squeezing=Squeezing(r), geometry=geom, beta=beta, w=w)
+
+
+def cosh_average(ch_a, ch_b, v, quad):
+    """_swap_cosh_average with its kernel from the same per-r pass _summary runs."""
+    return _swap_cosh_average(ch_a, ch_b, v, _swap_eta_integrals(ch_a, ch_b, v, quad)[4], quad)
+
+
+def per_node_cosh_average(ch_a, ch_b, v, quad):
+    """The undecomposed average: cosh(2 r'') summed node by node, v inside the pole split.
+
+    Rows clear of the pole sum num / ((s - 1)(s (v - 1) + 2)) over the B-side
+    table; pole rows split the B-side deflection rule at the crossing,
+    subtract the v-dependent residue there and add back its log term.
+    """
+    def cosh_swapped_num_den(e, ep):
+        num = (e * e + ep * ep) * (1.0 - v) + e * ep * (v * v + 3.0) \
+            + (e + ep) * (v - 3.0) + 2.0
+        return num / ((e + ep - 1.0) * ((e + ep) * (v - 1.0) + 2.0))
+
+    eta_a, w_a = transmittance_nodes(ch_a, quad)
+    eta_b, w_b = transmittance_nodes(ch_b, quad)
+    d_hi = D_MAX_SIGMAS * ch_b.sigma_b
+    t01, w01 = panel_nodes(0.0, 1.0, quad, subdivisions=scaled_subdivisions(ch_b, quad))
+    lam, l_s, sig = ch_b.lambda_shape, ch_b.l_scale, ch_b.sigma_b
+
+    def smooth_part(e, d, eb):
+        num = (e * e + eb ** 2) * (1.0 - v) + e * eb * (v * v + 3.0) \
+            + (e + eb) * (v - 3.0) + 2.0
+        return rayleigh_pdf(d, sig) * num / ((e + eb) * (v - 1.0) + 2.0)
+
+    def crossing(e):
+        return np.asarray(deflection_of_eta(ch_b, 1.0 - e), dtype=float)
+
+    def residue(e, d0):
+        slope = -(1.0 - e) * 0.5 * lam * d0 ** (lam - 1.0) / l_s**lam
+        return smooth_part(e, d0, eta_of_deflection(ch_b, d0)) / slope
+
+    def split_at_pole(e, w):
+        d0 = crossing(e)[:, None]
+        width = d_hi - d0
+        d = np.concatenate((d0 * t01, d0 + width * t01), axis=1)
+        return d, w[:, None] * np.concatenate((d0 * w01, width * w01), axis=1)
+
+    def subtracted(e, d):
+        d0 = crossing(e)
+        eb = eta_of_deflection(ch_b, d)
+        yield smooth_part(e, d, eb) / (e + eb - 1.0) - residue(e, d0) / (d - d0)
+
+    pole = (eta_a > 1.0 - ch_b.eta0) & (eta_a < 1.0 - float(eta_of_deflection(ch_b, d_hi)))
+    total = sum(pair_sums((eta_a[~pole], w_a[~pole]), tensor_rule(eta_b, w_b), eta_b.size,
+                          lambda e, eb: (cosh_swapped_num_den(e, eb),)))
+    if np.any(pole):
+        e, w = eta_a[pole], w_a[pole]
+        total += sum(pair_sums((e, w), split_at_pole, 2 * t01.size, subtracted))
+        d0 = crossing(e)
+        total += float(w @ (residue(e, d0) * np.log((d_hi - d0) / d0)))
+    return total
 
 
 class TestToEffective:
@@ -108,7 +168,7 @@ class TestSwapRealizationReduction:
         v = Squeezing(1.2).v
         eff = to_effective(swap_realization(Squeezing(1.2), eta, eta_prime))
         assert math.cosh(2.0 * eff.r_e) == pytest.approx(
-            float(_cosh_swapped(eta, eta_prime, v)), rel=1e-10
+            float(cosh_swapped(eta, eta_prime, v)), rel=1e-10
         )
         s = eta + eta_prime - 1.0
         eta_a_closed = -s * (v - 1.0) / (eta * (1.0 - v) + 2.0 * (eta_prime - 1.0))
@@ -118,7 +178,7 @@ class TestSwapRealizationReduction:
 
     def test_lossless_swap_values(self):
         v = Squeezing(1.0).v
-        assert float(_cosh_swapped(1.0, 1.0, v)) == pytest.approx(
+        assert float(cosh_swapped(1.0, 1.0, v)) == pytest.approx(
             (v * v + 1.0) / (2.0 * v), rel=1e-14
         )
         eff = to_effective(swap_realization(Squeezing(1.0), 1.0, 1.0))
@@ -165,7 +225,8 @@ class TestSchemeEffectiveSummary:
         cfg = config("swap", r=1.0)
         ch_a, ch_b = cfg.links()
         v = cfg.squeezing.v
-        eta_a, _, signed_eta_a, _, separable_mass = _swap_eta_integrals(ch_a, ch_b, v, cfg.quad)
+        eta_a, _, signed_eta_a, _, _ = _swap_eta_integrals(ch_a, ch_b, v, cfg.quad)
+        separable_mass = _swap_pole_sums(ch_a, ch_b, cfg.quad)[2]
         rng = np.random.default_rng(77)
         n = 400_000
         e = sample(ch_a, rng, n)
@@ -190,9 +251,9 @@ class TestSwapCoshAverage:
         ch_a = FadingChannel(0.0, 1.0, 1.0)
         ch_b = FadingChannel(0.0, 1.0, 1.0)
         v = Squeezing(1.0).v
-        got, pv_used = _swap_cosh_average(ch_a, ch_b, v, config("swap").quad)
+        got, pv_used = cosh_average(ch_a, ch_b, v, config("swap").quad)
         assert not pv_used
-        assert got == pytest.approx(float(_cosh_swapped(ch_a.eta0, ch_b.eta0, v)), rel=1e-12)
+        assert got == pytest.approx(float(cosh_swapped(ch_a.eta0, ch_b.eta0, v)), rel=1e-12)
 
     def test_point_mass_on_boundary_raises(self):
         ch_a = FadingChannel(0.0, 0.4, 1.0)
@@ -201,7 +262,7 @@ class TestSwapCoshAverage:
         beta_b = math.sqrt(-0.5 * math.log(1.0 - target * target))
         ch_b = FadingChannel(0.0, beta_b, 1.0)
         with pytest.raises(NumericalError):
-            _swap_cosh_average(ch_a, ch_b, Squeezing(1.0).v, config("swap").quad)
+            cosh_average(ch_a, ch_b, Squeezing(1.0).v, config("swap").quad)
 
     def test_principal_value_against_scipy_cauchy(self):
         # point-mass A side inside the pole window reduces the average to a
@@ -211,7 +272,7 @@ class TestSwapCoshAverage:
         v = Squeezing(1.0).v
         e = ch_a.eta0
         assert 1.0 - ch_b.eta0 < e < 1.0
-        got, pv_used = _swap_cosh_average(ch_a, ch_b, v, config("swap").quad)
+        got, pv_used = cosh_average(ch_a, ch_b, v, config("swap").quad)
         assert pv_used
 
         d_hi = D_MAX_SIGMAS * ch_b.sigma_b
@@ -241,9 +302,55 @@ class TestSwapCoshAverage:
         # with tight wander around high eta0 it is all entangled side
         ch_a = FadingChannel(0.05, 1.5, 1.0)
         ch_b = FadingChannel(0.05, 1.5, 1.0)
-        got, pv_used = _swap_cosh_average(ch_a, ch_b, Squeezing(1.0).v, config("swap").quad)
+        got, pv_used = cosh_average(ch_a, ch_b, Squeezing(1.0).v, config("swap").quad)
         assert not pv_used
         assert got > 1.0
+
+
+class TestPoleDecomposition:
+    """-M + (v + 1) P - (v^2 - 1) C(v) against the undecomposed per-node sum."""
+
+    @staticmethod
+    def assert_matches_per_node_sum(ch_a, ch_b, r):
+        v = Squeezing(r).v
+        quad = QuadratureSpec(64, 8)
+        got, _ = cosh_average(ch_a, ch_b, v, quad)
+        assert got == pytest.approx(per_node_cosh_average(ch_a, ch_b, v, quad), rel=1e-12)
+
+    @pytest.mark.parametrize("r", [0.1, 1.0, 2.0])
+    @pytest.mark.parametrize("sigma_b", [0.1, 0.7, 1.5])
+    def test_fading_pair(self, sigma_b, r):
+        ch_a, ch_b = config("swap", geom=LinkGeometry(sigma_b=sigma_b, k1=0.5, k2=0.64)).links()
+        self.assert_matches_per_node_sum(ch_a, ch_b, r)
+
+    @pytest.mark.parametrize("r", [0.1, 1.0, 2.0])
+    def test_point_mass_a_side_in_pole_window(self, r):
+        ch_a = FadingChannel(0.0, 1.0, 1.0)
+        ch_b = FadingChannel(0.7, 1.0, 1.0)
+        assert 1.0 - ch_b.eta0 < ch_a.eta0 < 1.0
+        assert _swap_pole_sums(ch_a, ch_b, QuadratureSpec(64, 8))[3]
+        self.assert_matches_per_node_sum(ch_a, ch_b, r)
+
+    @pytest.mark.parametrize("r", [0.1, 1.0, 2.0])
+    def test_every_a_row_a_pole_row(self, r):
+        # a tight A side around a high eta0 inside a wide B side's pole
+        # window: the sum over rows clear of the pole is empty
+        ch_a = FadingChannel(0.05, 1.0, 1.0)
+        ch_b = FadingChannel(0.7, 1.0, 1.0)
+        eta_a, _ = transmittance_nodes(ch_a, QuadratureSpec(64, 8))
+        eta_b_floor = float(eta_of_deflection(ch_b, D_MAX_SIGMAS * ch_b.sigma_b))
+        assert np.all((eta_a > 1.0 - ch_b.eta0) & (eta_a < 1.0 - eta_b_floor))
+        self.assert_matches_per_node_sum(ch_a, ch_b, r)
+
+    def test_column_builds_pole_split_once(self):
+        geom = LinkGeometry(sigma_b=0.7, k1=0.5, k2=0.64)
+        r_grid = (0.1, 0.5, 1.0, 1.5, 2.0)
+        warm = [ordering_check(geom, Squeezing(r), beta=1.0, w=1.0) for r in r_grid]
+        assert _swap_pole_sums.cache_info().misses == 1
+        for r, report in zip(r_grid, warm):
+            _swap_pole_sums.cache_clear()
+            # repr compares floats bit for bit and a NaN r_e equal to itself
+            assert repr(ordering_check(geom, Squeezing(r), beta=1.0, w=1.0)) == repr(report)
 
 
 class TestOrderingCheck:
