@@ -329,16 +329,9 @@ def rate_estimate(p_success: float, tx_rate_hz: float) -> float:
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {key: _jsonable(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_jsonable(val) for val in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return None if math.isnan(v) else v
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
+    return None if isinstance(obj, float) and math.isnan(obj) else obj
 
 
 def run_effective(scenario: Scenario) -> dict:
@@ -361,11 +354,6 @@ def run_effective(scenario: Scenario) -> dict:
 def _grid_probes(grid: tuple[float, ...]) -> list[float]:
     probes = {grid[0], grid[-1], grid[len(grid) // 2]}
     return sorted(probes)
-
-
-def _draw(ch, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n transmittance draws; a point-mass link always gives its fixed eta0."""
-    return np.full(n, ch.eta0) if ch.point_mass else sample(ch, rng, n)
 
 
 def run_validate(scenario: Scenario) -> dict:
@@ -394,24 +382,24 @@ def run_validate(scenario: Scenario) -> dict:
                 record(name, diff < CONVERGENCE_TOL,
                        f"|E_LN({scenario.quad.subdivisions} subdiv) - E_LN({fine.subdivisions})| {gap}")
 
+    # The direct scheme at the grid's last point probes MC agreement and post-selection.
+    probe = _scheme_config(scenario, "direct", scenario.sigma_b_grid[-1], scenario.r_grid[-1])
     if scenario.mc is not None:
-        geom = LinkGeometry(sigma_b=scenario.sigma_b_grid[-1], k1=scenario.k1, k2=scenario.k2)
-        links = expand_links(geom, scenario.beta, scenario.w)
+        links = expand_links(probe.geometry, scenario.beta, scenario.w)
         for label, ch in (("uplink", links.a_s), ("downlink", links.s_b)):
             if ch.point_mass:
                 continue
             quad_mean = mean_transmittance(ch, scenario.quad)
             mc_mean, se = mc_expectation(
-                lambda rng, n, _ch=ch: _draw(_ch, rng, n), lambda e: e, scenario.mc
+                lambda rng, n, _ch=ch: sample(_ch, rng, n), lambda e: e, scenario.mc
             )
             err = abs(quad_mean - mc_mean)
             record(f"mc/{label}-mean-transmittance", err <= 4.0 * se + 1e-12,
                    f"quadrature {quad_mean:.9g} vs MC {mc_mean:.9g} (stderr {se:.2e})")
-        cfg = _scheme_config(scenario, "direct", scenario.sigma_b_grid[-1], scenario.r_grid[-1])
-        v = cfg.squeezing.v
-        b_quad = float(ensemble_cm(cfg).m[2, 2])
+        v = probe.squeezing.v
+        b_quad = float(ensemble_cm(probe).m[2, 2])
         b_mc, se = mc_expectation(
-            lambda rng, n: (_draw(links.a_s, rng, n), _draw(links.s_b, rng, n)),
+            lambda rng, n: (sample(links.a_s, rng, n), sample(links.s_b, rng, n)),
             lambda e, ep: 1.0 + e * ep * (v - 1.0) + scenario.chi,
             scenario.mc,
         )
@@ -424,8 +412,7 @@ def run_validate(scenario: Scenario) -> dict:
         kind, threshold = ("classical", ps.zeta_th) if classical else ("quantum", ps.q_th)
         name = f"postselect/{kind}/threshold={threshold:g}"
         try:
-            cfg = _scheme_config(scenario, "direct", scenario.sigma_b_grid[-1], scenario.r_grid[-1])
-            row = _postselect_point(cfg, ps)
+            row = _postselect_point(probe, ps)
         except (DomainError, NumericalError) as exc:
             record(name, False, f"evaluation failed: {exc}")
         else:
@@ -457,23 +444,12 @@ def _emit(args, scenario: Scenario, text: str) -> None:
         stream.write(text)
 
 
-def _rows_to_csv(rows: list[dict]) -> str:
+def _cmd_rows(args) -> int:
+    """sweep and postselect: the parser table sets args.run to run_sweep or run_postselect."""
+    scenario = _load(args)
     buf = io.StringIO()
-    write_csv(rows, buf)
-    return buf.getvalue()
-
-
-def _cmd_sweep(args) -> int:
-    scenario = _load(args)
-    rows = run_sweep(scenario, workers=args.workers)
-    _emit(args, scenario, _rows_to_csv(rows))
-    return 0
-
-
-def _cmd_postselect(args) -> int:
-    scenario = _load(args)
-    rows = run_postselect(scenario, workers=args.workers)
-    _emit(args, scenario, _rows_to_csv(rows))
+    write_csv(args.run(scenario, workers=args.workers), buf)
+    _emit(args, scenario, buf.getvalue())
     return 0
 
 
@@ -508,20 +484,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def scenario_command(name: str, help_text: str, func):
+    def scenario_command(name: str, help_text: str, func, **defaults):
         cmd = sub.add_parser(name, help=help_text)
-        cmd.set_defaults(func=func)
+        cmd.set_defaults(func=func, **defaults)
         cmd.add_argument("scenario", help="path to a scenario file")
         cmd.add_argument("--out", default=None, help="output file (default: scenario output or stdout)")
         cmd.add_argument("--quad-nodes", type=int, default=None, help="override quadrature nodes per panel")
         cmd.add_argument("--quad-subdiv", type=int, default=None, help="override quadrature subdivisions")
         return cmd
 
-    for name, help_text, func in (
-        ("sweep", "entanglement of every scheme over the scenario grid (CSV)", _cmd_sweep),
-        ("postselect", "post-selected entanglement vs success probability (CSV)", _cmd_postselect),
+    for name, help_text, run in (
+        ("sweep", "entanglement of every scheme over the scenario grid (CSV)", run_sweep),
+        ("postselect", "post-selected entanglement vs success probability (CSV)", run_postselect),
     ):
-        scenario_command(name, help_text, func).add_argument(
+        scenario_command(name, help_text, _cmd_rows, run=run).add_argument(
             "--workers", type=int, default=1, help="parallel worker processes (at most one per CPU)")
     scenario_command("effective", "effective-channel summary and scheme ordering (JSON)", _cmd_effective)
     scenario_command("validate", "numerical self-consistency audit (JSON)", _cmd_validate).add_argument(

@@ -49,7 +49,7 @@ from .fading import (
     scaled_subdivisions,
     transmittance_nodes,
 )
-from .gaussian import Squeezing, StandardFormCM, TwoModeCM, standard_form
+from .gaussian import Squeezing, TwoModeCM, standard_form
 from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums, panel_nodes, tensor_rule
 from .schemes import SchemeConfig, path_moments
 
@@ -63,14 +63,14 @@ class EffectiveParams:
     eta_b: float
 
 
-def to_effective(cm: TwoModeCM | StandardFormCM) -> EffectiveParams:
+def to_effective(cm: TwoModeCM) -> EffectiveParams:
     """Effective (r_e, eta_a, eta_b) of an entangled phase-symmetric CM.
 
     Defined only for the a*I / b*I / diag(c, -c) family and only when the CM
     is entangled; apply_loss(tmsv_cm(r_e), eta_a, eta_b) reconstructs the
     input.
     """
-    sf = cm if isinstance(cm, StandardFormCM) else standard_form(cm)
+    sf = standard_form(cm)
     scale = max(1.0, abs(sf.c_plus))
     if abs(sf.c_plus + sf.c_minus) > 1e-9 * scale:
         raise DomainError("effective reduction needs a phase-symmetric cross block (c+ = -c-)")
@@ -93,7 +93,7 @@ def to_effective(cm: TwoModeCM | StandardFormCM) -> EffectiveParams:
     )
 
 
-def try_effective(cm: TwoModeCM | StandardFormCM) -> EffectiveParams | None:
+def try_effective(cm: TwoModeCM) -> EffectiveParams | None:
     """to_effective, or None when the CM is separable or outside the family."""
     try:
         return to_effective(cm)

@@ -32,6 +32,8 @@ from .numerics import DEFAULT_QUAD, QuadratureSpec, panel_nodes
 # Rayleigh-domain truncation: the tail mass beyond 12 sigma is below 1e-31.
 D_MAX_SIGMAS = 12.0
 _DEGENERACY_TOL = 1e-12
+# Smallest nonzero wander: the Rayleigh density divides by sigma_b**2, which must not underflow.
+_MIN_SIGMA_B = 1e-150
 # Largest |sum(w) - 1| a resolved rule shows: 16x2 stays below 1.1e-13 at any
 # sigma_b, while 8x1 misses by 7.3e-3 at sigma_b = 0.1.
 _WEIGHT_SUM_TOL = 1e-9
@@ -55,10 +57,13 @@ class FadingChannel:
     def __post_init__(self) -> None:
         if self.beta <= 0.0 or self.w <= 0.0:
             raise DomainError(f"beta and w must be > 0, got beta={self.beta}, w={self.w}")
-        if self.sigma_b < 0.0 or not math.isfinite(self.sigma_b):
-            raise DomainError(f"sigma_b must be finite and >= 0, got {self.sigma_b}")
+        if not (self.sigma_b == 0.0 or _MIN_SIGMA_B <= self.sigma_b < math.inf):
+            raise DomainError(f"sigma_b must be 0 or finite and >= {_MIN_SIGMA_B:g}, got {self.sigma_b}")
         h = (self.beta / self.w) ** 2
-        q = 1.0 - math.exp(-4.0 * h) * float(special.i0(4.0 * h))
+        i0 = float(special.i0(4.0 * h))
+        if not math.isfinite(i0):
+            raise NumericalError(f"beta/w = {self.beta / self.w:.6g} overflows I0(4 (beta/w)^2) above 13.32")
+        q = 1.0 - math.exp(-4.0 * h) * i0
         if q <= _DEGENERACY_TOL:
             raise NumericalError(f"degenerate aperture geometry: h={h:.3e} is too small")
         eta0_sq = 1.0 - math.exp(-2.0 * h)
@@ -110,9 +115,9 @@ def pdf(ch: FadingChannel, eta):
 
 
 def sample(ch: FadingChannel, rng: np.random.Generator, size=None):
-    """Draw transmittance realizations by sampling the Rayleigh deflection."""
+    """Draw transmittance realizations by sampling the Rayleigh deflection; a point mass draws eta0."""
     if ch.point_mass:
-        raise DomainError("cannot sample a point-mass channel; its eta is fixed at eta0")
+        return ch.eta0 if size is None else np.full(size, ch.eta0)
     d = rng.rayleigh(ch.sigma_b, size)
     return eta_of_deflection(ch, d)
 

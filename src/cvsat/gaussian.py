@@ -9,7 +9,7 @@ Quadratures are ordered (q1, p1, q2, p2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,34 +78,29 @@ class TwoModeCM:
 
 @dataclass(frozen=True)
 class StandardFormCM:
-    """Standard-form CM: diagonal blocks a*I and b*I, cross block diag(c+, c-)."""
+    """Standard-form CM record: blocks a*I, b*I, cross diag(c+, c-).  to_cm() validates it."""
 
     a: float
     b: float
     c_plus: float
     c_minus: float
-    _cm: TwoModeCM = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        # Physicality (and with it a >= 1, b >= 1) is enforced by the embedding, built once here.
+    def to_cm(self) -> TwoModeCM:
         a, b, cp, cm = self.a, self.b, self.c_plus, self.c_minus
-        object.__setattr__(self, "_cm", TwoModeCM(np.array([
+        return TwoModeCM(np.array([
             [a, 0.0, cp, 0.0],
             [0.0, a, 0.0, cm],
             [cp, 0.0, b, 0.0],
             [0.0, cm, 0.0, b],
-        ])))
-
-    def to_cm(self) -> TwoModeCM:
-        return self._cm
+        ]))
 
 
 def standard_form(cm: TwoModeCM) -> StandardFormCM:
     """Extract (a, b, c_plus, c_minus) from a CM already in standard form.
 
     Every CM produced by this package is built in standard form; this only
-    validates the shape and reads the four parameters.  General symplectic
-    standard-form reduction is out of scope.
+    checks the shape and reads the four parameters, building no second CM.
+    General symplectic standard-form reduction is out of scope.
     """
     m = cm.m
     scale = max(1.0, float(np.abs(m).max()))
@@ -137,20 +132,7 @@ def tmsv_cm(sq: Squeezing) -> TwoModeCM:
     """CM of a two-mode squeezed vacuum state."""
     v = sq.v
     c = math.sqrt(v * v - 1.0)
-    return TwoModeCM(np.array([
-        [v, 0.0, c, 0.0],
-        [0.0, v, 0.0, -c],
-        [c, 0.0, v, 0.0],
-        [0.0, -c, 0.0, v],
-    ]))
-
-
-def _as_matrix(cm: TwoModeCM | StandardFormCM) -> np.ndarray:
-    if isinstance(cm, StandardFormCM):
-        return cm.to_cm().m
-    if isinstance(cm, TwoModeCM):
-        return cm.m
-    raise DomainError(f"expected TwoModeCM or StandardFormCM, got {type(cm).__name__}")
+    return StandardFormCM(a=v, b=v, c_plus=c, c_minus=-c).to_cm()
 
 
 def _det2(b: np.ndarray) -> float:
@@ -172,13 +154,13 @@ def _spectrum_hermitian(m: np.ndarray) -> tuple[float, float]:
     return float(nus[2]), float(nus[3])
 
 
-def symplectic_spectrum_pt(cm: TwoModeCM | StandardFormCM) -> tuple[float, float]:
+def symplectic_spectrum_pt(cm: TwoModeCM) -> tuple[float, float]:
     """Symplectic spectrum (nu_minus, nu_plus) of the partially transposed CM.
 
     Uses the local invariants det A, det B, det C, det M; the partial
     transpose of the second mode flips the sign of det C.
     """
-    m = _as_matrix(cm)
+    m = cm.m
     det_a = _det2(m[:2, :2])
     det_b = _det2(m[2:, 2:])
     det_c = _det2(m[:2, 2:])
@@ -200,7 +182,7 @@ def symplectic_spectrum_pt(cm: TwoModeCM | StandardFormCM) -> tuple[float, float
     return math.sqrt(max(lo, 0.0)), math.sqrt(hi)
 
 
-def log_negativity(cm: TwoModeCM | StandardFormCM) -> float:
+def log_negativity(cm: TwoModeCM) -> float:
     """Logarithmic negativity E_LN = max(0, -log2(nu_minus)), base-2 logs."""
     nu_minus, _ = symplectic_spectrum_pt(cm)
     if nu_minus <= 0.0:
@@ -208,7 +190,7 @@ def log_negativity(cm: TwoModeCM | StandardFormCM) -> float:
     return max(0.0, -math.log2(nu_minus))
 
 
-def is_entangled(cm: TwoModeCM | StandardFormCM) -> bool:
+def is_entangled(cm: TwoModeCM) -> bool:
     nu_minus, _ = symplectic_spectrum_pt(cm)
     return nu_minus < 1.0
 

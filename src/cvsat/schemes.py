@@ -127,8 +127,8 @@ class GeneralBipartiteInput:
 
     def __post_init__(self) -> None:
         # Physicality of each constituent state is enforced by embedding.
-        StandardFormCM(a=self.a, b=self.b, c_plus=self.c_plus, c_minus=self.c_minus)
-        StandardFormCM(a=self.d, b=self.e, c_plus=self.f_plus, c_minus=self.f_minus)
+        StandardFormCM(a=self.a, b=self.b, c_plus=self.c_plus, c_minus=self.c_minus).to_cm()
+        StandardFormCM(a=self.d, b=self.e, c_plus=self.f_plus, c_minus=self.f_minus).to_cm()
 
 
 def swap_conditional(inp: GeneralBipartiteInput) -> TwoModeCM:

@@ -152,7 +152,7 @@ def random_general_input(rng: np.random.Generator) -> GeneralBipartiteInput:
             try:
                 from cvsat.gaussian import StandardFormCM
 
-                StandardFormCM(a=a, b=b, c_plus=cp, c_minus=cm_)
+                StandardFormCM(a=a, b=b, c_plus=cp, c_minus=cm_).to_cm()
             except Exception:
                 continue
             return a, b, cp, cm_

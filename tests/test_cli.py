@@ -17,6 +17,8 @@ import cvsat
 from cvsat.cli import (
     CSV_COLUMNS,
     _pool_size,
+    _postselect_point,
+    _sweep_point,
     format_value,
     main,
     parse_scenario,
@@ -26,8 +28,11 @@ from cvsat.cli import (
     write_csv,
 )
 from cvsat.errors import ConfigError, DomainError
+from cvsat.fading import LinkGeometry
+from cvsat.gaussian import Squeezing, TwoModeCM
 from cvsat.numerics import QuadratureSpec
 from cvsat.postselect import ClassicalPsConfig, QuantumPsConfig
+from cvsat.schemes import KINDS, SchemeConfig
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -527,6 +532,16 @@ class TestCommandLine:
         assert res.returncode == 3
         assert "numerical error" in res.stderr
 
+    @pytest.mark.parametrize("beta_over_w", ["13.5", "14"])
+    def test_bessel_overflow_exits_3_naming_beta_over_w(self, tmp_path, capsys, beta_over_w):
+        # I0(4 (beta/w)^2) overflows above beta/w = 13.32; the error must say so,
+        # not blame a small aperture or non-finite CM entries
+        text = SMALL.replace("beta_over_w = 0.5", f"beta_over_w = {beta_over_w}")
+        assert main(["sweep", scn(tmp_path, text)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ")
+        assert f"beta/w = {beta_over_w} overflows" in err
+
     def test_under_resolved_quadrature_exits_3(self):
         # an 8-node single-panel rule cannot resolve the narrow downlink
         # (sigma_b = 0.032); the weight-sum check reports it as numerical
@@ -641,3 +656,37 @@ class TestMainInProcess:
         assert main(["rate", "--p", "0.5", "--tx-hz", "100"]) == 0
         assert capsys.readouterr().out == "50\n"
         assert main(["rate", "--p", "2.0", "--tx-hz", "100"]) == 2
+
+
+class TestOneCmPerRow:
+    """A row validates exactly one CM: the effective reduction reads it, building none."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        post_init = TwoModeCM.__post_init__
+
+        def counted(cm):
+            built.append(cm)
+            post_init(cm)
+
+        monkeypatch.setattr(TwoModeCM, "__post_init__", counted)
+        return built
+
+    @staticmethod
+    def config(kind):
+        return SchemeConfig(kind=kind, squeezing=Squeezing(1.0),
+                            geometry=LinkGeometry(sigma_b=0.5, k1=0.5, k2=0.64), beta=1.0, w=1.0,
+                            quad=QuadratureSpec(nodes_1d=16, subdivisions=2))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sweep_row(self, builds, kind):
+        row = _sweep_point(self.config(kind))
+        assert row["eff_r"] is not None
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("ps", [ClassicalPsConfig(zeta_th=0.1), QuantumPsConfig(tap_t=0.9, q_th=1.0)],
+                             ids=["classical", "quantum"])
+    def test_postselect_row(self, builds, ps):
+        _postselect_point(self.config("direct"), ps)
+        assert len(builds) == 1

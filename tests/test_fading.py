@@ -76,6 +76,9 @@ class TestDeriveParams:
             FadingChannel(-0.1, 0.5, 1.0)
         with pytest.raises(DomainError):
             FadingChannel(math.inf, 0.5, 1.0)
+        # sigma_b**2 would underflow in the Rayleigh density
+        with pytest.raises(DomainError, match="sigma_b"):
+            FadingChannel(1e-160, 0.5, 1.0)
 
     def test_degenerate_aperture_raises(self):
         with pytest.raises(NumericalError):
@@ -161,9 +164,14 @@ class TestSample:
         # 1% critical value of the one-sample KS statistic
         assert stat < 1.63 / math.sqrt(n)
 
-    def test_point_mass_rejected(self):
-        with pytest.raises(DomainError):
-            sample(FadingChannel(0.0, 0.5, 1.0), np.random.default_rng(0))
+    def test_point_mass_draws_eta0(self):
+        ch = FadingChannel(0.0, 0.5, 1.0)
+        rng = np.random.default_rng(0)
+        assert sample(ch, rng) == ch.eta0
+        draws = sample(ch, rng, 5)
+        assert draws.shape == (5,) and np.all(draws == ch.eta0)
+        # no randomness is consumed
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 class TestTransmittanceNodes:

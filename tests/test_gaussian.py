@@ -86,6 +86,12 @@ class TestStandardForm:
         with pytest.raises(DomainError):
             standard_form(TwoModeCM(m))
 
+    def test_record_is_checked_at_to_cm(self):
+        # the record holds any four numbers; building the CM is the physicality check
+        sf = StandardFormCM(a=1.0, b=1.0, c_plus=2.0, c_minus=-2.0)
+        with pytest.raises(DomainError, match="unphysical"):
+            sf.to_cm()
+
     def test_rejects_unequal_diagonal(self):
         m = np.diag([2.0, 1.5, 2.0, 2.0])
         with pytest.raises(DomainError):
@@ -134,12 +140,6 @@ class TestLogNegativity:
     def test_clamped_at_zero_for_separable(self):
         cm = apply_loss(tmsv_cm(Squeezing(0.4)), 0.0, 1.0)
         assert log_negativity(cm) == 0.0
-
-    def test_accepts_standard_form_directly(self):
-        sq = Squeezing(0.8)
-        assert log_negativity(standard_form(tmsv_cm(sq))) == pytest.approx(
-            log_negativity(tmsv_cm(sq)), abs=1e-12
-        )
 
 
 class TestApplyLoss:

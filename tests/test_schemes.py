@@ -231,6 +231,15 @@ class TestSwapEnsembleCm:
             got = swap_ensemble_cm(inp, general_optimal_gains(inp)).m
             np.testing.assert_allclose(got, swap_conditional(inp).m, atol=1e-10)
 
+    @pytest.mark.parametrize("first,second", [((1.0, 1.0, 2.0, -2.0), (2.0, 2.0, 1.0, -1.0)),
+                                              ((2.0, 2.0, 1.0, -1.0), (1.0, 1.0, 2.0, -2.0))])
+    def test_rejects_unphysical_constituent(self, first, second):
+        a, b, c_plus, c_minus = first
+        d, e, f_plus, f_minus = second
+        with pytest.raises(DomainError, match="unphysical"):
+            GeneralBipartiteInput(a=a, b=b, c_plus=c_plus, c_minus=c_minus,
+                                  d=d, e=e, f_plus=f_plus, f_minus=f_minus)
+
     def test_optimal_gains_reject_phase_asymmetry(self):
         inp = GeneralBipartiteInput(
             a=2.0, b=2.0, c_plus=1.2, c_minus=-0.9,
