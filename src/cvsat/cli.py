@@ -97,8 +97,14 @@ def _pop(data: dict, key: str, conv, default):
         raise ConfigError(f"scenario key {key!r}: {exc}") from None
 
 
+def _finite(raw: str) -> float:
+    if not math.isfinite(value := float(raw)):
+        raise ValueError(f"must be a finite number, got {raw!r}")
+    return value
+
+
 def _pop_float(data, key, default=_REQUIRED):
-    return _pop(data, key, float, default)
+    return _pop(data, key, _finite, default)
 
 
 def _pop_int(data, key, default=_REQUIRED):
@@ -116,6 +122,9 @@ def _axis(data: dict, prefix: str, sep: str = ".") -> tuple[float, float, int]:
         raise ConfigError(f"scenario key {prefix}{sep}max must be >= {prefix}{sep}min")
     if steps > 1 and hi == lo:
         raise ConfigError(f"scenario key {prefix}{sep}max must exceed {prefix}{sep}min when steps > 1")
+    if steps == 1 and hi != lo:
+        raise ConfigError(f"scenario key {prefix}{sep}max must equal {prefix}{sep}min "
+                          f"unless {prefix}{sep}steps > 1")
     return lo, hi, steps
 
 

@@ -55,11 +55,14 @@ class FadingChannel:
     eta0: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.beta <= 0.0 or self.w <= 0.0:
-            raise DomainError(f"beta and w must be > 0, got beta={self.beta}, w={self.w}")
+        if not (0.0 < self.beta < math.inf and 0.0 < self.w < math.inf):
+            raise DomainError(f"beta and w must be finite and > 0, got beta={self.beta}, w={self.w}")
         if not (self.sigma_b == 0.0 or _MIN_SIGMA_B <= self.sigma_b < math.inf):
             raise DomainError(f"sigma_b must be 0 or finite and >= {_MIN_SIGMA_B:g}, got {self.sigma_b}")
-        h = (self.beta / self.w) ** 2
+        try:
+            h = (self.beta / self.w) ** 2
+        except OverflowError:  # beta/w above 1e154; I0 below reports it
+            h = math.inf
         i0 = float(special.i0(4.0 * h))
         if not math.isfinite(i0):
             raise NumericalError(f"beta/w = {self.beta / self.w:.6g} overflows I0(4 (beta/w)^2) above 13.32")

@@ -31,7 +31,7 @@ from scipy import special
 from .errors import DomainError, NumericalError
 from .fading import FadingChannel, transmittance_nodes
 from .gaussian import Squeezing, StandardFormCM, TwoModeCM, log_negativity
-from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums, tensor_rule
+from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums
 
 # Selections rarer than this are treated as numerically empty.
 P_SUCCESS_FLOOR = 1e-12
@@ -175,6 +175,29 @@ def _tap_moments(v: float, zeta, tap_t: float, q_th: float, chi: float):
     return q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, b_q, c_q
 
 
+# Nodes of the Gauss rule in sqrt(eta) per link.  Over 150 random draws of the
+# regime fuzz domain (tap_t down to 0.01) at the default 64x8 rule, 40 nodes
+# agree with 96 to 7e-15 of the CM's largest entry; 32 miss by 1.8e-12, 24 by 1.1e-9.
+_ROOT_NODES = 40
+
+
+def _root_rule(ch: FadingChannel, quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule (x_k, w_k) in x = sqrt(eta) for the link's transmittance table.
+
+    Q of the weighted Chebyshev basis holds the table's orthonormal
+    polynomials; the eigenpairs of x in that basis are the nodes and weights
+    (Golub and Welsch, Math. Comp. 23, 1969).  Unlike Lanczos this divides by
+    nothing, so a link with almost no wander, or a point mass, is no special case.
+    """
+    eta, w = transmittance_nodes(ch, quad)
+    keep = w > 0.0
+    x, w = np.sqrt(eta[keep]), w[keep]
+    n = min(_ROOT_NODES, x.size)
+    q, _ = np.linalg.qr(np.polynomial.chebyshev.chebvander(2.0 * x - 1.0, n - 1) * np.sqrt(w)[:, None])
+    nodes, vecs = np.linalg.eigh(q.T @ (x[:, None] * q))
+    return nodes, w.sum() * vecs[0] ** 2
+
+
 def quantum_moments_realization(
     sq: Squeezing,
     eta: float,
@@ -205,53 +228,26 @@ def quantum_postselect(
 ) -> PostSelectionResult:
     """Distilled CM and success probability of the tap-and-threshold strategy.
 
-    The q-sector entries are central moments of the kept ensemble (the mean
-    displacement induced by the asymmetric cut is subtracted); the p-sector is
-    untouched by the q measurement apart from the selection reweighting.
+    The tap moments are analytic in sqrt(zeta), through which alone they
+    depend on the links, so _tap_moments summed on the outer product of the
+    two links' _root_rule reproduces the full node-pair sum.  The q-sector entries are central
+    moments of the kept ensemble (the mean displacement induced by the
+    asymmetric cut is subtracted); the p-sector is untouched by the q
+    measurement apart from the selection reweighting.
     """
     if chi < 0.0:
         raise DomainError(f"chi must be >= 0, got {chi}")
-    v, t, r, q_th = sq.v, cfg.tap_t, cfg.tap_r, cfg.q_th
-
-    # The tap outcome depends on the channels only through zeta = eta * eta'.
-    # With u = 1 / sqrt(2 v_t), every moment of _tap_moments is a polynomial
-    # in sqrt(zeta) times erfc(q_th u) = 2 p_sel, exp(-(q_th u)^2) u =
-    # sqrt(pi) gauss or sqrt(pi) gauss / (2 v_t).  Weight columns eta^k w,
-    # k = 0, 1/2, ..., 2, on each side put the sums of each kernel times
-    # zeta^k on the diagonal of one pair sum.  erfc(x) = erfcx(|x|) exp(-x^2)
-    # for x >= 0 and 2 minus that for x < 0 reuses the Gaussian's exponential;
-    # erfcx costs well under half of erfc and is as accurate.
-    (eta_u, w_u), (eta_d, w_d) = (transmittance_nodes(ch, quad) for ch in (ch_up, ch_down))
-    powers = np.arange(5) / 2.0
-
-    def integrand(e, ed):
-        u = 1.0 / np.sqrt(2.0 * (t + r * (1.0 + chi) + r * (v - 1.0) * (e * ed)))
-        x = abs(q_th) * u
-        decay = np.exp(-x * x)
-        tail = special.erfcx(x) * decay
-        gauss = decay * u
-        return (tail if q_th >= 0.0 else 2.0 - tail), gauss, gauss * u * u
-
-    erfc_z, gauss_z, slope_z = (np.diag(s) for s in pair_sums(
-        (eta_u, w_u[:, None] * eta_u[:, None] ** powers),
-        tensor_rule(eta_d, w_d[:, None] * eta_d[:, None] ** powers), eta_d.size, integrand))
-    # Sums of p_sel * zeta^k, gauss * zeta^k and q_th * gauss / v_t * zeta^k.
-    p_s, ph, p1 = (0.5 * erfc_z[:3]).tolist()
+    v, t, r = sq.v, cfg.tap_t, cfg.tap_r
+    (x_u, w_u), (x_d, w_d) = (_root_rule(ch, quad) for ch in (ch_up, ch_down))
+    q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, b_q, c_q = _tap_moments(
+        v, (x_u[:, None] * x_d) ** 2, t, cfg.q_th, chi)
+    p_s, s_a, s_b, s_aa, s_bb, s_ab, s_pb, s_pc = (
+        float(w_u @ m @ w_d) for m in (p_sel, q_a, q_b, q_a_sq, q_b_sq, q_ab,
+                                       p_sel * (t * b_q + r), p_sel * c_q))
     _check_success(p_s)
-    g0, gh, g1 = gauss_z[:3] / math.sqrt(math.pi)
-    h0, hh, h1, h3h, h2 = 2.0 * q_th / math.sqrt(math.pi) * slope_z
-    root, st = math.sqrt(v * v - 1.0), math.sqrt(t)
-    # b_q - 1 = (v - 1) zeta + chi, c_q = root sqrt(zeta), t b_q + r = 1 + t chi + t (v - 1) zeta.
-    p_var_b = (1.0 + t * chi) * p_s + t * (v - 1.0) * p1
-    mean_a = math.sqrt(r) * root * gh / p_s
-    mean_b = st * math.sqrt(r) * ((v - 1.0) * g1 + chi * g0) / p_s
-    a_q = (r * root**2 * h1 + v * p_s) / p_s - mean_a**2
-    b_q_d = (t * r * ((v - 1.0) ** 2 * h2 + 2.0 * chi * (v - 1.0) * h1 + chi**2 * h0)
-             + p_var_b) / p_s - mean_b**2
-    c_q_d = (st * r * root * ((v - 1.0) * h3h + chi * hh) + st * root * ph) / p_s \
-        - mean_a * mean_b
-    b_p_d = p_var_b / p_s
-    c_p_d = -st * root * ph / p_s
+    mean_a, mean_b = s_a / p_s, s_b / p_s
+    a_q, b_q_d, c_q_d = s_aa / p_s - mean_a**2, s_bb / p_s - mean_b**2, s_ab / p_s - mean_a * mean_b
+    b_p_d, c_p_d = s_pb / p_s, -math.sqrt(t) * s_pc / p_s
     cm = TwoModeCM(np.array([
         [a_q, 0.0, c_q_d, 0.0],
         [0.0, v, 0.0, c_p_d],

@@ -12,8 +12,10 @@ import math
 
 import numpy as np
 
-from cvsat.fading import FadingChannel
+from cvsat.fading import FadingChannel, transmittance_nodes
 from cvsat.gaussian import Squeezing, TwoModeCM, add_excess_noise, apply_loss, tmsv_cm
+from cvsat.numerics import QuadratureSpec
+from cvsat.postselect import _tap_moments
 from cvsat.schemes import GeneralBipartiteInput
 
 
@@ -244,3 +246,28 @@ def tap_moments_wigner(v: float, zeta: float, tap_t: float, q_th: float,
         "q_b_sq": moment(b3 * b3 * np.ones_like(dens)),
         "q_ab": moment(a3 * b3 * np.ones_like(dens)),
     }
+
+
+def quantum_postselect_tensor(v: float, ch_up: FadingChannel, ch_down: FadingChannel,
+                              quad: QuadratureSpec, tap_t: float, q_th: float,
+                              chi: float = 0.0) -> tuple[float, np.ndarray]:
+    """(P_s, distilled CM) of quantum post-selection from the full node-pair sum.
+
+    _tap_moments (checked against tap_moments_wigner) is evaluated at every
+    pair of the two links' transmittance tables, one uplink node at a time,
+    and the sums are assembled into the central moments of the kept ensemble.
+    """
+    eta_u, w_u = transmittance_nodes(ch_up, quad)
+    eta_d, w_d = transmittance_nodes(ch_down, quad)
+    sums = np.zeros(8)
+    for eu, wu in zip(eta_u, w_u):
+        q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, b_q, c_q = _tap_moments(
+            v, eu * eta_d, tap_t, q_th, chi)
+        vals = (p_sel, q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel * (tap_t * b_q + 1.0 - tap_t),
+                -p_sel * math.sqrt(tap_t) * c_q)
+        sums += wu * (np.array(vals) @ w_d)
+    p_s, s_a, s_b, s_aa, s_bb, s_ab, s_pb, s_pab = sums
+    mean_a, mean_b = s_a / p_s, s_b / p_s
+    a_q, b_q, c_q = s_aa / p_s - mean_a**2, s_bb / p_s - mean_b**2, s_ab / p_s - mean_a * mean_b
+    return float(p_s), np.array([[a_q, 0, c_q, 0], [0, v, 0, s_pab / p_s],
+                                 [c_q, 0, b_q, 0], [0, s_pab / p_s, 0, s_pb / p_s]])

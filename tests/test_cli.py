@@ -127,6 +127,18 @@ class TestParseScenario:
         with pytest.raises(ConfigError, match="exactly one of 'w' or 'beta_over_w'"):
             parse_scenario(scn(tmp_path, base_without("beta_over_w")))
 
+    @pytest.mark.parametrize("text, key", [
+        (BASE + "chi = inf\n", "chi"),
+        (BASE.replace("beta = 0.5", "beta = inf"), "beta"),
+        (base_without("beta_over_w") + "w = inf\n", "w"),
+        (BASE.replace("beta_over_w = 0.5", "beta_over_w = -inf"), "beta_over_w"),
+        (BASE.replace("sigma_b.max = 0.8", "sigma_b.max = inf"), "sigma_b.max"),
+        (BASE.replace("k1 = 0.5", "k1 = nan"), "k1"),
+    ], ids=["chi", "beta", "w", "beta_over_w", "sigma_b.max", "k1"])
+    def test_non_finite_value(self, tmp_path, text, key):
+        with pytest.raises(ConfigError, match=f"scenario key {key!r}: must be a finite number"):
+            parse_scenario(scn(tmp_path, text))
+
     def test_non_numeric_value(self, tmp_path):
         with pytest.raises(ConfigError, match="scenario key 'k2'"):
             parse_scenario(scn(tmp_path, BASE.replace("k2 = 0.64", "k2 = soft")))
@@ -162,6 +174,13 @@ class TestParseScenario:
     def test_degenerate_grid_with_steps(self, tmp_path):
         with pytest.raises(ConfigError, match="must exceed"):
             parse_scenario(scn(tmp_path, BASE.replace("r.max = 1.5", "r.max = 0.5")))
+
+    @pytest.mark.parametrize("axis", ["r", "sigma_b"])
+    def test_max_without_steps(self, tmp_path, axis):
+        # one row at min would silently drop max
+        text = BASE.replace(f"{axis}.steps = 2\n", "")
+        with pytest.raises(ConfigError, match=f"{axis}.max must equal {axis}.min unless"):
+            parse_scenario(scn(tmp_path, text))
 
     def test_singleton_grid(self, tmp_path):
         text = BASE.replace("r.max = 1.5\nr.steps = 2\n", "")
@@ -532,15 +551,23 @@ class TestCommandLine:
         assert res.returncode == 3
         assert "numerical error" in res.stderr
 
-    @pytest.mark.parametrize("beta_over_w", ["13.5", "14"])
+    @pytest.mark.parametrize("beta_over_w", ["13.5", "14", "1e+300"])
     def test_bessel_overflow_exits_3_naming_beta_over_w(self, tmp_path, capsys, beta_over_w):
         # I0(4 (beta/w)^2) overflows above beta/w = 13.32; the error must say so,
-        # not blame a small aperture or non-finite CM entries
+        # not blame a small aperture or non-finite CM entries, and at 1e+300,
+        # where (beta/w)**2 overflows a double, it must not crash
         text = SMALL.replace("beta_over_w = 0.5", f"beta_over_w = {beta_over_w}")
         assert main(["sweep", scn(tmp_path, text)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numerical error: ")
         assert f"beta/w = {beta_over_w} overflows" in err
+
+    def test_non_finite_value_exits_2_naming_key(self, tmp_path):
+        # refused while parsing, before an inf grid end reaches np.linspace, which warns
+        res = run_cli("sweep", scn(tmp_path, SMALL.replace("sigma_b.max = 0.8", "sigma_b.max = inf")))
+        assert res.returncode == 2
+        assert res.stderr.startswith("configuration error: scenario key 'sigma_b.max': must be a finite")
+        assert "Warning" not in res.stderr
 
     def test_under_resolved_quadrature_exits_3(self):
         # an 8-node single-panel rule cannot resolve the narrow downlink

@@ -76,6 +76,9 @@ class TestDeriveParams:
             FadingChannel(-0.1, 0.5, 1.0)
         with pytest.raises(DomainError):
             FadingChannel(math.inf, 0.5, 1.0)
+        for beta, w in ((math.inf, 1.0), (0.5, math.inf), (math.nan, 1.0), (0.5, math.nan)):
+            with pytest.raises(DomainError, match="beta and w must be finite"):
+                FadingChannel(0.7, beta, w)
         # sigma_b**2 would underflow in the Rayleigh density
         with pytest.raises(DomainError, match="sigma_b"):
             FadingChannel(1e-160, 0.5, 1.0)
@@ -83,6 +86,11 @@ class TestDeriveParams:
     def test_degenerate_aperture_raises(self):
         with pytest.raises(NumericalError):
             FadingChannel(0.7, 1e-9, 1.0)
+
+    def test_huge_beta_over_w_is_numerical(self):
+        # (beta/w)**2 overflows a double; that is I0's overflow, named as such
+        with pytest.raises(NumericalError, match=r"beta/w = 1e\+300 overflows I0"):
+            FadingChannel(0.7, 1e300, 1.0)
 
     def test_point_mass_flag(self):
         assert FadingChannel(0.0, 0.5, 1.0).point_mass

@@ -27,7 +27,7 @@ from cvsat.postselect import (
 )
 from cvsat.schemes import SchemeConfig, ensemble_cm
 
-from oracles import fading_cdf, mc_ratio, tap_moments_wigner
+from oracles import fading_cdf, mc_ratio, quantum_postselect_tensor, tap_moments_wigner
 
 GEOM = LinkGeometry(sigma_b=1.0, k1=0.5, k2=0.64)
 # 30 dB mean uplink loss, 10 dB downlink, as in scenarios/postselect_highloss.scn
@@ -330,35 +330,27 @@ class TestQuantumPostselect:
             ratio, err = mc_ratio(num, p_sel)
             assert abs(got - (ratio - shift)) < 4.0 * err + 1e-9
 
-    # q_th < 0 takes erfc's reflection 2 - erfc(|x|) in quantum_postselect
+    # The production path sums _tap_moments on a Gauss rule in sqrt(eta) per
+    # link; the oracle sums it over every node pair of the transmittance tables.
+    # Negative q_th puts most of the tap distribution above the threshold.
     @pytest.mark.parametrize("q_th", [-2.0, 0.0, 2.0, 4.0])
     @pytest.mark.parametrize("chi", [0.0, 0.05])
-    @pytest.mark.parametrize("cfg,quad", [
-        (direct_cfg(), DEFAULT_QUAD),
-        (direct_cfg(geom=HIGHLOSS, beta=1.0, w=2.0), QuadratureSpec(32, 4)),
-    ], ids=["midloss", "highloss"])
-    def test_matches_tensor_sum_of_tap_moments(self, cfg, quad, q_th, chi):
-        # _tap_moments at every node pair, summed with a (rows x width) joint
-        # weight and assembled into central moments
+    @pytest.mark.parametrize("cfg,quad,tap_t", [
+        (direct_cfg(), DEFAULT_QUAD, 0.93),
+        (direct_cfg(geom=HIGHLOSS, beta=1.0, w=2.0), QuadratureSpec(32, 4), 0.93),
+        # a small tap_t on wide links, where a 32-node root rule misses by 7.7e-13
+        (direct_cfg(r=2.75, geom=LinkGeometry(18.34, 0.799, 0.504), beta=1.0, w=1.0 / 1.975),
+         DEFAULT_QUAD, 0.23),
+        # a downlink with almost no wander (sigma_b 1.6e-5), as the regime fuzz draws it
+        (direct_cfg(geom=LinkGeometry(1.0, 1.0 / 64.0, 1e-3), beta=1.0, w=0.5),
+         QuadratureSpec(16, 2), 0.93),
+        # a point-mass downlink
+        (direct_cfg(geom=LinkGeometry(1.0, 0.0, 0.64)), DEFAULT_QUAD, 0.93),
+    ], ids=["midloss", "highloss", "small_tap", "near_point_mass", "point_mass"])
+    def test_matches_tensor_sum_of_tap_moments(self, cfg, quad, tap_t, q_th, chi):
         up, down = links(cfg)
-        ps = QuantumPsConfig(tap_t=0.93, q_th=q_th)
-        t, v = ps.tap_t, cfg.squeezing.v
-        eta_d, w_d = transmittance_nodes(down, quad)
-
-        def integrand(eu, ed):
-            q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, b_q, c_q = _tap_moments(
-                v, eu * ed, t, q_th, chi)
-            return (p_sel, q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel * (t * b_q + 1.0 - t),
-                    -p_sel * math.sqrt(t) * c_q)
-
-        p_s, s_a, s_b, s_aa, s_bb, s_ab, s_pb, s_pab = pair_sums(
-            transmittance_nodes(up, quad), lambda x, w: (eta_d[None, :], w[:, None] * w_d[None, :]),
-            eta_d.size, integrand)
-        mean_a, mean_b = s_a / p_s, s_b / p_s
-        a_q, b_q, c_q = s_aa / p_s - mean_a**2, s_bb / p_s - mean_b**2, s_ab / p_s - mean_a * mean_b
-        want = np.array([[a_q, 0, c_q, 0], [0, v, 0, s_pab / p_s],
-                         [c_q, 0, b_q, 0], [0, s_pab / p_s, 0, s_pb / p_s]])
-        res = quantum_postselect(cfg.squeezing, up, down, ps, quad, chi)
+        p_s, want = quantum_postselect_tensor(cfg.squeezing.v, up, down, quad, tap_t, q_th, chi)
+        res = quantum_postselect(cfg.squeezing, up, down, QuantumPsConfig(tap_t, q_th), quad, chi)
         assert res.p_success == pytest.approx(p_s, rel=1e-13, abs=0)
         np.testing.assert_allclose(res.cm.m, want, rtol=1e-13, atol=0)
 
