@@ -51,7 +51,6 @@ from .schemes import (
     SwapGains,
     direct_realization,
     ensemble_cm,
-    optimal_gains,
     swap_conditional,
     swap_ensemble_cm,
     swap_realization,
@@ -89,7 +88,6 @@ __all__ = [
     "loss_db",
     "mc_expectation",
     "mean_transmittance",
-    "optimal_gains",
     "ordering_check",
     "pdf",
     "quantum_moments_realization",

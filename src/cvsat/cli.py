@@ -136,8 +136,8 @@ def _grid(axis: tuple[float, float, int]) -> tuple[float, ...]:
 def parse_scenario(path: str | Path) -> Scenario:
     """Read and type-check a scenario file; raises ConfigError naming the bad key."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from None
     data: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):

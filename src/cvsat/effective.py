@@ -112,8 +112,8 @@ def _swap_eta_integrals(ch_a: FadingChannel, ch_b: FadingChannel, v: float,
     forms vanish on the boundary.  The signed fields keep the closed forms
     integrated over the whole square; they go negative once the separable
     side carries mass and are reported for diagnosis, never used as
-    transmittivities.  kernel is C(v), the smooth sum that _swap_cosh_average
-    takes.
+    transmittivities.  kernel is C(v), the smooth part of the cosh(2 r'')
+    average that _summary completes with the _swap_pole_sums memo.
     """
     def integrand(e, ep):
         s = e + ep
@@ -198,19 +198,6 @@ def _swap_pole_sums(ch_a: FadingChannel, ch_b: FadingChannel,
     return mass, pv_sum, separable_mass, bool(np.any(pole))
 
 
-def _swap_cosh_average(ch_a: FadingChannel, ch_b: FadingChannel, v: float, kernel: float,
-                       quad: QuadratureSpec) -> tuple[float, bool]:
-    """Fading average of cosh(2 r''), as a principal value where it straddles the pole.
-
-    Returns (value, pv_used).  The average is -M + (v + 1) P - (v^2 - 1) C(v)
-    by the per-realization identity in the module docstring: M and P come
-    from the _swap_pole_sums memo, and kernel is C(v) from
-    _swap_eta_integrals.
-    """
-    mass, pv_sum, _, pv_used = _swap_pole_sums(ch_a, ch_b, quad)
-    return -mass + (v + 1.0) * pv_sum - (v * v - 1.0) * kernel, pv_used
-
-
 def _summary(cfg: SchemeConfig) -> tuple[EffectiveParams, dict]:
     """Scheme-level effective parameters plus the diagnostics ordering_check reports.
 
@@ -226,8 +213,8 @@ def _summary(cfg: SchemeConfig) -> tuple[EffectiveParams, dict]:
     v = cfg.squeezing.v
     eta_a, eta_b, signed_eta_a, signed_eta_b, kernel = \
         _swap_eta_integrals(ch_a, ch_b, v, cfg.quad)
-    cosh_avg, pv_used = _swap_cosh_average(ch_a, ch_b, v, kernel, cfg.quad)
-    separable_mass = _swap_pole_sums(ch_a, ch_b, cfg.quad)[2]
+    mass, pv_sum, separable_mass, pv_used = _swap_pole_sums(ch_a, ch_b, cfg.quad)
+    cosh_avg = -mass + (v + 1.0) * pv_sum - (v * v - 1.0) * kernel
     r_e = 0.5 * math.acosh(cosh_avg) if cosh_avg >= 1.0 else float("nan")
     return EffectiveParams(r_e=r_e, eta_a=eta_a, eta_b=eta_b), {
         "swap_separable_mass": separable_mass,

@@ -63,18 +63,6 @@ class TwoModeCM:
                 f"unphysical covariance matrix: min eig(M + i*Omega) = {gap:.12g} < 0"
             )
 
-    @property
-    def block_a(self) -> np.ndarray:
-        return self.m[:2, :2]
-
-    @property
-    def block_b(self) -> np.ndarray:
-        return self.m[2:, 2:]
-
-    @property
-    def block_c(self) -> np.ndarray:
-        return self.m[:2, 2:]
-
 
 @dataclass(frozen=True)
 class StandardFormCM:

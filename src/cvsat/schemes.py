@@ -177,16 +177,6 @@ def general_optimal_gains(inp: GeneralBipartiteInput) -> SwapGains:
     return SwapGains(g1=inp.c_plus / s, g4=inp.f_plus / s)
 
 
-def optimal_gains(eta: float, eta_prime: float, sq: Squeezing) -> SwapGains:
-    """Optimal displacement gains for squeezed-pair inputs after lossy uplinks."""
-    _check_transmittance("eta", eta)
-    _check_transmittance("eta_prime", eta_prime)
-    v = sq.v
-    den = 2.0 + (eta + eta_prime) * (v - 1.0)
-    root = math.sqrt(v * v - 1.0)
-    return SwapGains(g1=math.sqrt(eta) * root / den, g4=math.sqrt(eta_prime) * root / den)
-
-
 def swap_inputs(sq: Squeezing, eta: float, eta_prime: float, chi: float = 0.0) -> GeneralBipartiteInput:
     """The two uplink-attenuated squeezed pairs arriving at the Bell measurement.
 

@@ -510,6 +510,31 @@ class TestCommandLine:
         assert res.returncode == 2
         assert "configuration error" in res.stderr
 
+    def test_non_utf8_scenario_file_exits_2(self, tmp_path):
+        path = tmp_path / "latin1.scn"
+        path.write_bytes(SMALL.encode() + b"# caf\xe9 \xff\n")
+        res = run_cli("sweep", str(path))
+        assert res.returncode == 2
+        assert "configuration error" in res.stderr
+        assert str(path) in res.stderr
+        assert "Traceback" not in res.stderr
+
+    def test_sweep_hands_postselect_scenario_to_postselect(self, tmp_path):
+        path = str(SCENARIOS / "postselect_midloss_classical.scn")
+        outs = []
+        for command in ("sweep", "postselect"):
+            out = tmp_path / f"{command}.csv"
+            res = run_cli(command, path, "--out", str(out))
+            assert res.returncode == 0, res.stderr
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == 1 + 15
+
+    def test_postselect_without_block_exits_2(self, tmp_path):
+        res = run_cli("postselect", scn(tmp_path, SMALL))
+        assert res.returncode == 2
+        assert "no postselect.* section" in res.stderr
+
     def test_bad_config_exits_2(self, tmp_path):
         res = run_cli("sweep", scn(tmp_path, SMALL.replace("k1 = 0.5", "k1 = 1.5")))
         assert res.returncode == 2

@@ -13,7 +13,6 @@ from scipy import integrate
 
 from cvsat.effective import (
     EffectiveParams,
-    _swap_cosh_average,
     _swap_eta_integrals,
     _swap_pole_sums,
     ordering_check,
@@ -47,8 +46,10 @@ def config(kind, r=1.0, geom=GEOM, beta=1.0, w=1.0):
 
 
 def cosh_average(ch_a, ch_b, v, quad):
-    """_swap_cosh_average with its kernel from the same per-r pass _summary runs."""
-    return _swap_cosh_average(ch_a, ch_b, v, _swap_eta_integrals(ch_a, ch_b, v, quad)[4], quad)
+    """(cosh(2 r'') average, pv_used) as _summary builds it: the per-r kernel plus the pole sums."""
+    kernel = _swap_eta_integrals(ch_a, ch_b, v, quad)[4]
+    mass, pv_sum, _, pv_used = _swap_pole_sums(ch_a, ch_b, quad)
+    return -mass + (v + 1.0) * pv_sum - (v * v - 1.0) * kernel, pv_used
 
 
 def per_node_cosh_average(ch_a, ch_b, v, quad):

@@ -67,11 +67,6 @@ class TestTwoModeCM:
         with pytest.raises(ValueError):
             cm.m[0, 0] = 2.0
 
-    def test_blocks(self):
-        cm = tmsv_cm(Squeezing(0.5))
-        assert np.allclose(cm.block_a, cm.m[:2, :2])
-        assert np.allclose(cm.block_c, cm.m[:2, 2:])
-
 
 class TestStandardForm:
     def test_round_trip(self):
@@ -166,18 +161,18 @@ class TestApplyLoss:
     def test_loss_on_one_mode_only_touches_its_blocks(self):
         cm = tmsv_cm(Squeezing(0.8))
         out = apply_loss(cm, 1.0, 0.25)
-        assert np.allclose(out.block_a, cm.block_a, atol=1e-14)
-        assert np.allclose(out.block_b, 0.25 * cm.block_b + 0.75 * np.eye(2), atol=1e-14)
-        assert np.allclose(out.block_c, 0.5 * cm.block_c, atol=1e-14)
+        assert np.allclose(out.m[:2, :2], cm.m[:2, :2], atol=1e-14)
+        assert np.allclose(out.m[2:, 2:], 0.25 * cm.m[2:, 2:] + 0.75 * np.eye(2), atol=1e-14)
+        assert np.allclose(out.m[:2, 2:], 0.5 * cm.m[:2, 2:], atol=1e-14)
 
 
 class TestExcessNoise:
     def test_adds_to_diagonal_blocks(self):
         cm = tmsv_cm(Squeezing(0.8))
         out = add_excess_noise(cm, 0.02, 0.05)
-        assert np.allclose(out.block_a, cm.block_a + 0.02 * np.eye(2), atol=1e-14)
-        assert np.allclose(out.block_b, cm.block_b + 0.05 * np.eye(2), atol=1e-14)
-        assert np.allclose(out.block_c, cm.block_c, atol=1e-14)
+        assert np.allclose(out.m[:2, :2], cm.m[:2, :2] + 0.02 * np.eye(2), atol=1e-14)
+        assert np.allclose(out.m[2:, 2:], cm.m[2:, 2:] + 0.05 * np.eye(2), atol=1e-14)
+        assert np.allclose(out.m[:2, 2:], cm.m[:2, 2:], atol=1e-14)
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):

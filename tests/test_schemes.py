@@ -5,6 +5,7 @@ against factorized dense averages and Monte Carlo, and the whole swap engine
 against brute-force linear algebra on the four-mode covariance matrix.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -28,7 +29,6 @@ from cvsat.schemes import (
     direct_realization,
     ensemble_cm,
     general_optimal_gains,
-    optimal_gains,
     swap_conditional,
     swap_ensemble_cm,
     swap_inputs,
@@ -249,12 +249,16 @@ class TestSwapEnsembleCm:
             general_optimal_gains(inp)
 
     def test_closed_form_gains_match_general(self):
+        """g1 = sqrt(eta) sqrt(v^2 - 1) / (2 + (eta + eta')(v - 1) + 2 chi); g4 likewise with eta'."""
         sq = Squeezing(1.3)
-        for eta, eta_prime in ((1.0, 1.0), (0.6, 0.9), (0.0, 0.5), (0.25, 0.25)):
-            closed = optimal_gains(eta, eta_prime, sq)
-            general = general_optimal_gains(swap_inputs(sq, eta, eta_prime))
-            assert closed.g1 == pytest.approx(general.g1, abs=1e-14)
-            assert closed.g4 == pytest.approx(general.g4, abs=1e-14)
+        v = sq.v
+        root = math.sqrt(v * v - 1.0)
+        for (eta, eta_prime), chi in itertools.product(
+                ((1.0, 1.0), (0.6, 0.9), (0.0, 0.5), (0.25, 0.25)), (0.0, 0.05)):
+            den = 2.0 + (eta + eta_prime) * (v - 1.0) + 2.0 * chi
+            general = general_optimal_gains(swap_inputs(sq, eta, eta_prime, chi))
+            assert general.g1 == pytest.approx(math.sqrt(eta) * root / den, abs=1e-14)
+            assert general.g4 == pytest.approx(math.sqrt(eta_prime) * root / den, abs=1e-14)
 
     def test_gains_are_locally_optimal(self):
         sq = Squeezing(1.0)
