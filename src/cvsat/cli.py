@@ -312,7 +312,11 @@ def run_sweep(scenario: Scenario, workers: int = 1) -> list[dict]:
 
 
 def run_postselect(scenario: Scenario, workers: int = 1) -> list[dict]:
-    """One CSV row per (sigma_b, r, threshold); thresholds ascend within a point."""
+    """One CSV row per (sigma_b, r, threshold); thresholds ascend within a point.
+
+    The rows are computed with r innermost, so every r of a (sigma_b,
+    threshold) pair reuses its _selection_sums entry while it is fresh.
+    """
     if scenario.postselect is None:
         raise ConfigError("scenario has no postselect.* section")
     if scenario.schemes != ("direct",):
@@ -320,10 +324,13 @@ def run_postselect(scenario: Scenario, workers: int = 1) -> list[dict]:
     tasks = [
         (_scheme_config(scenario, "direct", sigma_b, r), ps)
         for sigma_b in scenario.sigma_b_grid
-        for r in scenario.r_grid
         for ps in scenario.postselect
+        for r in scenario.r_grid
     ]
-    return _map_tasks(_postselect_point, tasks, workers)
+    rows = _map_tasks(_postselect_point, tasks, workers)
+    # Task index of each row in (sigma_b, r, threshold) order.
+    order = np.arange(len(tasks)).reshape(-1, len(scenario.postselect), len(scenario.r_grid))
+    return [rows[i] for i in order.transpose(0, 2, 1).ravel()]
 
 
 def rate_estimate(p_success: float, tx_rate_hz: float) -> float:

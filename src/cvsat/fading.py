@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, NumericalError
 from .numerics import DEFAULT_QUAD, QuadratureSpec, panel_nodes
@@ -40,6 +39,72 @@ _WEIGHT_SUM_TOL = 1e-9
 # Most nodes on one axis of a channel average; the largest rule in use, 64x8
 # at sigma_b = 22 beam radii, needs 11,264.
 _MAX_NODES_PER_AXIS = 1 << 15
+
+
+# Chebyshev coefficients of Cephes' i0 and i1 (S. L. Moshier): exp(-x) I(x) on
+# x <= 8 in the variable x/2 - 2 (A), and exp(-x) sqrt(x) I(x) on x > 8 in
+# 32/x - 2 (B).  I1's A series is exp(-x) I1(x) / x.
+_I0_A = (
+    -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16, 1.715391285555133e-15,
+    -1.1685332877993451e-14, 7.676185498604936e-14, -4.856446783111929e-13, 2.95505266312964e-12,
+    -1.726826291441556e-11, 9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
+    -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07, 1.1173875391201037e-06,
+    -4.4167383584587505e-06, 1.6448448070728896e-05, -5.754195010082104e-05, 0.00018850288509584165,
+    -0.0005763755745385824, 0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
+    -0.02373741480589947, 0.04930528423967071, -0.09490109704804764, 0.17162090152220877,
+    -0.3046826723431984, 0.6767952744094761,
+)
+_I0_B = (
+    -7.233180487874754e-18, -4.830504485944182e-18, 4.46562142029676e-17, 3.461222867697461e-17,
+    -2.8276239805165836e-16, -3.425485619677219e-16, 1.7725601330565263e-15, 3.8116806693526224e-15,
+    -9.554846698828307e-15, -4.150569347287222e-14, 1.54008621752141e-14, 3.8527783827421426e-13,
+    7.180124451383666e-13, -1.7941785315068062e-12, -1.3215811840447713e-11, -3.1499165279632416e-11,
+    1.1889147107846439e-11, 4.94060238822497e-10, 3.3962320257083865e-09, 2.266668990498178e-08,
+    2.0489185894690638e-07, 2.8913705208347567e-06, 6.889758346916825e-05, 0.0033691164782556943,
+    0.8044904110141088,
+)
+_I1_A = (
+    2.7779141127610464e-18, -2.111421214358166e-17, 1.5536319577362005e-16, -1.1055969477353862e-15,
+    7.600684294735408e-15, -5.042185504727912e-14, 3.223793365945575e-13, -1.9839743977649436e-12,
+    1.1736186298890901e-11, -6.663489723502027e-11, 3.625590281552117e-10, -1.8872497517228294e-09,
+    9.381537386495773e-09, -4.445059128796328e-08, 2.0032947535521353e-07, -8.568720264695455e-07,
+    3.4702513081376785e-06, -1.3273163656039436e-05, 4.781565107550054e-05, -0.00016176081582589674,
+    0.0005122859561685758, -0.0015135724506312532, 0.004156422944312888, -0.010564084894626197,
+    0.024726449030626516, -0.05294598120809499, 0.1026436586898471, -0.17641651835783406,
+    0.25258718644363365,
+)
+_I1_B = (
+    7.517296310842105e-18, 4.414348323071708e-18, -4.6503053684893586e-17, -3.209525921993424e-17,
+    2.96262899764595e-16, 3.3082023109209285e-16, -1.8803547755107825e-15, -3.8144030724370075e-15,
+    1.0420276984128802e-14, 4.272440016711951e-14, -2.1015418427726643e-14, -4.0835511110921974e-13,
+    -7.198551776245908e-13, 2.0356285441470896e-12, 1.4125807436613782e-11, 3.2526035830154884e-11,
+    -1.8974958123505413e-11, -5.589743462196584e-10, -3.835380385964237e-09, -2.6314688468895196e-08,
+    -2.512236237870209e-07, -3.882564808877691e-06, -0.00011058893876262371, -0.009761097491361469,
+    0.7785762350182801,
+)
+
+
+def _chbevl(x: float, coef: tuple[float, ...]) -> float:
+    """Clenshaw sum of a Chebyshev series, Cephes' chbevl operation for operation."""
+    b0, b1, b2 = coef[0], 0.0, 0.0
+    for c in coef[1:]:
+        b2, b1 = b1, b0
+        b0 = x * b1 - b2 + c
+    return 0.5 * (b0 - b2)
+
+
+def _bessel_i0(x: float) -> float:
+    """Modified Bessel function I0 for x >= 0, bit for bit Cephes' i0; OverflowError above 709.78."""
+    if x <= 8.0:
+        return math.exp(x) * _chbevl(x / 2.0 - 2.0, _I0_A)
+    return math.exp(x) * _chbevl(32.0 / x - 2.0, _I0_B) / math.sqrt(x)
+
+
+def _bessel_i1(x: float) -> float:
+    """Modified Bessel function I1 for x >= 0, bit for bit Cephes' i1; OverflowError above 709.78."""
+    if x <= 8.0:
+        return _chbevl(x / 2.0 - 2.0, _I1_A) * x * math.exp(x)
+    return math.exp(x) * _chbevl(32.0 / x - 2.0, _I1_B) / math.sqrt(x)
 
 
 @dataclass(frozen=True)
@@ -61,9 +126,9 @@ class FadingChannel:
             raise DomainError(f"sigma_b must be 0 or finite and >= {_MIN_SIGMA_B:g}, got {self.sigma_b}")
         try:
             h = (self.beta / self.w) ** 2
-        except OverflowError:  # beta/w above 1e154; I0 below reports it
-            h = math.inf
-        i0 = float(special.i0(4.0 * h))
+            i0 = _bessel_i0(4.0 * h)
+        except OverflowError:  # (beta/w)**2 or exp(4h) leaves the double range
+            i0 = math.inf
         if not math.isfinite(i0):
             raise NumericalError(f"beta/w = {self.beta / self.w:.6g} overflows I0(4 (beta/w)^2) above 13.32")
         q = 1.0 - math.exp(-4.0 * h) * i0
@@ -73,7 +138,7 @@ class FadingChannel:
         t = math.log(2.0 * eta0_sq / q)
         if t <= _DEGENERACY_TOL:
             raise NumericalError(f"degenerate aperture geometry: h={h:.3e}")
-        lam = 8.0 * h * math.exp(-4.0 * h) * float(special.i1(4.0 * h)) / (q * t)
+        lam = 8.0 * h * math.exp(-4.0 * h) * _bessel_i1(4.0 * h) / (q * t)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "lambda_shape", lam)
         object.__setattr__(self, "l_scale", self.beta * t ** (-1.0 / lam))

@@ -81,9 +81,18 @@ def panel_nodes(
 
 
 # Elements per block of a channel-pair sum.  Each output array of a block
-# holds this many floats: 128 KiB, so a block's temporaries stay in a core's
-# L2 cache instead of being page-faulted in again block after block.
+# holds this many floats, 128 KiB, so a block's temporaries fit a core's L2 cache.
 _BLOCK_ELEMENTS = 1 << 14
+
+# glibc's malloc maps requests of 128 KiB and more, a block's arrays among
+# them, with fresh mmaps, and returns free heap above 256 KiB to the kernel.
+# Freeing a mapped chunk raises both thresholds to its size and twice that, so
+# until a chunk larger than a block's temporaries has been freed, those go
+# back to the kernel after every block and are page-faulted in again:
+# `cvsat effective` on lowloss_bw1.0 took 940k minor faults and 2.4 times its
+# time.  Allocating and freeing one 2 MiB array here raises both thresholds
+# once, so the blocks reuse heap memory.  Other allocators ignore it.
+np.empty(16 * _BLOCK_ELEMENTS)
 
 
 def pair_sums(outer, inner, width: int, integrand) -> list:

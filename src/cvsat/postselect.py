@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, NumericalError
 from .fading import FadingChannel, transmittance_nodes
@@ -85,9 +84,9 @@ class QuantumMoments:
     p_select: float
 
 
-# Selection sums kept per (links, threshold, rule).  Rows run in (sigma_b, r,
-# threshold) order, so the next r reuses a threshold's sums only while the
-# memo still holds every threshold of one r; shipped scenarios use at most 17.
+# Selection sums kept per (links, threshold, rule).  cli.run_postselect runs
+# r innermost, so one entry serves every r of a (sigma_b, threshold) pair; the
+# rest of the memo serves library callers that loop in another order.
 _SELECTION_MEMO_SIZE = 64
 
 
@@ -152,6 +151,11 @@ def classical_postselect(
     return PostSelectionResult(cm=cm, p_success=p_s, e_ln=log_negativity(cm))
 
 
+# Elementwise erfc from the standard library, so cvsat needs no scipy; it
+# differs from scipy.special.erfc by at most 2 ulps of 1.
+_erfc = np.vectorize(math.erfc, otypes=[float])
+
+
 def _tap_moments(v: float, zeta, tap_t: float, q_th: float, chi: float):
     """Vectorized selection-weighted moments for given combined transmittances.
 
@@ -164,7 +168,7 @@ def _tap_moments(v: float, zeta, tap_t: float, q_th: float, chi: float):
     b_q = 1.0 + zeta * (v - 1.0) + chi
     c_q = np.sqrt(zeta * (v * v - 1.0))
     v_t = r * b_q + t
-    p_sel = 0.5 * special.erfc(q_th / np.sqrt(2.0 * v_t))
+    p_sel = 0.5 * _erfc(q_th / np.sqrt(2.0 * v_t))
     # E[q_t * 1{q_t > q_th}] for a centered Gaussian of variance v_t.
     gauss = np.exp(-q_th * q_th / (2.0 * v_t)) / np.sqrt(2.0 * math.pi * v_t)
     q_a = math.sqrt(r) * c_q * gauss

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import cvsat
+from cvsat import postselect
 from cvsat.cli import (
     CSV_COLUMNS,
     _pool_size,
@@ -23,6 +25,7 @@ from cvsat.cli import (
     main,
     parse_scenario,
     rate_estimate,
+    run_postselect,
     run_sweep,
     run_validate,
     write_csv,
@@ -344,14 +347,18 @@ class TestRateEstimate:
             rate_estimate(1e-4, tx)
 
 
-def run_cli(*argv):
+def run_python(*args):
     # The child imports the same cvsat as this process, installed or not.
     src = str(Path(cvsat.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "cvsat.cli", *argv],
+        [sys.executable, *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_cli(*argv):
+    return run_python("-m", "cvsat.cli", *argv)
 
 
 SMALL = """\
@@ -437,6 +444,25 @@ class TestCommandLine:
             outs.append(res.stdout)
         assert outs[0] == outs[1]
         assert len(outs[0].splitlines()) == 1 + 2 * 3 * 4
+
+    def test_selection_memo_serves_every_r(self, tmp_path):
+        # r runs innermost, so each threshold's selection sums are computed once
+        # even when the thresholds outnumber the memo's 64 entries
+        text = (
+            "schemes = direct\nr.min = 1.0\nr.max = 2.0\nr.steps = 3\nsigma_b.min = 0.5\n"
+            "beta = 0.5\nbeta_over_w = 1\nk1 = 0.5\nk2 = 0.64\n"
+            "quad.nodes = 32\nquad.subdiv = 4\n"
+            "postselect.type = classical\n"
+            "postselect.threshold_min = 0.0\npostselect.threshold_max = 0.3\n"
+            "postselect.threshold_steps = 65\n"
+        )
+        rows = run_postselect(parse_scenario(scn(tmp_path, text)))
+        assert postselect._selection_sums.cache_info().misses == 65
+        # rows still come out in (sigma_b, r, threshold) order
+        assert [row["r"] for row in rows] == [1.0] * 65 + [1.5] * 65 + [2.0] * 65
+        p = [row["p_success"] for row in rows[:65]]
+        assert p == sorted(p, reverse=True)
+        assert [row["p_success"] for row in rows[65:130]] == p
 
     def test_effective_json_report(self, tmp_path):
         text = (
@@ -742,3 +768,71 @@ class TestOneCmPerRow:
     def test_postselect_row(self, builds, ps):
         _postselect_point(self.config("direct"), ps)
         assert len(builds) == 1
+
+
+class TestWithoutScipy:
+    """cvsat runs on numpy alone; scipy serves the tests only, as an oracle."""
+
+    def test_import_loads_no_scipy(self):
+        res = run_python("-c", "import sys, cvsat, cvsat.cli; "
+                               "print([key for key in sys.modules if key.startswith('scipy')])")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[]\n"
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        sweep = scn(tmp_path, SMALL.replace("schemes = direct, satellite",
+                                            "schemes = direct, satellite, swap"), "sweep.scn")
+        quantum = scn(tmp_path, (
+            "schemes = direct\nr.min = 1.0\nsigma_b.min = 0.5\n"
+            "beta = 0.5\nbeta_over_w = 1\nk1 = 0.5\nk2 = 0.64\n"
+            "quad.nodes = 32\nquad.subdiv = 4\n"
+            "postselect.type = quantum\npostselect.tap_t = 0.93\n"
+            "postselect.threshold_min = 0.0\npostselect.threshold_max = 2.0\n"
+            "postselect.threshold_steps = 3\n"
+        ), "quantum.scn")
+        runs = [["sweep", sweep, "--out", str(tmp_path / "sweep.csv")],
+                ["postselect", quantum, "--out", str(tmp_path / "quantum.csv")],
+                ["effective", sweep, "--out", str(tmp_path / "effective.json")]]
+        # None in sys.modules makes every import of scipy raise ImportError
+        res = run_python("-c", "import sys; sys.modules['scipy'] = None; "
+                               "from cvsat.cli import main; "
+                               f"print([main(argv) for argv in {runs!r}])")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[0, 0, 0]\n"
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 3 * 2 * 2
+        assert len((tmp_path / "quantum.csv").read_text().splitlines()) == 1 + 3
+        assert len(json.loads((tmp_path / "effective.json").read_text())["points"]) == 2 * 2
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+    def test_pair_sum_blocks_reuse_heap_memory(self):
+        # A block's output arrays are 128 KiB each, glibc's initial mmap
+        # threshold; numerics raises it at import, so these 20 tensor sums
+        # reuse heap pages (0 faults) instead of faulting in fresh mmaps for
+        # every block (about 21,000 faults without the raise).
+        res = run_python("-c", """
+import resource, sys
+sys.modules["scipy"] = None
+import numpy as np
+from cvsat.numerics import pair_sums, tensor_rule
+
+x = np.linspace(0.0, 1.0, 512)
+w = np.full(512, 1.0 / 512)
+
+
+def integrand(a, b):
+    p = a * b
+    return p, p * p, np.sqrt(p), np.exp(-p), a + b
+
+
+def tensor_sum():
+    return pair_sums((x, w), tensor_rule(x, w), x.size, integrand)
+
+
+tensor_sum()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    tensor_sum()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+        assert res.returncode == 0, res.stderr
+        assert int(res.stdout) < 1000

@@ -10,8 +10,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
+from cvsat import fading
 from cvsat.errors import DomainError, NumericalError
 from cvsat.fading import (
     D_MAX_SIGMAS,
@@ -45,6 +46,32 @@ def params_oracle(beta: float, w: float) -> tuple[float, float, float, float]:
     t = math.log(2.0 * eta0_sq / q)
     lam = 8.0 * h * math.exp(-4.0 * h) * bessel_i1_series(4.0 * h) / (q * t)
     return h, math.sqrt(eta0_sq), lam, beta * t ** (-1.0 / lam)
+
+
+def params_scipy(beta: float, w: float) -> tuple[float, float, float, float]:
+    """(h, lambda, l_scale, eta0) by FadingChannel's own formulas with scipy's I0 and I1."""
+    h = (beta / w) ** 2
+    q = 1.0 - math.exp(-4.0 * h) * float(special.i0(4.0 * h))
+    eta0_sq = 1.0 - math.exp(-2.0 * h)
+    t = math.log(2.0 * eta0_sq / q)
+    lam = 8.0 * h * math.exp(-4.0 * h) * float(special.i1(4.0 * h)) / (q * t)
+    return h, lam, beta * t ** (-1.0 / lam), math.sqrt(eta0_sq)
+
+
+class TestBessel:
+    """The Cephes port behind the channel constants reproduces scipy.special bit for bit."""
+
+    def test_i0_i1_equal_scipy(self):
+        # both sides of the x = 8 switch between the A and B series, up to exp's overflow
+        x = np.concatenate([np.geomspace(1e-8, 709.0, 20001), [0.0, np.nextafter(8.0, 0.0), 8.0,
+                                                              np.nextafter(8.0, 9.0), 709.78]])
+        assert [fading._bessel_i0(v) for v in x.tolist()] == special.i0(x).tolist()
+        assert [fading._bessel_i1(v) for v in x.tolist()] == special.i1(x).tolist()
+
+    @pytest.mark.parametrize("beta_over_w", [0.4, 0.5, 1.0, 4.0, 13.3])
+    def test_channel_constants_equal_scipy_reference(self, beta_over_w):
+        ch = FadingChannel(0.7, 0.5, 0.5 / beta_over_w)
+        assert (ch.h, ch.lambda_shape, ch.l_scale, ch.eta0) == params_scipy(0.5, 0.5 / beta_over_w)
 
 
 class TestDeriveParams:

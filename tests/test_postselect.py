@@ -266,6 +266,19 @@ class TestTapMomentsRealization:
         with pytest.raises(DomainError):
             quantum_moments_realization(SQ, 1.3, 0.5, QuantumPsConfig(0.9, 0.0))
 
+    def test_selection_erfc_matches_scipy(self):
+        # erfc comes from the standard library; scipy's stays the reference.
+        # They differ by up to 10 ulps of erfc near x = 0.9, where scipy forms
+        # 1 - erf(x), but never by more than 2 ulps of 1.
+        zeta = np.linspace(0.0, 1.0, 101)
+        for v, tap_t, chi in ((math.cosh(1.0), 0.5, 0.0), (math.cosh(3.0), 0.93, 0.1),
+                              (math.cosh(4.0), 0.99, 0.0)):
+            for q_th in np.linspace(-2.0, 6.0, 33):
+                p_sel = _tap_moments(v, zeta, tap_t, q_th, chi)[5]
+                v_t = (1.0 - tap_t) * (1.0 + zeta * (v - 1.0) + chi) + tap_t
+                want = special.erfc(q_th / np.sqrt(2.0 * v_t))
+                assert np.abs(2.0 * p_sel - want).max() <= 2.0 * np.spacing(1.0)
+
 
 class TestQuantumPostselect:
     def test_no_selection_limit_is_tapped_ensemble(self):
