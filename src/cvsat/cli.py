@@ -38,18 +38,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .effective import ordering_check, try_effective
+# The CLI computes whole columns and calls neither ordering_check nor
+# classical_postselect nor quantum_postselect; they stay imported because
+# perfbench/replay.py wraps them by attribute lookup in this module.
+from .effective import ordering_check, ordering_column, try_effective  # noqa: F401
 from .errors import ConfigError, DomainError, NumericalError
 from .fading import LinkGeometry, expand_links, loss_db, mean_transmittance, sample
 from .gaussian import Squeezing, log_negativity
 from .numerics import McSpec, QuadratureSpec, mc_expectation
-from .postselect import (
+from .postselect import (  # noqa: F401
     ClassicalPsConfig,
+    PostSelectionResult,
     QuantumPsConfig,
     classical_postselect,
+    postselect_column,
     quantum_postselect,
 )
-from .schemes import KINDS, SchemeConfig, ensemble_cm
+from .schemes import KINDS, SchemeConfig, ensemble_cm, ensemble_column
 
 CSV_COLUMNS = (
     "scheme", "sigma_b", "r", "chi", "e_ln", "p_success",
@@ -245,28 +250,22 @@ def write_csv(rows: list[dict], stream) -> None:
         writer.writerow([format_value(row[col]) for col in CSV_COLUMNS])
 
 
-def _row(cfg: SchemeConfig, up, down, cm, e_ln: float, p_success: float) -> dict:
-    eff = try_effective(cm)
+def _postselect_point(cfg: SchemeConfig, res: PostSelectionResult, losses: list[float]) -> dict:
+    """One CSV row; a sweep row is the selection that keeps everything."""
+    eff = try_effective(res.cm)
     return {
         "scheme": cfg.kind, "sigma_b": cfg.geometry.sigma_b, "r": cfg.squeezing.r, "chi": cfg.chi,
-        "e_ln": e_ln, "p_success": p_success,
+        "e_ln": res.e_ln, "p_success": res.p_success,
         "eff_r": eff.r_e if eff is not None else None,
         "eff_eta_a": eff.eta_a if eff is not None else None,
         "eff_eta_b": eff.eta_b if eff is not None else None,
-        "mean_loss_up_db": loss_db(up, cfg.quad), "mean_loss_down_db": loss_db(down, cfg.quad),
+        "mean_loss_up_db": losses[0], "mean_loss_down_db": losses[1],
     }
 
 
-def _sweep_point(cfg: SchemeConfig) -> dict:
-    cm = ensemble_cm(cfg)
-    return _row(cfg, *cfg.links(), cm, log_negativity(cm), 1.0)
-
-
-def _postselect_point(cfg: SchemeConfig, ps: ClassicalPsConfig | QuantumPsConfig) -> dict:
-    ch_up, ch_down = cfg.links()
-    select = classical_postselect if isinstance(ps, ClassicalPsConfig) else quantum_postselect
-    res = select(cfg.squeezing, ch_up, ch_down, ps, cfg.quad, cfg.chi)
-    return _row(cfg, ch_up, ch_down, res.cm, res.e_ln, res.p_success)
+def _sweep_point(cfg: SchemeConfig, cm, losses: list[float]) -> dict:
+    return _postselect_point(cfg, PostSelectionResult(cm=cm, p_success=1.0, e_ln=log_negativity(cm)),
+                             losses)
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -277,13 +276,15 @@ def _pool_size(workers: int, tasks: int) -> int:
 
 
 def _map_tasks(fn, tasks: list[tuple], workers: int) -> list[dict]:
-    """fn(*task) for every task, in order, on a process pool when that helps."""
+    """The rows of fn(*task) for every task, in order, on a process pool when that helps."""
     size = _pool_size(workers, len(tasks))
     if size <= 1:
-        return [fn(*task) for task in tasks]
-    # About four chunks per worker: a message per task costs more than a fast task.
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(fn, *zip(*tasks), chunksize=max(1, len(tasks) // (4 * size))))
+        columns = [fn(*task) for task in tasks]
+    else:
+        # About four chunks per worker: a message per task costs more than a fast task.
+        with ProcessPoolExecutor(max_workers=size) as pool:
+            columns = list(pool.map(fn, *zip(*tasks), chunksize=max(1, len(tasks) // (4 * size))))
+    return [row for column in columns for row in column]
 
 
 def _scheme_config(scenario: Scenario, kind: str, sigma_b: float, r: float) -> SchemeConfig:
@@ -294,43 +295,53 @@ def _scheme_config(scenario: Scenario, kind: str, sigma_b: float, r: float) -> S
     )
 
 
+def _column(scenario: Scenario, kind: str, sigma_b: float):
+    """The configs of one (scheme, sigma_b) column, one per r, its links and their losses in dB."""
+    cfgs = [_scheme_config(scenario, kind, sigma_b, r) for r in scenario.r_grid]
+    links = cfgs[0].links()
+    return cfgs, links, [loss_db(ch, scenario.quad) for ch in links]
+
+
+def _sweep_column(scenario: Scenario, kind: str, sigma_b: float) -> list[dict]:
+    cfgs, links, losses = _column(scenario, kind, sigma_b)
+    cms = ensemble_column(kind, links, [cfg.squeezing for cfg in cfgs], scenario.chi, scenario.quad)
+    return [_sweep_point(cfg, cm, losses) for cfg, cm in zip(cfgs, cms)]
+
+
+def _postselect_column(scenario: Scenario, sigma_b: float) -> list[dict]:
+    cfgs, links, losses = _column(scenario, "direct", sigma_b)
+    results = postselect_column([cfg.squeezing for cfg in cfgs], *links, scenario.postselect,
+                                scenario.quad, scenario.chi)
+    return [_postselect_point(cfg, res, losses) for cfg, row in zip(cfgs, results) for res in row]
+
+
 def run_sweep(scenario: Scenario, workers: int = 1) -> list[dict]:
     """One CSV row per (scheme, sigma_b, r[, threshold]), in deterministic sorted order.
 
     Scenarios with a postselect.* block sweep the threshold axis as well; the
-    threshold of each row is implicit in its success probability.
+    threshold of each row is implicit in its success probability.  Each
+    (scheme, sigma_b) column is one task, which builds its links, node
+    tables and r-independent sums once.
     """
     if scenario.postselect is not None:
         return run_postselect(scenario, workers=workers)
-    tasks = [
-        (_scheme_config(scenario, kind, sigma_b, r),)
-        for kind in sorted(scenario.schemes)
-        for sigma_b in scenario.sigma_b_grid
-        for r in scenario.r_grid
-    ]
-    return _map_tasks(_sweep_point, tasks, workers)
+    tasks = [(scenario, kind, sigma_b)
+             for kind in sorted(scenario.schemes) for sigma_b in scenario.sigma_b_grid]
+    return _map_tasks(_sweep_column, tasks, workers)
 
 
 def run_postselect(scenario: Scenario, workers: int = 1) -> list[dict]:
     """One CSV row per (sigma_b, r, threshold); thresholds ascend within a point.
 
-    The rows are computed with r innermost, so every r of a (sigma_b,
-    threshold) pair reuses its _selection_sums entry while it is fresh.
+    Each sigma_b column is one task, which computes the selection sums of
+    each threshold (or the root rules of quantum selection) once for all r.
     """
     if scenario.postselect is None:
         raise ConfigError("scenario has no postselect.* section")
     if scenario.schemes != ("direct",):
         raise ConfigError("post-selection applies to the direct scheme only; set schemes = direct")
-    tasks = [
-        (_scheme_config(scenario, "direct", sigma_b, r), ps)
-        for sigma_b in scenario.sigma_b_grid
-        for ps in scenario.postselect
-        for r in scenario.r_grid
-    ]
-    rows = _map_tasks(_postselect_point, tasks, workers)
-    # Task index of each row in (sigma_b, r, threshold) order.
-    order = np.arange(len(tasks)).reshape(-1, len(scenario.postselect), len(scenario.r_grid))
-    return [rows[i] for i in order.transpose(0, 2, 1).ravel()]
+    return _map_tasks(_postselect_column, [(scenario, sigma_b) for sigma_b in scenario.sigma_b_grid],
+                      workers)
 
 
 def rate_estimate(p_success: float, tx_rate_hz: float) -> float:
@@ -351,15 +362,14 @@ def _jsonable(obj):
 
 
 def run_effective(scenario: Scenario) -> dict:
-    """Effective-channel report: per-point scheme summaries plus ordering flags."""
+    """Effective-channel report: per-point scheme summaries plus ordering flags, column by column."""
     points = []
     for sigma_b in scenario.sigma_b_grid:
-        for r in scenario.r_grid:
-            report = ordering_check(
-                LinkGeometry(sigma_b=sigma_b, k1=scenario.k1, k2=scenario.k2),
-                Squeezing(r), scenario.beta, scenario.w, scenario.quad,
-            )
-            points.append({"sigma_b": sigma_b, "r": r, **report})
+        reports = ordering_column(LinkGeometry(sigma_b=sigma_b, k1=scenario.k1, k2=scenario.k2),
+                                  [Squeezing(r) for r in scenario.r_grid],
+                                  scenario.beta, scenario.w, scenario.quad)
+        points += [{"sigma_b": sigma_b, "r": r, **report}
+                   for r, report in zip(scenario.r_grid, reports)]
     return _jsonable({
         "beta": scenario.beta, "w": scenario.w,
         "k1": scenario.k1, "k2": scenario.k2, "chi": scenario.chi,
@@ -428,13 +438,13 @@ def run_validate(scenario: Scenario) -> dict:
         kind, threshold = ("classical", ps.zeta_th) if classical else ("quantum", ps.q_th)
         name = f"postselect/{kind}/threshold={threshold:g}"
         try:
-            row = _postselect_point(probe, ps)
+            (res,), = postselect_column((probe.squeezing,), *probe.links(), (ps,),
+                                        scenario.quad, scenario.chi)
         except (DomainError, NumericalError) as exc:
             record(name, False, f"evaluation failed: {exc}")
         else:
-            ok = 0.0 < row["p_success"] <= 1.0 + 1e-9 and row["e_ln"] >= 0.0
-            record(name, ok,
-                   f"P_s = {row['p_success']:.6g}, E_LN = {row['e_ln']:.6g}")
+            ok = 0.0 < res.p_success <= 1.0 + 1e-9 and res.e_ln >= 0.0
+            record(name, ok, f"P_s = {res.p_success:.6g}, E_LN = {res.e_ln:.6g}")
 
     return {"passed": all(c["passed"] for c in checks), "checks": checks}
 

@@ -18,9 +18,9 @@ realization, with s = eta + eta',
 
 so the pole carries no squeezing beyond the factor v + 1, and the average is
 -M + (v + 1) P - (v^2 - 1) C(v).  The weight mass M, the principal value P
-and the separable mass depend only on the links and the rule; they are
-memoized per (links, rule), so every r of a sigma_b column reuses them.  Each
-r sums only the smooth kernel C(v), in the same pass as the transmittivities.
+and the separable mass depend only on the links and the rule, so a sigma_b
+column computes them once for all its r.  The smooth kernel C(v) of every r
+is summed in one pass, together with the transmittivities.
 
 The per-realization effective transmittivities are defined only on the
 entangled side; their closed forms vanish on the boundary and turn negative
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,13 +44,14 @@ from .fading import (
     LinkGeometry,
     deflection_of_eta,
     eta_of_deflection,
+    expand_links,
     rayleigh_pdf,
     scaled_subdivisions,
     transmittance_nodes,
 )
 from .gaussian import Squeezing, TwoModeCM, standard_form
 from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums, panel_nodes, tensor_rule
-from .schemes import SchemeConfig, path_moments
+from .schemes import KINDS, SchemeConfig, path_moments, scheme_links
 
 
 @dataclass(frozen=True)
@@ -101,44 +101,43 @@ def try_effective(cm: TwoModeCM) -> EffectiveParams | None:
         return None
 
 
-def _swap_eta_integrals(ch_a: FadingChannel, ch_b: FadingChannel, v: float,
-                        quad: QuadratureSpec) -> list[float]:
-    """The squeezing-dependent swap sums: one pass over the plain tensor tables.
+def _swap_eta_integrals(ch_a: FadingChannel, ch_b: FadingChannel, vs,
+                        quad: QuadratureSpec) -> list[list[float]]:
+    """The squeezing-dependent swap sums of every v in vs, in one pass over the plain tensor tables.
 
-    Returns [eta_a, eta_b, signed_eta_a, signed_eta_b, kernel].  eta_a and
-    eta_b average the per-realization values over the region where the
+    Returns [eta_a, eta_b, signed_eta_a, signed_eta_b, kernel] per v.  eta_a
+    and eta_b average the per-realization values over the region where the
     reduction exists (the entangled side eta + eta' > 1) and count the
     separable side as zero, which is the continuous extension: the closed
     forms vanish on the boundary.  The signed fields keep the closed forms
     integrated over the whole square; they go negative once the separable
     side carries mass and are reported for diagnosis, never used as
     transmittivities.  kernel is C(v), the smooth part of the cosh(2 r'')
-    average that _summary completes with the _swap_pole_sums memo.
+    average that _summary completes with _swap_pole_sums.  Each block forms
+    the v-independent terms once and reduces each output as it is yielded.
     """
     def integrand(e, ep):
         s = e + ep
-        across = -(s - 1.0) * (v - 1.0)
-        num_a = across / (e * (1.0 - v) + 2.0 * (ep - 1.0))
-        num_b = across / (ep * (1.0 - v) + 2.0 * (e - 1.0))
-        yield np.maximum(num_a, 0.0)
-        yield np.maximum(num_b, 0.0)
-        yield num_a
-        yield num_b
-        yield e * ep / (s * (v - 1.0) + 2.0)
+        neg = -(s - 1.0)
+        prod = e * ep
+        shift_a = 2.0 * (ep - 1.0)
+        shift_b = 2.0 * (e - 1.0)
+        for v in vs:
+            across = neg * (v - 1.0)
+            num_a = across / (e * (1.0 - v) + shift_a)
+            num_b = across / (ep * (1.0 - v) + shift_b)
+            yield np.maximum(num_a, 0.0)
+            yield np.maximum(num_b, 0.0)
+            yield num_a
+            yield num_b
+            yield prod / (s * (v - 1.0) + 2.0)
 
     eta_b, w_b = transmittance_nodes(ch_b, quad)
-    return pair_sums(transmittance_nodes(ch_a, quad), tensor_rule(eta_b, w_b), eta_b.size,
+    sums = pair_sums(transmittance_nodes(ch_a, quad), tensor_rule(eta_b, w_b), eta_b.size,
                      integrand)
+    return [sums[5 * i:5 * i + 5] for i in range(len(vs))]
 
 
-# Pole sums kept per (links, rule).  `cvsat effective` runs every r of one
-# sigma_b column in a row, so one entry lets a column build its pole split
-# once; the rest serve library callers that interleave a few columns.  Each
-# entry holds four numbers, never a node table.
-_POLE_MEMO_SIZE = 16
-
-
-@lru_cache(maxsize=_POLE_MEMO_SIZE)
 def _swap_pole_sums(ch_a: FadingChannel, ch_b: FadingChannel,
                     quad: QuadratureSpec) -> tuple[float, float, float, bool]:
     """The squeezing-independent swap sums (M, P, separable_mass, pv_used).
@@ -198,36 +197,61 @@ def _swap_pole_sums(ch_a: FadingChannel, ch_b: FadingChannel,
     return mass, pv_sum, separable_mass, bool(np.any(pole))
 
 
-def _summary(cfg: SchemeConfig) -> tuple[EffectiveParams, dict]:
-    """Scheme-level effective parameters plus the diagnostics ordering_check reports.
+def _summary(kind: str, links: tuple[FadingChannel, FadingChannel], squeezings,
+             quad: QuadratureSpec) -> list[tuple[EffectiveParams, dict]]:
+    """Per squeezing, scheme-level effective parameters and the diagnostics ordering_check reports.
 
     Direct and satellite realizations are literal loss channels, so their
     effective squeezing equals the source squeezing, only the
     transmittivities average and there are no diagnostics.  Swapping
-    averages both.
+    averages both; its pole sums are computed once for all squeezings.
     """
-    if cfg.kind != "swap":
-        (eta_a, _), (eta_b, _) = path_moments(cfg)
-        return EffectiveParams(r_e=cfg.squeezing.r, eta_a=eta_a, eta_b=eta_b), {}
-    ch_a, ch_b = cfg.links()
-    v = cfg.squeezing.v
-    eta_a, eta_b, signed_eta_a, signed_eta_b, kernel = \
-        _swap_eta_integrals(ch_a, ch_b, v, cfg.quad)
-    mass, pv_sum, separable_mass, pv_used = _swap_pole_sums(ch_a, ch_b, cfg.quad)
-    cosh_avg = -mass + (v + 1.0) * pv_sum - (v * v - 1.0) * kernel
-    r_e = 0.5 * math.acosh(cosh_avg) if cosh_avg >= 1.0 else float("nan")
-    return EffectiveParams(r_e=r_e, eta_a=eta_a, eta_b=eta_b), {
-        "swap_separable_mass": separable_mass,
-        "swap_signed_eta_a": signed_eta_a,
-        "swap_signed_eta_b": signed_eta_b,
-        "swap_pv_used": pv_used,
-        "swap_cosh_avg": cosh_avg,
-    }
+    if kind != "swap":
+        (eta_a, _), (eta_b, _) = path_moments(kind, links, quad)
+        return [(EffectiveParams(r_e=sq.r, eta_a=eta_a, eta_b=eta_b), {}) for sq in squeezings]
+    vs = [sq.v for sq in squeezings]
+    integrals = _swap_eta_integrals(*links, vs, quad)
+    mass, pv_sum, separable_mass, pv_used = _swap_pole_sums(*links, quad)
+    out = []
+    for v, (eta_a, eta_b, signed_eta_a, signed_eta_b, kernel) in zip(vs, integrals):
+        cosh_avg = -mass + (v + 1.0) * pv_sum - (v * v - 1.0) * kernel
+        r_e = 0.5 * math.acosh(cosh_avg) if cosh_avg >= 1.0 else float("nan")
+        out.append((EffectiveParams(r_e=r_e, eta_a=eta_a, eta_b=eta_b), {
+            "swap_separable_mass": separable_mass,
+            "swap_signed_eta_a": signed_eta_a,
+            "swap_signed_eta_b": signed_eta_b,
+            "swap_pv_used": pv_used,
+            "swap_cosh_avg": cosh_avg,
+        }))
+    return out
 
 
 def scheme_effective_summary(cfg: SchemeConfig) -> EffectiveParams:
     """Scheme-level effective parameters from per-realization reductions."""
-    return _summary(cfg)[0]
+    return _summary(cfg.kind, cfg.links(), (cfg.squeezing,), cfg.quad)[0][0]
+
+
+def ordering_column(geometry: LinkGeometry, squeezings, beta: float, w: float,
+                    quad: QuadratureSpec = DEFAULT_QUAD) -> list[dict]:
+    """ordering_check of every squeezing in one sigma_b column.
+
+    The links are expanded once, and each scheme's r-independent sums are
+    computed once for all squeezings.
+    """
+    links = expand_links(geometry, beta, w)
+    summaries = [_summary(kind, scheme_links(kind, links), squeezings, quad) for kind in KINDS]
+    reports = []
+    for point in zip(*summaries):
+        report: dict = {}
+        for kind, (params, diagnostics) in zip(KINDS, point):
+            report.update(diagnostics)
+            report[kind] = {"r_e": params.r_e, "eta_a": params.eta_a, "eta_b": params.eta_b,
+                            "eta_product": params.eta_a * params.eta_b}
+        direct_p = report["direct"]["eta_product"]
+        report["swap_le_direct"] = bool(report["swap"]["eta_product"] <= direct_p + 1e-12)
+        report["satellite_ge_direct"] = bool(report["satellite"]["eta_product"] >= direct_p - 1e-12)
+        reports.append(report)
+    return reports
 
 
 def ordering_check(
@@ -244,14 +268,4 @@ def ordering_check(
     genuinely fade less than the uplink.  Violations are reported in the
     returned dict, never raised.
     """
-    report: dict = {}
-    for kind in ("direct", "satellite", "swap"):
-        params, diagnostics = _summary(SchemeConfig(kind=kind, squeezing=sq, geometry=geometry,
-                                                    beta=beta, w=w, quad=quad))
-        report.update(diagnostics)
-        report[kind] = {"r_e": params.r_e, "eta_a": params.eta_a, "eta_b": params.eta_b,
-                        "eta_product": params.eta_a * params.eta_b}
-    direct_p = report["direct"]["eta_product"]
-    report["swap_le_direct"] = bool(report["swap"]["eta_product"] <= direct_p + 1e-12)
-    report["satellite_ge_direct"] = bool(report["satellite"]["eta_product"] >= direct_p - 1e-12)
-    return report
+    return ordering_column(geometry, (sq,), beta, w, quad)[0]

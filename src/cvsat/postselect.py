@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -84,25 +83,29 @@ class QuantumMoments:
     p_select: float
 
 
-# Selection sums kept per (links, threshold, rule).  cli.run_postselect runs
-# r innermost, so one entry serves every r of a (sigma_b, threshold) pair; the
-# rest of the memo serves library callers that loop in another order.
-_SELECTION_MEMO_SIZE = 64
+def _check_success(p_s: float) -> None:
+    if p_s < P_SUCCESS_FLOOR:
+        raise NumericalError(f"selection region is numerically empty: P_s={p_s:.3e}")
 
 
-@lru_cache(maxsize=_SELECTION_MEMO_SIZE)
 def _selection_sums(ch_up: FadingChannel, ch_down: FadingChannel, zeta_th: float,
                     quad: QuadratureSpec) -> tuple[float, float, float]:
     """(P_s, sum w zeta, sum w sqrt(zeta)) over the kept region zeta = eta * eta' > zeta_th.
 
     The sums depend only on the links, the threshold and the rule, not on the
-    squeezing or the excess noise, so they are memoized and every r of a
-    sweep reuses them.  Both rules end on the selection boundary, the uplink
-    at zeta_th / eta0' and each uplink row's downlink at zeta_th / eta, which
-    keeps every panel's integrand smooth (masking nodes would lose digits
-    there).  With no threshold all rows share the full downlink table and
-    eta, which underflows to 0 on high-loss links, is never divided by.
+    squeezing or the excess noise, so postselect_column computes them once
+    for every r of a sigma_b column.  Both rules end on the selection
+    boundary, the uplink at zeta_th / eta0' and each uplink row's downlink at
+    zeta_th / eta, which keeps every panel's integrand smooth (masking nodes
+    would lose digits there).  With no threshold all rows share the full
+    downlink table and eta, which underflows to 0 on high-loss links, is
+    never divided by.  A threshold at or above the largest zeta raises
+    DomainError, a numerically empty region NumericalError.
     """
+    zeta_max = ch_up.eta0 * ch_down.eta0
+    if zeta_th >= zeta_max:
+        raise DomainError(f"zeta_th={zeta_th} is not below the maximum combined "
+                          f"transmittance {zeta_max}")
     full = transmittance_nodes(ch_down, quad)
 
     def inner(eu, wu):
@@ -113,13 +116,17 @@ def _selection_sums(ch_up: FadingChannel, ch_down: FadingChannel, zeta_th: float
         zeta = eu * ed
         return np.ones_like(zeta), zeta, np.sqrt(zeta)
 
-    return tuple(pair_sums(transmittance_nodes(ch_up, quad, zeta_th / ch_down.eta0), inner,
+    sums = tuple(pair_sums(transmittance_nodes(ch_up, quad, zeta_th / ch_down.eta0), inner,
                            full[0].size, integrand))
+    _check_success(sums[0])
+    return sums
 
 
-def _check_success(p_s: float) -> None:
-    if p_s < P_SUCCESS_FLOOR:
-        raise NumericalError(f"selection region is numerically empty: P_s={p_s:.3e}")
+def _classical_result(v: float, sums: tuple[float, float, float], chi: float) -> PostSelectionResult:
+    p_s, s_zeta, s_root = sums
+    c = math.sqrt(v * v - 1.0) * s_root / p_s
+    cm = StandardFormCM(a=v, b=1.0 + (v - 1.0) * s_zeta / p_s + chi, c_plus=c, c_minus=-c).to_cm()
+    return PostSelectionResult(cm=cm, p_success=p_s, e_ln=log_negativity(cm))
 
 
 def classical_postselect(
@@ -132,23 +139,10 @@ def classical_postselect(
 ) -> PostSelectionResult:
     """Conditional CM and success probability of threshold post-selection.
 
-    The kept region depends only on the links, the threshold and the rule,
-    so its sums come from the _selection_sums memo; only the CM assembly
-    below depends on the squeezing and chi.
+    The kept region depends only on the links, the threshold and the rule;
+    only the CM assembly depends on the squeezing and chi.
     """
-    zeta_max = ch_up.eta0 * ch_down.eta0
-    if cfg.zeta_th >= zeta_max:
-        raise DomainError(
-            f"zeta_th={cfg.zeta_th} is not below the maximum combined transmittance {zeta_max}"
-        )
-    if chi < 0.0:
-        raise DomainError(f"chi must be >= 0, got {chi}")
-    v = sq.v
-    p_s, s_zeta, s_root = _selection_sums(ch_up, ch_down, cfg.zeta_th, quad)
-    _check_success(p_s)
-    c = math.sqrt(v * v - 1.0) * s_root / p_s
-    cm = StandardFormCM(a=v, b=1.0 + (v - 1.0) * s_zeta / p_s + chi, c_plus=c, c_minus=-c).to_cm()
-    return PostSelectionResult(cm=cm, p_success=p_s, e_ln=log_negativity(cm))
+    return postselect_column((sq,), ch_up, ch_down, (cfg,), quad, chi)[0][0]
 
 
 # Elementwise erfc from the standard library, so cvsat needs no scipy; it
@@ -222,29 +216,11 @@ def quantum_moments_realization(
     )
 
 
-def quantum_postselect(
-    sq: Squeezing,
-    ch_up: FadingChannel,
-    ch_down: FadingChannel,
-    cfg: QuantumPsConfig,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-    chi: float = 0.0,
-) -> PostSelectionResult:
-    """Distilled CM and success probability of the tap-and-threshold strategy.
-
-    The tap moments are analytic in sqrt(zeta), through which alone they
-    depend on the links, so _tap_moments summed on the outer product of the
-    two links' _root_rule reproduces the full node-pair sum.  The q-sector entries are central
-    moments of the kept ensemble (the mean displacement induced by the
-    asymmetric cut is subtracted); the p-sector is untouched by the q
-    measurement apart from the selection reweighting.
-    """
-    if chi < 0.0:
-        raise DomainError(f"chi must be >= 0, got {chi}")
-    v, t, r = sq.v, cfg.tap_t, cfg.tap_r
-    (x_u, w_u), (x_d, w_d) = (_root_rule(ch, quad) for ch in (ch_up, ch_down))
-    q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, b_q, c_q = _tap_moments(
-        v, (x_u[:, None] * x_d) ** 2, t, cfg.q_th, chi)
+def _quantum_result(v: float, zeta, roots, cfg: QuantumPsConfig, chi: float) -> PostSelectionResult:
+    """Distilled CM of the tap moments summed on the outer product of the links' root rules."""
+    t, r = cfg.tap_t, cfg.tap_r
+    (_, w_u), (_, w_d) = roots
+    q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, b_q, c_q = _tap_moments(v, zeta, t, cfg.q_th, chi)
     p_s, s_a, s_b, s_aa, s_bb, s_ab, s_pb, s_pc = (
         float(w_u @ m @ w_d) for m in (p_sel, q_a, q_b, q_a_sq, q_b_sq, q_ab,
                                        p_sel * (t * b_q + r), p_sel * c_q))
@@ -259,3 +235,44 @@ def quantum_postselect(
         [0.0, c_p_d, 0.0, b_p_d],
     ]))
     return PostSelectionResult(cm=cm, p_success=p_s, e_ln=log_negativity(cm))
+
+
+def quantum_postselect(
+    sq: Squeezing,
+    ch_up: FadingChannel,
+    ch_down: FadingChannel,
+    cfg: QuantumPsConfig,
+    quad: QuadratureSpec = DEFAULT_QUAD,
+    chi: float = 0.0,
+) -> PostSelectionResult:
+    """Distilled CM and success probability of the tap-and-threshold strategy.
+
+    The tap moments are analytic in sqrt(zeta), through which alone they
+    depend on the links, so _tap_moments summed on the outer product of the
+    two links' _root_rule reproduces the full node-pair sum.  The q-sector
+    entries are central moments of the kept ensemble (the mean displacement
+    induced by the asymmetric cut is subtracted); the p-sector is untouched by
+    the q measurement apart from the selection reweighting.
+    """
+    return postselect_column((sq,), ch_up, ch_down, (cfg,), quad, chi)[0][0]
+
+
+def postselect_column(squeezings, ch_up: FadingChannel, ch_down: FadingChannel, selections,
+                      quad: QuadratureSpec = DEFAULT_QUAD, chi: float = 0.0) -> list[list]:
+    """PostSelectionResult of every (squeezing, selection) pair, squeezing outer.
+
+    selections holds ClassicalPsConfig or QuantumPsConfig values.  What does
+    not depend on the squeezing is built once for the column: the kept-region
+    sums of each classical threshold, and the two links' root rules with
+    their combined transmittances for every quantum threshold.
+    """
+    if chi < 0.0:
+        raise DomainError(f"chi must be >= 0, got {chi}")
+    sums = {cfg: _selection_sums(ch_up, ch_down, cfg.zeta_th, quad)
+            for cfg in selections if isinstance(cfg, ClassicalPsConfig)}
+    if any(isinstance(cfg, QuantumPsConfig) for cfg in selections):
+        roots = tuple(_root_rule(ch, quad) for ch in (ch_up, ch_down))
+        zeta = (roots[0][0][:, None] * roots[1][0]) ** 2
+    return [[_classical_result(sq.v, sums[cfg], chi) if cfg in sums
+             else _quantum_result(sq.v, zeta, roots, cfg, chi) for cfg in selections]
+            for sq in squeezings]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .fading import FadingChannel, LinkGeometry, expand_links, transmittance_nodes
+from .fading import FadingChannel, LinkGeometry, Links, expand_links, transmittance_nodes
 from .gaussian import Squeezing, StandardFormCM, TwoModeCM
 from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums, tensor_rule
 
@@ -46,12 +46,16 @@ class SchemeConfig:
 
     def links(self) -> tuple[FadingChannel, FadingChannel]:
         """The pair of channels the scheme actually uses, in (A-side, B-side) order."""
-        ln = expand_links(self.geometry, self.beta, self.w)
-        if self.kind == "direct":
-            return ln.a_s, ln.s_b
-        if self.kind == "satellite":
-            return ln.s_a, ln.s_b
-        return ln.a_s, ln.b_s
+        return scheme_links(self.kind, expand_links(self.geometry, self.beta, self.w))
+
+
+def scheme_links(kind: str, ln: Links) -> tuple[FadingChannel, FadingChannel]:
+    """The pair of the four links that scheme `kind` uses, in (A-side, B-side) order."""
+    if kind == "direct":
+        return ln.a_s, ln.s_b
+    if kind == "satellite":
+        return ln.s_a, ln.s_b
+    return ln.a_s, ln.b_s
 
 
 def _check_transmittance(name: str, eta: float) -> None:
@@ -76,19 +80,20 @@ def direct_realization(sq: Squeezing, eta: float, eta_prime: float, chi: float =
     )
 
 
-def path_moments(cfg: SchemeConfig) -> list[tuple[float, float]]:
+def path_moments(kind: str, links: tuple[FadingChannel, FadingChannel],
+                 quad: QuadratureSpec) -> list[tuple[float, float]]:
     """(E[eta], E[sqrt(eta)]) of the paths modes A and B cross in the direct or satellite scheme.
 
     Direct: mode A stays home (1, 1); mode B crosses the uplink, then the
     downlink.  Satellite: each mode crosses its own downlink.  Links fade
     independently, so a path's moments are products of its links' moments.
     """
-    ch_a, ch_b = cfg.links()
+    ch_a, ch_b = links
     moments = []
-    for path in ((), (ch_a, ch_b)) if cfg.kind == "direct" else ((ch_a,), (ch_b,)):
+    for path in ((), (ch_a, ch_b)) if kind == "direct" else ((ch_a,), (ch_b,)):
         mean = root = 1.0
         for ch in path:
-            eta, w = transmittance_nodes(ch, cfg.quad)
+            eta, w = transmittance_nodes(ch, quad)
             mean *= float(w @ eta)
             root *= float(w @ np.sqrt(eta))
         moments.append((mean, root))
@@ -201,37 +206,56 @@ def swap_realization(sq: Squeezing, eta: float, eta_prime: float, chi: float = 0
     return swap_ensemble_cm(inp, general_optimal_gains(inp))
 
 
-def _swap_ensemble(cfg: SchemeConfig) -> TwoModeCM:
-    """Ensemble CM of the swapping scheme, averaged over both uplinks.
+def _swap_ensemble(links: tuple[FadingChannel, FadingChannel], squeezings, chi: float,
+                   quad: QuadratureSpec) -> list[TwoModeCM]:
+    """Ensemble CMs of the swapping scheme, averaged over both uplinks, one per squeezing.
 
     Its entries E[v - eta G], E[v - eta' G] and E[sqrt(eta eta') G] share the
-    factor G: one pair sum of G against weight columns w [1, eta, sqrt(eta)].
+    factor G: one pair sum of G against weight columns w [1, eta, sqrt(eta)],
+    which yields G for every v of the column in the same pass.
     """
-    ch_a, ch_b = cfg.links()
-    v = cfg.squeezing.v
-    v2m1 = v * v - 1.0
-    chi2 = 2.0 * cfg.chi
-    (eta_a, w_a), (eta_b, w_b) = (transmittance_nodes(ch, cfg.quad) for ch in (ch_a, ch_b))
+    vs = [sq.v for sq in squeezings]
+    chi2 = 2.0 * chi
+    (eta_a, w_a), (eta_b, w_b) = (transmittance_nodes(ch, quad) for ch in links)
 
     def columns(eta, w):
         return np.stack((w, w * eta, w * np.sqrt(eta)), axis=1)
 
-    (s,) = pair_sums((eta_a, columns(eta_a, w_a)), tensor_rule(eta_b, columns(eta_b, w_b)),
-                     eta_b.size, lambda e, ep: (v2m1 / (2.0 + (e + ep) * (v - 1.0) + chi2),))
-    mass = v * w_a.sum() * w_b.sum()
-    return _standard_cm(a=mass - s[1, 0], b=mass - s[0, 1], c=s[2, 2])
+    def integrand(e, ep):
+        s = e + ep
+        for v in vs:
+            yield (v * v - 1.0) / (2.0 + s * (v - 1.0) + chi2)
+
+    sums = pair_sums((eta_a, columns(eta_a, w_a)), tensor_rule(eta_b, columns(eta_b, w_b)),
+                     eta_b.size, integrand)
+    cms = []
+    for v, s in zip(vs, sums):
+        mass = v * w_a.sum() * w_b.sum()
+        cms.append(_standard_cm(a=mass - s[1, 0], b=mass - s[0, 1], c=s[2, 2]))
+    return cms
+
+
+def ensemble_column(kind: str, links: tuple[FadingChannel, FadingChannel], squeezings,
+                    chi: float, quad: QuadratureSpec) -> list[TwoModeCM]:
+    """Ensemble CMs of scheme `kind` over its links (A-side, B-side), one per squeezing.
+
+    Everything that does not depend on the squeezing, the node tables and
+    their sums, is built once for the whole column.  Direct and satellite
+    entries follow from path_moments (direct station A keeps v exactly,
+    without chi); swap does not factorize over its links.
+    """
+    if kind == "swap":
+        return _swap_ensemble(links, squeezings, chi, quad)
+    (mean_a, root_a), (mean_b, root_b) = path_moments(kind, links, quad)
+    cms = []
+    for sq in squeezings:
+        v = sq.v
+        a = v if kind == "direct" else 1.0 + mean_a * (v - 1.0) + chi
+        cms.append(_standard_cm(a=a, b=1.0 + mean_b * (v - 1.0) + chi,
+                                c=root_a * root_b * math.sqrt(v * v - 1.0)))
+    return cms
 
 
 def ensemble_cm(cfg: SchemeConfig) -> TwoModeCM:
-    """Ensemble CM of the scheme cfg.kind, averaged over the fading of its links.
-
-    Direct and satellite entries follow from path_moments (direct station A
-    keeps v exactly, without chi); swap does not factorize over its links.
-    """
-    if cfg.kind == "swap":
-        return _swap_ensemble(cfg)
-    (mean_a, root_a), (mean_b, root_b) = path_moments(cfg)
-    v = cfg.squeezing.v
-    a = v if cfg.kind == "direct" else 1.0 + mean_a * (v - 1.0) + cfg.chi
-    return _standard_cm(a=a, b=1.0 + mean_b * (v - 1.0) + cfg.chi,
-                        c=root_a * root_b * math.sqrt(v * v - 1.0))
+    """Ensemble CM of the scheme cfg.kind, averaged over the fading of its links."""
+    return ensemble_column(cfg.kind, cfg.links(), (cfg.squeezing,), cfg.chi, cfg.quad)[0]

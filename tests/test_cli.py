@@ -1,5 +1,6 @@
 """Scenario parsing, CSV formatting, and end-to-end command-line behavior."""
 
+import collections
 import csv
 import dataclasses
 import io
@@ -15,27 +16,28 @@ import numpy as np
 import pytest
 
 import cvsat
-from cvsat import postselect
+from cvsat import effective, fading, numerics, postselect, schemes
 from cvsat.cli import (
     CSV_COLUMNS,
     _pool_size,
-    _postselect_point,
-    _sweep_point,
+    _postselect_column,
+    _sweep_column,
     format_value,
     main,
     parse_scenario,
     rate_estimate,
+    run_effective,
     run_postselect,
     run_sweep,
     run_validate,
     write_csv,
 )
 from cvsat.errors import ConfigError, DomainError
-from cvsat.fading import LinkGeometry
-from cvsat.gaussian import Squeezing, TwoModeCM
+from cvsat.fading import FadingChannel
+from cvsat.gaussian import TwoModeCM
 from cvsat.numerics import QuadratureSpec
 from cvsat.postselect import ClassicalPsConfig, QuantumPsConfig
-from cvsat.schemes import KINDS, SchemeConfig
+from cvsat.schemes import KINDS
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -389,6 +391,28 @@ class TestCommandLine:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
+    @pytest.mark.parametrize("command, text", [
+        ("sweep", SMALL.replace("schemes = direct, satellite", "schemes = direct, satellite, swap")
+                       .replace("r.steps = 2", "r.steps = 3")),
+        # one column: the pool is clamped to one process
+        ("sweep", SMALL.replace("schemes = direct, satellite", "schemes = swap")
+                       .replace("r.steps = 2", "r.steps = 3")
+                       .replace("sigma_b.max = 0.8\nsigma_b.steps = 2\n", "")),
+        ("postselect", SMALL.replace("schemes = direct, satellite", "schemes = direct")
+         + "postselect.type = quantum\npostselect.tap_t = 0.93\n"
+           "postselect.threshold_min = 0.0\npostselect.threshold_max = 2.0\n"
+           "postselect.threshold_steps = 3\n"),
+    ], ids=["three-schemes", "one-column", "quantum"])
+    def test_two_workers_write_the_bytes_of_one(self, tmp_path, command, text):
+        path = scn(tmp_path, text)
+        outs = []
+        for workers in ("1", "2"):
+            res = run_cli(command, path, "--workers", workers)
+            assert res.returncode == 0, res.stderr
+            outs.append(res.stdout)
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) > 3
+
     def test_sweep_csv_shape(self, tmp_path):
         res = run_cli("sweep", scn(tmp_path, SMALL))
         assert res.returncode == 0, res.stderr
@@ -425,8 +449,7 @@ class TestCommandLine:
         assert e[0] <= e[1] <= e[2]
 
     def test_postselect_workers_output_is_deterministic(self, tmp_path):
-        # Every r reuses a threshold's selection sums; with two workers the r
-        # rows are split between them and each worker keeps its own memo.
+        # each of the two sigma_b columns is one task, so each worker takes one
         text = (
             "schemes = direct\nr.min = 1.0\nr.max = 2.0\nr.steps = 3\n"
             "sigma_b.min = 0.5\nsigma_b.max = 1.0\nsigma_b.steps = 2\n"
@@ -444,25 +467,6 @@ class TestCommandLine:
             outs.append(res.stdout)
         assert outs[0] == outs[1]
         assert len(outs[0].splitlines()) == 1 + 2 * 3 * 4
-
-    def test_selection_memo_serves_every_r(self, tmp_path):
-        # r runs innermost, so each threshold's selection sums are computed once
-        # even when the thresholds outnumber the memo's 64 entries
-        text = (
-            "schemes = direct\nr.min = 1.0\nr.max = 2.0\nr.steps = 3\nsigma_b.min = 0.5\n"
-            "beta = 0.5\nbeta_over_w = 1\nk1 = 0.5\nk2 = 0.64\n"
-            "quad.nodes = 32\nquad.subdiv = 4\n"
-            "postselect.type = classical\n"
-            "postselect.threshold_min = 0.0\npostselect.threshold_max = 0.3\n"
-            "postselect.threshold_steps = 65\n"
-        )
-        rows = run_postselect(parse_scenario(scn(tmp_path, text)))
-        assert postselect._selection_sums.cache_info().misses == 65
-        # rows still come out in (sigma_b, r, threshold) order
-        assert [row["r"] for row in rows] == [1.0] * 65 + [1.5] * 65 + [2.0] * 65
-        p = [row["p_success"] for row in rows[:65]]
-        assert p == sorted(p, reverse=True)
-        assert [row["p_success"] for row in rows[65:130]] == p
 
     def test_effective_json_report(self, tmp_path):
         text = (
@@ -736,8 +740,32 @@ class TestMainInProcess:
         assert main(["rate", "--p", "2.0", "--tx-hz", "100"]) == 2
 
 
+COLUMN = """\
+sigma_b.min = 0.4
+sigma_b.max = 0.8
+sigma_b.steps = 2
+beta = 0.5
+beta_over_w = 0.5
+k1 = 0.5
+k2 = 0.64
+quad.nodes = 16
+quad.subdiv = 2
+"""
+
+CLASSICAL = ("postselect.type = classical\npostselect.threshold_min = 0.0\n"
+             "postselect.threshold_max = 0.1\npostselect.threshold_steps = 3\n")
+QUANTUM = ("postselect.type = quantum\npostselect.tap_t = 0.9\npostselect.threshold_min = 0.0\n"
+           "postselect.threshold_max = 2.0\npostselect.threshold_steps = 3\n")
+
+
+def column_scenario(tmp_path, r_steps, schemes="direct", block=""):
+    r_axis = "r.min = 0.5\n" + (f"r.max = 1.5\nr.steps = {r_steps}\n" if r_steps > 1 else "")
+    text = f"schemes = {schemes}\n" + r_axis + COLUMN + block
+    return parse_scenario(scn(tmp_path, text, f"column-{r_steps}.scn"))
+
+
 class TestOneCmPerRow:
-    """A row validates exactly one CM: the effective reduction reads it, building none."""
+    """A k-row column validates exactly k CMs: the effective reduction reads them, building none."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -751,23 +779,90 @@ class TestOneCmPerRow:
         monkeypatch.setattr(TwoModeCM, "__post_init__", counted)
         return built
 
-    @staticmethod
-    def config(kind):
-        return SchemeConfig(kind=kind, squeezing=Squeezing(1.0),
-                            geometry=LinkGeometry(sigma_b=0.5, k1=0.5, k2=0.64), beta=1.0, w=1.0,
-                            quad=QuadratureSpec(nodes_1d=16, subdivisions=2))
-
     @pytest.mark.parametrize("kind", KINDS)
-    def test_sweep_row(self, builds, kind):
-        row = _sweep_point(self.config(kind))
-        assert row["eff_r"] is not None
-        assert len(builds) == 1
+    def test_sweep_column(self, tmp_path, builds, kind):
+        scenario = column_scenario(tmp_path, 3, kind)
+        builds.clear()
+        rows = _sweep_column(scenario, kind, 0.4)
+        assert len(rows) == 3
+        assert all(row["eff_r"] is not None for row in rows)
+        assert len(builds) == 3
 
-    @pytest.mark.parametrize("ps", [ClassicalPsConfig(zeta_th=0.1), QuantumPsConfig(tap_t=0.9, q_th=1.0)],
-                             ids=["classical", "quantum"])
-    def test_postselect_row(self, builds, ps):
-        _postselect_point(self.config("direct"), ps)
-        assert len(builds) == 1
+    @pytest.mark.parametrize("block", [CLASSICAL, QUANTUM], ids=["classical", "quantum"])
+    def test_postselect_column(self, tmp_path, builds, block):
+        scenario = column_scenario(tmp_path, 3, block=block)
+        builds.clear()
+        rows = _postselect_column(scenario, 0.4)
+        assert len(rows) == 3 * 3
+        assert len(builds) == 3 * 3
+
+
+class TestColumnWork:
+    """The r-independent work of a sigma_b column is done once, whatever r.steps.
+
+    Counted on a grid of 2 sigma_b, with 1 and 5 r: channels built, uncut
+    node tables, pair sums, quantum root rules and classical selection sums.
+    """
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = collections.Counter()
+
+        def counting(name, fn, counts_call=lambda *args: True):
+            def wrapper(*args, **kwargs):
+                counts[name] += counts_call(*args, **kwargs)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(FadingChannel, "__post_init__",
+                            counting("channels", FadingChannel.__post_init__))
+        tables = counting("uncut tables", fading.transmittance_nodes,
+                          lambda ch, quad, eta_min=0.0: bool(np.all(np.asarray(eta_min) == 0.0)))
+        pairs = counting("pair sums", numerics.pair_sums)
+        for module in (fading, schemes, effective, postselect):
+            monkeypatch.setattr(module, "transmittance_nodes", tables)
+        for module in (schemes, effective, postselect):
+            monkeypatch.setattr(module, "pair_sums", pairs)
+        monkeypatch.setattr(postselect, "_root_rule", counting("root rules", postselect._root_rule))
+        monkeypatch.setattr(postselect, "_selection_sums",
+                            counting("selection sums", postselect._selection_sums))
+        return counts
+
+    def work(self, counts, tmp_path, run, **scenario_keys):
+        per_r_steps = []
+        for r_steps in (1, 5):
+            scenario = column_scenario(tmp_path, r_steps, **scenario_keys)
+            counts.clear()
+            run(scenario)
+            per_r_steps.append(dict(counts))
+        assert per_r_steps[0] == per_r_steps[1]
+        return per_r_steps[1]
+
+    def test_sweep(self, counts, tmp_path):
+        work = self.work(counts, tmp_path, run_sweep, schemes="direct, satellite, swap")
+        # 6 columns: one expand_links (4 channels) and two loss_db tables each;
+        # the ensemble's 2 tables, and one pair sum for each swap column
+        assert work == {"channels": 6 * 4, "uncut tables": 6 * 4, "pair sums": 2}
+
+    def test_effective(self, counts, tmp_path):
+        work = self.work(counts, tmp_path, run_effective, schemes="direct, satellite, swap")
+        # 2 columns: one expand_links each; two tables for each of the three
+        # schemes and two more for the swap pole sums; the swap eta integrals,
+        # the separable mass and the principal value off and on the pole
+        assert work == {"channels": 2 * 4, "uncut tables": 2 * 8, "pair sums": 2 * 4}
+
+    def test_classical_postselect(self, counts, tmp_path):
+        work = self.work(counts, tmp_path, run_postselect, block=CLASSICAL)
+        assert work["channels"] == 2 * 4
+        assert work["selection sums"] == 2 * 3
+        assert work["pair sums"] == 2 * 3
+        assert "root rules" not in work
+
+    def test_quantum_postselect(self, counts, tmp_path):
+        work = self.work(counts, tmp_path, run_postselect, block=QUANTUM)
+        assert work["channels"] == 2 * 4
+        assert work["root rules"] == 2 * 2
+        assert "selection sums" not in work
 
 
 class TestWithoutScipy:

@@ -16,6 +16,7 @@ from cvsat.effective import (
     _swap_eta_integrals,
     _swap_pole_sums,
     ordering_check,
+    ordering_column,
     scheme_effective_summary,
     to_effective,
     try_effective,
@@ -34,7 +35,7 @@ from cvsat.fading import (
 )
 from cvsat.gaussian import Squeezing, StandardFormCM, apply_loss, log_negativity, tmsv_cm
 from cvsat.numerics import QuadratureSpec, pair_sums, panel_nodes, tensor_rule
-from cvsat.schemes import SchemeConfig, swap_realization
+from cvsat.schemes import KINDS, SchemeConfig, swap_realization
 
 from oracles import cosh_swapped, dense_channel_average
 
@@ -47,7 +48,7 @@ def config(kind, r=1.0, geom=GEOM, beta=1.0, w=1.0):
 
 def cosh_average(ch_a, ch_b, v, quad):
     """(cosh(2 r'') average, pv_used) as _summary builds it: the per-r kernel plus the pole sums."""
-    kernel = _swap_eta_integrals(ch_a, ch_b, v, quad)[4]
+    kernel = _swap_eta_integrals(ch_a, ch_b, (v,), quad)[0][4]
     mass, pv_sum, _, pv_used = _swap_pole_sums(ch_a, ch_b, quad)
     return -mass + (v + 1.0) * pv_sum - (v * v - 1.0) * kernel, pv_used
 
@@ -218,7 +219,7 @@ class TestSchemeEffectiveSummary:
         cfg = config("swap", r=1.0)
         ch_a, ch_b = cfg.links()
         v = cfg.squeezing.v
-        eta_a, _, signed_eta_a, _, _ = _swap_eta_integrals(ch_a, ch_b, v, cfg.quad)
+        (eta_a, _, signed_eta_a, _, _), = _swap_eta_integrals(ch_a, ch_b, (v,), cfg.quad)
         separable_mass = _swap_pole_sums(ch_a, ch_b, cfg.quad)[2]
         rng = np.random.default_rng(77)
         n = 400_000
@@ -335,15 +336,22 @@ class TestPoleDecomposition:
         assert np.all((eta_a > 1.0 - ch_b.eta0) & (eta_a < 1.0 - eta_b_floor))
         self.assert_matches_per_node_sum(ch_a, ch_b, r)
 
-    def test_column_builds_pole_split_once(self):
-        geom = LinkGeometry(sigma_b=0.7, k1=0.5, k2=0.64)
+
+class TestOrderingColumn:
+    """A column of squeezings gives, bit for bit, the per-point reports and summaries."""
+
+    def test_matches_per_point_functions(self):
+        # sigma_b = 0.7 straddles the swap pole, so the column shares a pole split
         r_grid = (0.1, 0.5, 1.0, 1.5, 2.0)
-        warm = [ordering_check(geom, Squeezing(r), beta=1.0, w=1.0) for r in r_grid]
-        assert _swap_pole_sums.cache_info().misses == 1
-        for r, report in zip(r_grid, warm):
-            _swap_pole_sums.cache_clear()
+        reports = ordering_column(GEOM, [Squeezing(r) for r in r_grid], beta=1.0, w=1.0)
+        assert reports[0]["swap_pv_used"]
+        for r, report in zip(r_grid, reports):
             # repr compares floats bit for bit and a NaN r_e equal to itself
-            assert repr(ordering_check(geom, Squeezing(r), beta=1.0, w=1.0)) == repr(report)
+            assert repr(report) == repr(ordering_check(GEOM, Squeezing(r), beta=1.0, w=1.0))
+            for kind in KINDS:
+                eff = scheme_effective_summary(config(kind, r=r))
+                assert repr([eff.r_e, eff.eta_a, eff.eta_b]) == repr(
+                    [report[kind]["r_e"], report[kind]["eta_a"], report[kind]["eta_b"]])
 
 
 class TestOrderingCheck:

@@ -22,6 +22,7 @@ from cvsat.postselect import (
     QuantumPsConfig,
     _tap_moments,
     classical_postselect,
+    postselect_column,
     quantum_moments_realization,
     quantum_postselect,
 )
@@ -163,7 +164,7 @@ class TestClassicalPostselect:
     ], ids=["midloss", "highloss"])
     def test_sweep_sums_each_threshold_once(self, monkeypatch, chi, geom, beta, w, quad,
                                             thresholds):
-        # rows in the CLI's (r, threshold) order, each with freshly built channels
+        # one column in the CLI's (r, threshold) order
         calls = []
 
         def counted(*args):
@@ -171,15 +172,15 @@ class TestClassicalPostselect:
             return pair_sums(*args)
 
         monkeypatch.setattr(postselect, "pair_sums", counted)
-        for r in (1.5, 1.75, 2.0):
-            for zeta_th in thresholds:
-                cfg = dataclasses.replace(direct_cfg(r=r, geom=geom, beta=beta, w=w, chi=chi),
-                                          quad=quad)
-                up, down = links(cfg)
-                res = classical_postselect(cfg.squeezing, up, down, ClassicalPsConfig(zeta_th),
-                                           quad, chi)
+        r_grid = (1.5, 1.75, 2.0)
+        cfg = dataclasses.replace(direct_cfg(geom=geom, beta=beta, w=w, chi=chi), quad=quad)
+        up, down = links(cfg)
+        column = postselect_column([Squeezing(r) for r in r_grid], up, down,
+                                   [ClassicalPsConfig(zeta_th) for zeta_th in thresholds], quad, chi)
+        for r, row in zip(r_grid, column):
+            for zeta_th, res in zip(thresholds, row):
                 # the integrand (1, 1 + zeta (v - 1), sqrt(zeta)) summed per row
-                v = cfg.squeezing.v
+                v = Squeezing(r).v
                 full = transmittance_nodes(down, quad)
 
                 def inner(eu, wu):
@@ -379,3 +380,26 @@ class TestQuantumPostselect:
         with pytest.raises(DomainError):
             quantum_postselect(cfg.squeezing, up, down, QuantumPsConfig(0.93, 0.0),
                                chi=-0.02)
+
+
+class TestPostselectColumn:
+    """A column of r x thresholds gives, bit for bit, the per-point results."""
+
+    @pytest.mark.parametrize("select, selections", [
+        (classical_postselect, [ClassicalPsConfig(zeta_th=z) for z in (0.0, 0.05, 0.15)]),
+        (quantum_postselect, [QuantumPsConfig(tap_t=0.93, q_th=q) for q in (0.0, 1.5, 3.0)]),
+    ], ids=["classical", "quantum"])
+    def test_matches_per_point_functions(self, select, selections):
+        r_grid = (0.5, 1.5, 2.5)
+        ch_up, ch_down = links(direct_cfg())
+        quad = QuadratureSpec(32, 4)
+        column = postselect_column([Squeezing(r) for r in r_grid], ch_up, ch_down, selections,
+                                   quad, chi=0.01)
+        assert len(column) == len(r_grid)
+        for r, row in zip(r_grid, column):
+            assert len(row) == len(selections)
+            for ps, res in zip(selections, row):
+                want = select(Squeezing(r), ch_up, ch_down, ps, quad, chi=0.01)
+                # repr compares the floats bit for bit
+                assert (repr((res.cm.m.tolist(), res.p_success, res.e_ln))
+                        == repr((want.cm.m.tolist(), want.p_success, want.e_ln)))

@@ -28,6 +28,7 @@ from cvsat.schemes import (
     SwapGains,
     direct_realization,
     ensemble_cm,
+    ensemble_column,
     general_optimal_gains,
     swap_conditional,
     swap_ensemble_cm,
@@ -352,3 +353,17 @@ class TestEnsembleCmDispatch:
             )
             fine = log_negativity(ensemble_cm(config(kind)))
             assert fine == pytest.approx(coarse, abs=1e-9)
+
+
+class TestEnsembleColumn:
+    """A column of squeezings gives, bit for bit, the CMs ensemble_cm gives point by point."""
+
+    @pytest.mark.parametrize("kind", ["direct", "satellite", "swap"])
+    @pytest.mark.parametrize("chi", [0.0, 0.02])
+    def test_matches_ensemble_cm_at_every_r(self, kind, chi):
+        cfgs = [config(kind, r=r, chi=chi) for r in (0.1, 0.8, 1.5, 2.9)]
+        cms = ensemble_column(kind, cfgs[0].links(), [cfg.squeezing for cfg in cfgs], chi,
+                              cfgs[0].quad)
+        # repr of the entries compares the floats bit for bit
+        assert [repr(cm.m.tolist()) for cm in cms] == [repr(ensemble_cm(cfg).m.tolist())
+                                                       for cfg in cfgs]
