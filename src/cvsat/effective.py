@@ -17,10 +17,11 @@ realization, with s = eta + eta',
     cosh(2 r'') = -1 + (v + 1) eta eta' / (s - 1) - (v^2 - 1) eta eta' / (s (v - 1) + 2),
 
 so the pole carries no squeezing beyond the factor v + 1, and the average is
--M + (v + 1) P - (v^2 - 1) C(v).  The weight mass M, the principal value P
-and the separable mass depend only on the links and the rule, so a sigma_b
-column computes them once for all its r.  The smooth kernel C(v) of every r
-is summed in one pass, together with the transmittivities.
+-M + (v + 1) P - (v^2 - 1) C(v).  The weight mass M and the principal value P
+depend only on the links and the rule, so a sigma_b column computes them
+once for all its r.  The smooth kernel C(v) of every r is summed in one pass
+over the same node tables, together with the transmittivities and, once,
+the separable mass; that pass forms its r-independent terms once per block.
 
 The per-realization effective transmittivities are defined only on the
 entangled side; their closed forms vanish on the boundary and turn negative
@@ -48,6 +49,7 @@ from .fading import (
     rayleigh_pdf,
     scaled_subdivisions,
     transmittance_nodes,
+    trim_tail,
 )
 from .gaussian import Squeezing, TwoModeCM, standard_form
 from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums, panel_nodes, tensor_rule
@@ -101,61 +103,86 @@ def try_effective(cm: TwoModeCM) -> EffectiveParams | None:
         return None
 
 
-def _swap_eta_integrals(ch_a: FadingChannel, ch_b: FadingChannel, vs,
-                        quad: QuadratureSpec) -> list[list[float]]:
-    """The squeezing-dependent swap sums of every v in vs, in one pass over the plain tensor tables.
+def _swap_eta_integrals(tables, vs) -> tuple[float, list[list[float]]]:
+    """The separable mass and the squeezing-dependent swap sums of every v in vs, in one pass.
 
-    Returns [eta_a, eta_b, signed_eta_a, signed_eta_b, kernel] per v.  eta_a
-    and eta_b average the per-realization values over the region where the
-    reduction exists (the entangled side eta + eta' > 1) and count the
-    separable side as zero, which is the continuous extension: the closed
+    tables are the plain (eta, w) tables of the A and B links.  Returns
+    (separable_mass, [[eta_a, eta_b, signed_eta_a, signed_eta_b, kernel] per
+    v]).  separable_mass is the weight of the separable side s < 1,
+    s = eta + eta'.  eta_a and eta_b average the per-realization values over
+    the region where the reduction exists (the entangled side s > 1) and count
+    the separable side as zero, which is the continuous extension: the closed
     forms vanish on the boundary.  The signed fields keep the closed forms
     integrated over the whole square; they go negative once the separable
     side carries mass and are reported for diagnosis, never used as
     transmittivities.  kernel is C(v), the smooth part of the cosh(2 r'')
-    average that _summary completes with _swap_pole_sums.  Each block forms
-    the v-independent terms once and reduces each output as it is yielded.
+    average that _summary completes with _swap_pole_sums.
+
+    With u = v - 1, k = 2/u, x = eta / (1 - eta') and y = eta' / (1 - eta)
+    the closed forms read num_a = (x - 1) / (x + k) and num_b = (y - 1) / (y + k),
+    and the kernel is eta eta' / (s u + 2) = (1/u) / (s + k), its eta eta'
+    left to the weight columns (w, w eta).  Each block forms s, x - 1 and
+    y - 1 once, so each v costs one add and one divide per output.  v = 1
+    (u = 0, k infinite) entangles nothing and has the kernel 1/2.  Every
+    integrand is bounded, so the pass runs over the tables without their far
+    tails (trim_tail); the separable mass, which can be smaller than a tail,
+    adds the trimmed pairs back.
     """
+    (eta_a, w_a), (eta_b, w_b) = tables
+    (ea, wa), (eb, wb) = (trim_tail(table) for table in tables)
+
+    def columns(eta, w):
+        return np.stack((w, w * eta), axis=1)
+
     def integrand(e, ep):
         s = e + ep
-        neg = -(s - 1.0)
-        prod = e * ep
-        shift_a = 2.0 * (ep - 1.0)
-        shift_b = 2.0 * (e - 1.0)
+        num, out = np.empty_like(s), np.empty_like(s)
+        yield np.less(s, 1.0, out=out)
+        # A transmittance that rounds to 1 makes x or y 1e300 rather than
+        # infinite, so num takes its limit 1 there, as in the closed forms.
+        x_minus_1 = e / np.maximum(1.0 - ep, 1e-300) - 1.0
+        y_minus_1 = ep / np.maximum(1.0 - e, 1e-300) - 1.0
         for v in vs:
-            across = neg * (v - 1.0)
-            num_a = across / (e * (1.0 - v) + shift_a)
-            num_b = across / (ep * (1.0 - v) + shift_b)
-            yield np.maximum(num_a, 0.0)
-            yield np.maximum(num_b, 0.0)
-            yield num_a
-            yield num_b
-            yield prod / (s * (v - 1.0) + 2.0)
+            u = v - 1.0
+            if u == 0.0:
+                num.fill(0.0)
+                yield from (num,) * 4
+                num.fill(0.5)
+                yield num
+                continue
+            k = 2.0 / u
+            for z_minus_1 in (x_minus_1, y_minus_1):
+                np.divide(z_minus_1, np.add(z_minus_1, 1.0 + k, out=num), out=num)
+                yield np.maximum(num, 0.0, out=out)
+                yield num
+            yield np.divide(1.0 / u, np.add(s, k, out=num), out=num)
 
-    eta_b, w_b = transmittance_nodes(ch_b, quad)
-    sums = pair_sums(transmittance_nodes(ch_a, quad), tensor_rule(eta_b, w_b), eta_b.size,
-                     integrand)
-    return [sums[5 * i:5 * i + 5] for i in range(len(vs))]
+    sums = pair_sums((ea, columns(ea, wa)), tensor_rule(eb, columns(eb, wb)), eb.size, integrand)
+    n_a, n_b = ea.size, eb.size
+    separable_mass = (sums[0][0, 0] + w_a[n_a:] @ ((eta_a[n_a:, None] + eta_b) < 1.0) @ w_b
+                      + wa @ ((ea[:, None] + eta_b[n_b:]) < 1.0) @ w_b[n_b:])
+    # After the indicator, each v yielded max(num_a, 0), num_a, max(num_b, 0), num_b, kernel.
+    return float(separable_mass), [
+        [float(sums[i][0, 0]), float(sums[i + 2][0, 0]), float(sums[i + 1][0, 0]),
+         float(sums[i + 3][0, 0]), float(sums[i + 4][1, 1])]
+        for i in range(1, len(sums), 5)]
 
 
-def _swap_pole_sums(ch_a: FadingChannel, ch_b: FadingChannel,
-                    quad: QuadratureSpec) -> tuple[float, float, float, bool]:
-    """The squeezing-independent swap sums (M, P, separable_mass, pv_used).
+def _swap_pole_sums(ch_a: FadingChannel, ch_b: FadingChannel, tables,
+                    quad: QuadratureSpec) -> tuple[float, float, bool]:
+    """The squeezing-independent swap sums (M, P, pv_used) over the links' plain tables.
 
     M is the weight mass of the rules below and P the fading average of
     eta eta' / (s - 1), s = eta + eta', a principal value where the
     statistics straddle the pole s = 1.  For each A-side node with eta above
     1 - eta0' the B-side deflection integral crosses the pole once: the rule
     splits there, the pole is subtracted and added back in closed form (the
-    log term).  Every other row sums over the B-side node table.
-    separable_mass is the probability of the separable side s < 1.
+    log term).  Every other row sums over the whole B-side node table, tail
+    included, because the integrand is unbounded near the pole.
     """
-    eta_a, w_a = transmittance_nodes(ch_a, quad)
+    (eta_a, w_a), (eta_b, w_b) = tables
     if ch_b.point_mass and np.any(np.abs(eta_a + ch_b.eta0 - 1.0) < 1e-9):
         raise NumericalError("point-mass node sits on the swapped-state boundary")
-    eta_b, w_b = transmittance_nodes(ch_b, quad)
-    (separable_mass,) = pair_sums((eta_a, w_a), tensor_rule(eta_b, w_b), eta_b.size,
-                                  lambda e, eb: (((e + eb) < 1.0) * 1.0,))
 
     d_hi = D_MAX_SIGMAS * ch_b.sigma_b
     t01, w01 = panel_nodes(0.0, 1.0, quad, subdivisions=scaled_subdivisions(ch_b, quad))
@@ -194,7 +221,7 @@ def _swap_pole_sums(ch_a: FadingChannel, ch_b: FadingChannel,
         d0 = crossing(e)
         mass += split_mass
         pv_sum += split_pv + float(w @ (residue(e, d0) * np.log((d_hi - d0) / d0)))
-    return mass, pv_sum, separable_mass, bool(np.any(pole))
+    return mass, pv_sum, bool(np.any(pole))
 
 
 def _summary(kind: str, links: tuple[FadingChannel, FadingChannel], squeezings,
@@ -210,8 +237,9 @@ def _summary(kind: str, links: tuple[FadingChannel, FadingChannel], squeezings,
         (eta_a, _), (eta_b, _) = path_moments(kind, links, quad)
         return [(EffectiveParams(r_e=sq.r, eta_a=eta_a, eta_b=eta_b), {}) for sq in squeezings]
     vs = [sq.v for sq in squeezings]
-    integrals = _swap_eta_integrals(*links, vs, quad)
-    mass, pv_sum, separable_mass, pv_used = _swap_pole_sums(*links, quad)
+    tables = [transmittance_nodes(ch, quad) for ch in links]
+    separable_mass, integrals = _swap_eta_integrals(tables, vs)
+    mass, pv_sum, pv_used = _swap_pole_sums(*links, tables, quad)
     out = []
     for v, (eta_a, eta_b, signed_eta_a, signed_eta_b, kernel) in zip(vs, integrals):
         cosh_avg = -mass + (v + 1.0) * pv_sum - (v * v - 1.0) * kernel

@@ -239,6 +239,26 @@ def transmittance_nodes(
     return eta_of_deflection(ch, d), w
 
 
+# Weight that trim_tail leaves off the far end of an uncut table, about the
+# Rayleigh tail beyond 9.1 sigma_b.  A tensor pass over two trimmed tables
+# drops pairs of weight below 2 * _TAIL_MASS, so an integrand bounded by B
+# moves by at most 2 * _TAIL_MASS * B: B = (v^2 - 1)/2 for the swap
+# ensemble's G, max(1, (v - 1)/2) for the swap transmittivity sums and 1/2 for
+# the swap kernel.  Unbounded integrands (the principal value) keep full tables.
+_TAIL_MASS = 1e-18
+
+
+def trim_tail(table: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """A transmittance_nodes table without its trailing nodes of total weight below _TAIL_MASS.
+
+    The kept nodes are a prefix view of the table, so each keeps its value
+    bit for bit; a point-mass table is returned whole.
+    """
+    eta, w = table
+    dropped = int(np.searchsorted(np.cumsum(w[::-1]), _TAIL_MASS))
+    return eta[:w.size - dropped], w[:w.size - dropped]
+
+
 def mean_transmittance(ch: FadingChannel, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     eta, w = transmittance_nodes(ch, quad)
     return float(w @ eta)

@@ -103,8 +103,10 @@ def pair_sums(outer, inner, width: int, integrand) -> list:
     and either the joint weights of that shape, for an inner rule that
     differs from row to row, or the pair (outer weights, inner weights) of a
     tensor_rule.  integrand(x[:, None], y) yields its output arrays one at a
-    time, so shared subexpressions are computed once per block.  Rows are
-    processed in blocks of about _BLOCK_ELEMENTS points.
+    time, so shared subexpressions are computed once per block.  Each output
+    is reduced before the next one is requested, so the integrand may reuse
+    one buffer for several outputs.  Rows are processed in blocks of about
+    _BLOCK_ELEMENTS points.
 
     Each sum is a float, or for a tensor rule with weight columns, outer w of
     shape (n, m) and inner wy of shape (width, k), the (m, k) matrix of sums

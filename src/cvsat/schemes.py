@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .fading import FadingChannel, LinkGeometry, Links, expand_links, transmittance_nodes
+from .fading import (FadingChannel, LinkGeometry, Links, expand_links, transmittance_nodes,
+                     trim_tail)
 from .gaussian import Squeezing, StandardFormCM, TwoModeCM
 from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums, tensor_rule
 
@@ -212,11 +213,13 @@ def _swap_ensemble(links: tuple[FadingChannel, FadingChannel], squeezings, chi: 
 
     Its entries E[v - eta G], E[v - eta' G] and E[sqrt(eta eta') G] share the
     factor G: one pair sum of G against weight columns w [1, eta, sqrt(eta)],
-    which yields G for every v of the column in the same pass.
+    which yields G for every v of the column in the same pass.  G is bounded,
+    so the pass runs over the tables without their far tails (trim_tail).
     """
     vs = [sq.v for sq in squeezings]
     chi2 = 2.0 * chi
-    (eta_a, w_a), (eta_b, w_b) = (transmittance_nodes(ch, quad) for ch in links)
+    tables = [transmittance_nodes(ch, quad) for ch in links]
+    (eta_a, w_a), (eta_b, w_b) = (trim_tail(table) for table in tables)
 
     def columns(eta, w):
         return np.stack((w, w * eta, w * np.sqrt(eta)), axis=1)
@@ -228,9 +231,10 @@ def _swap_ensemble(links: tuple[FadingChannel, FadingChannel], squeezings, chi: 
 
     sums = pair_sums((eta_a, columns(eta_a, w_a)), tensor_rule(eta_b, columns(eta_b, w_b)),
                      eta_b.size, integrand)
+    mass_a, mass_b = (w.sum() for _, w in tables)
     cms = []
     for v, s in zip(vs, sums):
-        mass = v * w_a.sum() * w_b.sum()
+        mass = v * mass_a * mass_b
         cms.append(_standard_cm(a=mass - s[1, 0], b=mass - s[0, 1], c=s[2, 2]))
     return cms
 

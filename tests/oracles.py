@@ -271,3 +271,34 @@ def quantum_postselect_tensor(v: float, ch_up: FadingChannel, ch_down: FadingCha
     a_q, b_q, c_q = s_aa / p_s - mean_a**2, s_bb / p_s - mean_b**2, s_ab / p_s - mean_a * mean_b
     return float(p_s), np.array([[a_q, 0, c_q, 0], [0, v, 0, s_pab / p_s],
                                  [c_q, 0, b_q, 0], [0, s_pab / p_s, 0, s_pb / p_s]])
+
+
+def swap_eta_integrals_tensor(ch_a: FadingChannel, ch_b: FadingChannel, vs,
+                              quad: QuadratureSpec) -> tuple[float, list[list[float]]]:
+    """The swap transmittivity pass summed over every node pair of the full tables.
+
+    Returns (separable_mass, [[eta_a, eta_b, signed_eta_a, signed_eta_b,
+    kernel] per v]) from the closed forms as the reduction first gives them,
+    num_a = -(s - 1)(v - 1) / (eta (1 - v) + 2 (eta' - 1)), its mirror num_b,
+    and the kernel eta eta' / (s (v - 1) + 2), s = eta + eta', one A-side
+    node at a time.  At v = 1 the closed forms vanish wherever they are
+    defined, so they are taken as 0 there (a node with eta' = 1 makes them 0/0).
+    """
+    eta_a, w_a = transmittance_nodes(ch_a, quad)
+    eta_b, w_b = transmittance_nodes(ch_b, quad)
+    separable = 0.0
+    sums = np.zeros((len(vs), 5))
+    for e, wa in zip(eta_a, w_a):
+        s = e + eta_b
+        separable += wa * float(w_b @ (s < 1.0))
+        for i, v in enumerate(vs):
+            if v == 1.0:
+                num_a = num_b = np.zeros_like(s)
+            else:
+                across = -(s - 1.0) * (v - 1.0)
+                num_a = across / (e * (1.0 - v) + 2.0 * (eta_b - 1.0))
+                num_b = across / (eta_b * (1.0 - v) + 2.0 * (e - 1.0))
+            kernel = e * eta_b / (s * (v - 1.0) + 2.0)
+            sums[i] += wa * np.array([w_b @ f for f in (
+                np.maximum(num_a, 0.0), np.maximum(num_b, 0.0), num_a, num_b, kernel)])
+    return separable, sums.tolist()

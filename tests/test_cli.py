@@ -847,9 +847,10 @@ class TestColumnWork:
     def test_effective(self, counts, tmp_path):
         work = self.work(counts, tmp_path, run_effective, schemes="direct, satellite, swap")
         # 2 columns: one expand_links each; two tables for each of the three
-        # schemes and two more for the swap pole sums; the swap eta integrals,
-        # the separable mass and the principal value off and on the pole
-        assert work == {"channels": 2 * 4, "uncut tables": 2 * 8, "pair sums": 2 * 4}
+        # schemes, the swap's shared by its eta integrals and pole sums; the
+        # swap eta integrals with the separable mass, and the principal value
+        # off and on the pole
+        assert work == {"channels": 2 * 4, "uncut tables": 2 * 6, "pair sums": 2 * 3}
 
     def test_classical_postselect(self, counts, tmp_path):
         work = self.work(counts, tmp_path, run_postselect, block=CLASSICAL)

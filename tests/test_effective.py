@@ -37,7 +37,7 @@ from cvsat.gaussian import Squeezing, StandardFormCM, apply_loss, log_negativity
 from cvsat.numerics import QuadratureSpec, pair_sums, panel_nodes, tensor_rule
 from cvsat.schemes import KINDS, SchemeConfig, swap_realization
 
-from oracles import cosh_swapped, dense_channel_average
+from oracles import cosh_swapped, dense_channel_average, swap_eta_integrals_tensor
 
 GEOM = LinkGeometry(sigma_b=0.7, k1=0.5, k2=0.64)
 
@@ -48,8 +48,9 @@ def config(kind, r=1.0, geom=GEOM, beta=1.0, w=1.0):
 
 def cosh_average(ch_a, ch_b, v, quad):
     """(cosh(2 r'') average, pv_used) as _summary builds it: the per-r kernel plus the pole sums."""
-    kernel = _swap_eta_integrals(ch_a, ch_b, (v,), quad)[0][4]
-    mass, pv_sum, _, pv_used = _swap_pole_sums(ch_a, ch_b, quad)
+    tables = [transmittance_nodes(ch, quad) for ch in (ch_a, ch_b)]
+    kernel = _swap_eta_integrals(tables, (v,))[1][0][4]
+    mass, pv_sum, pv_used = _swap_pole_sums(ch_a, ch_b, tables, quad)
     return -mass + (v + 1.0) * pv_sum - (v * v - 1.0) * kernel, pv_used
 
 
@@ -219,8 +220,8 @@ class TestSchemeEffectiveSummary:
         cfg = config("swap", r=1.0)
         ch_a, ch_b = cfg.links()
         v = cfg.squeezing.v
-        (eta_a, _, signed_eta_a, _, _), = _swap_eta_integrals(ch_a, ch_b, (v,), cfg.quad)
-        separable_mass = _swap_pole_sums(ch_a, ch_b, cfg.quad)[2]
+        tables = [transmittance_nodes(ch, cfg.quad) for ch in (ch_a, ch_b)]
+        separable_mass, ((eta_a, _, signed_eta_a, _, _),) = _swap_eta_integrals(tables, (v,))
         rng = np.random.default_rng(77)
         n = 400_000
         e = sample(ch_a, rng, n)
@@ -301,6 +302,40 @@ class TestSwapCoshAverage:
         assert got > 1.0
 
 
+class TestSwapEtaIntegrals:
+    """The hoisted pass over tail-trimmed tables against the closed forms on full tables."""
+
+    R_GRID = (0.0, 1e-8, 0.1, 2.0, 3.0)
+
+    @pytest.mark.parametrize("ch_a,ch_b", [
+        (FadingChannel(0.7, 0.4, 1.0), FadingChannel(0.448, 0.4, 1.0)),  # sigma_b > beta
+        (FadingChannel(0.7, 1.0, 1.0), FadingChannel(0.448, 1.0, 1.0)),  # straddles s = 1
+        (FadingChannel(1.5, 1.0, 1.0), FadingChannel(0.96, 1.0, 1.0)),  # sigma_b > beta
+        # eta0 = 1, and a separable mass (deep in both tails) below _TAIL_MASS
+        (FadingChannel(1.3, 13.0, 1.0), FadingChannel(0.832, 13.0, 1.0)),
+        (FadingChannel(0.0, 1.0, 1.0), FadingChannel(0.7, 1.0, 1.0)),
+        (FadingChannel(0.7, 1.0, 1.0), FadingChannel(0.0, 1.0, 1.0)),
+        (FadingChannel(0.0, 1.0, 1.0), FadingChannel(0.0, 0.4, 1.0)),
+    ], ids=["bw0.4-wide", "bw1", "bw1-wide", "bw13", "point-a", "point-b", "point-both"])
+    def test_matches_full_table_closed_forms(self, ch_a, ch_b):
+        quad = QuadratureSpec(64, 8)
+        vs = [Squeezing(r).v for r in self.R_GRID]
+        tables = [transmittance_nodes(ch, quad) for ch in (ch_a, ch_b)]
+        separable, got = _swap_eta_integrals(tables, vs)
+        want_separable, want = swap_eta_integrals_tensor(ch_a, ch_b, vs, quad)
+        assert separable == pytest.approx(want_separable, rel=1e-13, abs=0.0)
+        for row, want_row in zip(got, want):
+            eta_a, eta_b, signed_a, signed_b, kernel = row
+            w_eta_a, w_eta_b, w_signed_a, w_signed_b, w_kernel = want_row
+            for value, reference in ((eta_a, w_eta_a), (eta_b, w_eta_b), (kernel, w_kernel)):
+                assert value == pytest.approx(reference, rel=1e-13, abs=0.0)
+            # the signed sums cancel; measure them against E|num| = 2 E[max(num, 0)] - E[num]
+            for value, reference, positive in ((signed_a, w_signed_a, w_eta_a),
+                                               (signed_b, w_signed_b, w_eta_b)):
+                assert abs(value - reference) <= 1e-13 * (2.0 * positive - reference)
+        assert got[0][:4] == [0.0] * 4
+
+
 class TestPoleDecomposition:
     """-M + (v + 1) P - (v^2 - 1) C(v) against the undecomposed per-node sum."""
 
@@ -322,7 +357,8 @@ class TestPoleDecomposition:
         ch_a = FadingChannel(0.0, 1.0, 1.0)
         ch_b = FadingChannel(0.7, 1.0, 1.0)
         assert 1.0 - ch_b.eta0 < ch_a.eta0 < 1.0
-        assert _swap_pole_sums(ch_a, ch_b, QuadratureSpec(64, 8))[3]
+        tables = [transmittance_nodes(ch, QuadratureSpec(64, 8)) for ch in (ch_a, ch_b)]
+        assert _swap_pole_sums(ch_a, ch_b, tables, QuadratureSpec(64, 8))[2]
         self.assert_matches_per_node_sum(ch_a, ch_b, r)
 
     @pytest.mark.parametrize("r", [0.1, 1.0, 2.0])

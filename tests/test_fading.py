@@ -27,6 +27,7 @@ from cvsat.fading import (
     sample,
     scaled_subdivisions,
     transmittance_nodes,
+    trim_tail,
 )
 from cvsat.numerics import QuadratureSpec
 
@@ -286,6 +287,26 @@ class TestTransmittanceNodes:
     def test_truncation_leaves_negligible_tail(self):
         ch = FadingChannel(0.7, 0.5, 1.0)
         assert math.exp(-0.5 * D_MAX_SIGMAS**2) < 1e-30
+
+
+class TestTrimTail:
+    @pytest.mark.parametrize("sigma,beta,kept", [
+        (0.7, 1.0, 395), (1.5, 1.0, 784), (0.1, 0.4, 395), (22.0, 0.5, None)])
+    def test_bit_identical_prefix_without_the_tail_mass(self, sigma, beta, kept):
+        eta, w = transmittance_nodes(FadingChannel(sigma, beta, 1.0))
+        eta_t, w_t = trim_tail((eta, w))
+        n = w_t.size
+        assert np.shares_memory(eta_t, eta) and np.shares_memory(w_t, w)
+        assert np.array_equal(eta_t, eta[:n]) and np.array_equal(w_t, w[:n])
+        # the longest tail below _TAIL_MASS: one node more would reach it
+        assert w[n:].sum() < fading._TAIL_MASS <= w[n - 1:].sum()
+        if kept is not None:  # 64x8: 512 nodes, 1024 once sigma_b > beta
+            assert n == kept
+
+    def test_point_mass_table_is_whole(self):
+        table = transmittance_nodes(FadingChannel(0.0, 0.5, 1.0))
+        eta, w = trim_tail(table)
+        assert eta.tolist() == table[0].tolist() and w.tolist() == [1.0]
 
 
 class TestScaledSubdivisions:

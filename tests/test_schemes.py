@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from cvsat import schemes
 from cvsat.effective import scheme_effective_summary
 from cvsat.errors import DomainError
 from cvsat.fading import FadingChannel, LinkGeometry, sample, transmittance_nodes
@@ -339,6 +340,19 @@ class TestSwapEnsemble:
         vals = [log_negativity(ensemble_cm(config("swap", chi=c)))
                 for c in (0.0, 0.02, 0.05)]
         assert vals[0] > vals[1] > vals[2]
+
+
+class TestSwapEnsembleTail:
+    @pytest.mark.parametrize("geom,beta", [(GEOM, 1.0), (LinkGeometry(1.5, 0.5, 0.64), 1.0),
+                                           (GEOM, 0.4), (LinkGeometry(1.3, 0.5, 0.64), 13.0)])
+    def test_trimmed_tables_match_full_tables(self, monkeypatch, geom, beta):
+        links = config("swap", geom=geom, beta=beta).links()
+        squeezings = [Squeezing(r) for r in (0.0, 1e-8, 0.1, 2.0, 3.0)]
+        trimmed = ensemble_column("swap", links, squeezings, 0.02, QuadratureSpec(64, 8))
+        monkeypatch.setattr(schemes, "trim_tail", lambda table: table)
+        full = ensemble_column("swap", links, squeezings, 0.02, QuadratureSpec(64, 8))
+        for got, want in zip(trimmed, full):
+            np.testing.assert_allclose(got.m, want.m, rtol=1e-14, atol=0)
 
 
 class TestEnsembleCmDispatch:
