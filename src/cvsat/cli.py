@@ -39,11 +39,11 @@ from pathlib import Path
 import numpy as np
 
 # The CLI computes whole columns and calls neither ordering_check nor
-# classical_postselect nor quantum_postselect; they stay imported because
-# perfbench/replay.py wraps them by attribute lookup in this module.
+# classical_postselect nor quantum_postselect nor loss_db; they stay imported
+# because perfbench/replay.py wraps them by attribute lookup in this module.
 from .effective import ordering_check, ordering_column, try_effective  # noqa: F401
 from .errors import ConfigError, DomainError, NumericalError
-from .fading import LinkGeometry, expand_links, loss_db, mean_transmittance, sample
+from .fading import LinkGeometry, expand_links, loss_db, mean_transmittance, sample  # noqa: F401
 from .gaussian import Squeezing, log_negativity
 from .numerics import McSpec, QuadratureSpec, mc_expectation
 from .postselect import (  # noqa: F401
@@ -296,22 +296,21 @@ def _scheme_config(scenario: Scenario, kind: str, sigma_b: float, r: float) -> S
 
 
 def _column(scenario: Scenario, kind: str, sigma_b: float):
-    """The configs of one (scheme, sigma_b) column, one per r, its links and their losses in dB."""
+    """The configs of one (scheme, sigma_b) column, one per r, its link rules and their losses in dB."""
     cfgs = [_scheme_config(scenario, kind, sigma_b, r) for r in scenario.r_grid]
-    links = cfgs[0].links()
-    return cfgs, links, [loss_db(ch, scenario.quad) for ch in links]
+    rules = cfgs[0].rules()
+    return cfgs, rules, [rule.loss_db for rule in rules]
 
 
 def _sweep_column(scenario: Scenario, kind: str, sigma_b: float) -> list[dict]:
-    cfgs, links, losses = _column(scenario, kind, sigma_b)
-    cms = ensemble_column(kind, links, [cfg.squeezing for cfg in cfgs], scenario.chi, scenario.quad)
+    cfgs, rules, losses = _column(scenario, kind, sigma_b)
+    cms = ensemble_column(kind, rules, [cfg.squeezing for cfg in cfgs], scenario.chi)
     return [_sweep_point(cfg, cm, losses) for cfg, cm in zip(cfgs, cms)]
 
 
 def _postselect_column(scenario: Scenario, sigma_b: float) -> list[dict]:
-    cfgs, links, losses = _column(scenario, "direct", sigma_b)
-    results = postselect_column([cfg.squeezing for cfg in cfgs], *links, scenario.postselect,
-                                scenario.quad, scenario.chi)
+    cfgs, rules, losses = _column(scenario, "direct", sigma_b)
+    results = postselect_column([cfg.squeezing for cfg in cfgs], *rules, scenario.postselect, scenario.chi)
     return [_postselect_point(cfg, res, losses) for cfg, row in zip(cfgs, results) for res in row]
 
 
@@ -438,8 +437,7 @@ def run_validate(scenario: Scenario) -> dict:
         kind, threshold = ("classical", ps.zeta_th) if classical else ("quantum", ps.q_th)
         name = f"postselect/{kind}/threshold={threshold:g}"
         try:
-            (res,), = postselect_column((probe.squeezing,), *probe.links(), (ps,),
-                                        scenario.quad, scenario.chi)
+            (res,), = postselect_column((probe.squeezing,), *probe.rules(), (ps,), scenario.chi)
         except (DomainError, NumericalError) as exc:
             record(name, False, f"evaluation failed: {exc}")
         else:

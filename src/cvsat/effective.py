@@ -39,17 +39,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .fading import (
+# transmittance_nodes is unused here; perfbench/replay.py wraps it by attribute lookup in this module.
+from .fading import (  # noqa: F401
     D_MAX_SIGMAS,
-    FadingChannel,
     LinkGeometry,
+    LinkRule,
+    Links,
     deflection_of_eta,
     eta_of_deflection,
     expand_links,
     rayleigh_pdf,
     scaled_subdivisions,
     transmittance_nodes,
-    trim_tail,
 )
 from .gaussian import Squeezing, TwoModeCM, standard_form
 from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums, panel_nodes, tensor_rule
@@ -103,10 +104,10 @@ def try_effective(cm: TwoModeCM) -> EffectiveParams | None:
         return None
 
 
-def _swap_eta_integrals(tables, vs) -> tuple[float, list[list[float]]]:
+def _swap_eta_integrals(rules: tuple[LinkRule, LinkRule], vs) -> tuple[float, list[list[float]]]:
     """The separable mass and the squeezing-dependent swap sums of every v in vs, in one pass.
 
-    tables are the plain (eta, w) tables of the A and B links.  Returns
+    rules are those of the A and B links.  Returns
     (separable_mass, [[eta_a, eta_b, signed_eta_a, signed_eta_b, kernel] per
     v]).  separable_mass is the weight of the separable side s < 1,
     s = eta + eta'.  eta_a and eta_b average the per-realization values over
@@ -125,11 +126,11 @@ def _swap_eta_integrals(tables, vs) -> tuple[float, list[list[float]]]:
     y - 1 once, so each v costs one add and one divide per output.  v = 1
     (u = 0, k infinite) entangles nothing and has the kernel 1/2.  Every
     integrand is bounded, so the pass runs over the tables without their far
-    tails (trim_tail); the separable mass, which can be smaller than a tail,
-    adds the trimmed pairs back.
+    tails (LinkRule.trimmed); the separable mass, which can be smaller than a
+    tail, adds the trimmed pairs back.
     """
-    (eta_a, w_a), (eta_b, w_b) = tables
-    (ea, wa), (eb, wb) = (trim_tail(table) for table in tables)
+    (eta_a, w_a), (eta_b, w_b) = (rule.table for rule in rules)
+    (ea, wa), (eb, wb) = (rule.trimmed for rule in rules)
 
     def columns(eta, w):
         return np.stack((w, w * eta), axis=1)
@@ -168,8 +169,7 @@ def _swap_eta_integrals(tables, vs) -> tuple[float, list[list[float]]]:
         for i in range(1, len(sums), 5)]
 
 
-def _swap_pole_sums(ch_a: FadingChannel, ch_b: FadingChannel, tables,
-                    quad: QuadratureSpec) -> tuple[float, float, bool]:
+def _swap_pole_sums(rules: tuple[LinkRule, LinkRule]) -> tuple[float, float, bool]:
     """The squeezing-independent swap sums (M, P, pv_used) over the links' plain tables.
 
     M is the weight mass of the rules below and P the fading average of
@@ -180,7 +180,8 @@ def _swap_pole_sums(ch_a: FadingChannel, ch_b: FadingChannel, tables,
     log term).  Every other row sums over the whole B-side node table, tail
     included, because the integrand is unbounded near the pole.
     """
-    (eta_a, w_a), (eta_b, w_b) = tables
+    (eta_a, w_a), (eta_b, w_b) = (rule.table for rule in rules)
+    ch_b, quad = rules[1].ch, rules[1].quad
     if ch_b.point_mass and np.any(np.abs(eta_a + ch_b.eta0 - 1.0) < 1e-9):
         raise NumericalError("point-mass node sits on the swapped-state boundary")
 
@@ -224,8 +225,7 @@ def _swap_pole_sums(ch_a: FadingChannel, ch_b: FadingChannel, tables,
     return mass, pv_sum, bool(np.any(pole))
 
 
-def _summary(kind: str, links: tuple[FadingChannel, FadingChannel], squeezings,
-             quad: QuadratureSpec) -> list[tuple[EffectiveParams, dict]]:
+def _summary(kind: str, rules: tuple[LinkRule, LinkRule], squeezings) -> list[tuple[EffectiveParams, dict]]:
     """Per squeezing, scheme-level effective parameters and the diagnostics ordering_check reports.
 
     Direct and satellite realizations are literal loss channels, so their
@@ -234,12 +234,11 @@ def _summary(kind: str, links: tuple[FadingChannel, FadingChannel], squeezings,
     averages both; its pole sums are computed once for all squeezings.
     """
     if kind != "swap":
-        (eta_a, _), (eta_b, _) = path_moments(kind, links, quad)
+        (eta_a, _), (eta_b, _) = path_moments(kind, rules)
         return [(EffectiveParams(r_e=sq.r, eta_a=eta_a, eta_b=eta_b), {}) for sq in squeezings]
     vs = [sq.v for sq in squeezings]
-    tables = [transmittance_nodes(ch, quad) for ch in links]
-    separable_mass, integrals = _swap_eta_integrals(tables, vs)
-    mass, pv_sum, pv_used = _swap_pole_sums(*links, tables, quad)
+    separable_mass, integrals = _swap_eta_integrals(rules, vs)
+    mass, pv_sum, pv_used = _swap_pole_sums(rules)
     out = []
     for v, (eta_a, eta_b, signed_eta_a, signed_eta_b, kernel) in zip(vs, integrals):
         cosh_avg = -mass + (v + 1.0) * pv_sum - (v * v - 1.0) * kernel
@@ -256,18 +255,18 @@ def _summary(kind: str, links: tuple[FadingChannel, FadingChannel], squeezings,
 
 def scheme_effective_summary(cfg: SchemeConfig) -> EffectiveParams:
     """Scheme-level effective parameters from per-realization reductions."""
-    return _summary(cfg.kind, cfg.links(), (cfg.squeezing,), cfg.quad)[0][0]
+    return _summary(cfg.kind, cfg.rules(), (cfg.squeezing,))[0][0]
 
 
 def ordering_column(geometry: LinkGeometry, squeezings, beta: float, w: float,
                     quad: QuadratureSpec = DEFAULT_QUAD) -> list[dict]:
     """ordering_check of every squeezing in one sigma_b column.
 
-    The links are expanded once, and each scheme's r-independent sums are
-    computed once for all squeezings.
+    The links are expanded once into rules the schemes share, and each
+    scheme's r-independent sums are computed once for all squeezings.
     """
-    links = expand_links(geometry, beta, w)
-    summaries = [_summary(kind, scheme_links(kind, links), squeezings, quad) for kind in KINDS]
+    rules = Links(*(LinkRule(ch, quad) for ch in expand_links(geometry, beta, w)))
+    summaries = [_summary(kind, scheme_links(kind, rules), squeezings) for kind in KINDS]
     reports = []
     for point in zip(*summaries):
         report: dict = {}

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -239,8 +240,8 @@ def transmittance_nodes(
     return eta_of_deflection(ch, d), w
 
 
-# Weight that trim_tail leaves off the far end of an uncut table, about the
-# Rayleigh tail beyond 9.1 sigma_b.  A tensor pass over two trimmed tables
+# Weight that LinkRule.trimmed leaves off the far end of an uncut table, about
+# the Rayleigh tail beyond 9.1 sigma_b.  A tensor pass over two trimmed tables
 # drops pairs of weight below 2 * _TAIL_MASS, so an integrand bounded by B
 # moves by at most 2 * _TAIL_MASS * B: B = (v^2 - 1)/2 for the swap
 # ensemble's G, max(1, (v - 1)/2) for the swap transmittivity sums and 1/2 for
@@ -248,20 +249,45 @@ def transmittance_nodes(
 _TAIL_MASS = 1e-18
 
 
-def trim_tail(table: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """A transmittance_nodes table without its trailing nodes of total weight below _TAIL_MASS.
+@dataclass(frozen=True)
+class LinkRule:
+    """A link's uncut node table under a quadrature rule and what follows from it, each built on first use."""
 
-    The kept nodes are a prefix view of the table, so each keeps its value
-    bit for bit; a point-mass table is returned whole.
-    """
-    eta, w = table
-    dropped = int(np.searchsorted(np.cumsum(w[::-1]), _TAIL_MASS))
-    return eta[:w.size - dropped], w[:w.size - dropped]
+    ch: FadingChannel
+    quad: QuadratureSpec = DEFAULT_QUAD
+
+    @cached_property
+    def table(self) -> tuple[np.ndarray, np.ndarray]:
+        return transmittance_nodes(self.ch, self.quad)
+
+    @cached_property
+    def trimmed(self) -> tuple[np.ndarray, np.ndarray]:
+        """The table without its trailing nodes of total weight below _TAIL_MASS.
+
+        The kept nodes are a prefix view of the table, so each keeps its value
+        bit for bit; a point-mass table is returned whole.
+        """
+        eta, w = self.table
+        dropped = int(np.searchsorted(np.cumsum(w[::-1]), _TAIL_MASS))
+        return eta[:w.size - dropped], w[:w.size - dropped]
+
+    @cached_property
+    def moments(self) -> tuple[float, float]:
+        """(E[eta], E[sqrt(eta)])."""
+        eta, w = self.table
+        return float(w @ eta), float(w @ np.sqrt(eta))
+
+    @cached_property
+    def loss_db(self) -> float:
+        eta, w = self.table
+        mean_power = float(w @ (eta * eta))
+        if mean_power <= 0.0:
+            raise NumericalError("mean power transmittance is not positive")
+        return -10.0 * math.log10(mean_power)
 
 
 def mean_transmittance(ch: FadingChannel, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
-    eta, w = transmittance_nodes(ch, quad)
-    return float(w @ eta)
+    return LinkRule(ch, quad).moments[0]
 
 
 def loss_db(ch: FadingChannel, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
@@ -271,11 +297,7 @@ def loss_db(ch: FadingChannel, quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     power fraction), so eta^2 is the power transmission of a realization; this
     is the convention that reproduces quoted link budgets.
     """
-    eta, w = transmittance_nodes(ch, quad)
-    mean_power = float(w @ (eta * eta))
-    if mean_power <= 0.0:
-        raise NumericalError("mean power transmittance is not positive")
-    return -10.0 * math.log10(mean_power)
+    return LinkRule(ch, quad).loss_db
 
 
 @dataclass(frozen=True)

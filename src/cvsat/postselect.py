@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .fading import FadingChannel, transmittance_nodes
+from .fading import FadingChannel, LinkRule, transmittance_nodes
 from .gaussian import Squeezing, StandardFormCM, TwoModeCM, log_negativity
 from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums
 
@@ -88,8 +88,7 @@ def _check_success(p_s: float) -> None:
         raise NumericalError(f"selection region is numerically empty: P_s={p_s:.3e}")
 
 
-def _selection_sums(ch_up: FadingChannel, ch_down: FadingChannel, zeta_th: float,
-                    quad: QuadratureSpec) -> tuple[float, float, float]:
+def _selection_sums(up: LinkRule, down: LinkRule, zeta_th: float) -> tuple[float, float, float]:
     """(P_s, sum w zeta, sum w sqrt(zeta)) over the kept region zeta = eta * eta' > zeta_th.
 
     The sums depend only on the links, the threshold and the rule, not on the
@@ -97,27 +96,28 @@ def _selection_sums(ch_up: FadingChannel, ch_down: FadingChannel, zeta_th: float
     for every r of a sigma_b column.  Both rules end on the selection
     boundary, the uplink at zeta_th / eta0' and each uplink row's downlink at
     zeta_th / eta, which keeps every panel's integrand smooth (masking nodes
-    would lose digits there).  With no threshold all rows share the full
-    downlink table and eta, which underflows to 0 on high-loss links, is
-    never divided by.  A threshold at or above the largest zeta raises
-    DomainError, a numerically empty region NumericalError.
+    would lose digits there).  With no threshold both links' uncut tables
+    serve, a cut at 0 being the uncut rule bit for bit, and eta, which
+    underflows to 0 on high-loss links, is never divided by.  A threshold at
+    or above the largest zeta raises DomainError, a numerically empty region
+    NumericalError.
     """
-    zeta_max = ch_up.eta0 * ch_down.eta0
+    zeta_max = up.ch.eta0 * down.ch.eta0
     if zeta_th >= zeta_max:
         raise DomainError(f"zeta_th={zeta_th} is not below the maximum combined "
                           f"transmittance {zeta_max}")
-    full = transmittance_nodes(ch_down, quad)
+    cut = zeta_th > 0.0
 
     def inner(eu, wu):
-        eta, w = transmittance_nodes(ch_down, quad, zeta_th / eu[:, None]) if zeta_th > 0.0 else full
+        eta, w = transmittance_nodes(down.ch, down.quad, zeta_th / eu[:, None]) if cut else down.table
         return eta, wu[:, None] * w
 
     def integrand(eu, ed):
         zeta = eu * ed
         return np.ones_like(zeta), zeta, np.sqrt(zeta)
 
-    sums = tuple(pair_sums(transmittance_nodes(ch_up, quad, zeta_th / ch_down.eta0), inner,
-                           full[0].size, integrand))
+    outer = transmittance_nodes(up.ch, up.quad, zeta_th / down.ch.eta0) if cut else up.table
+    sums = tuple(pair_sums(outer, inner, down.table[0].size, integrand))
     _check_success(sums[0])
     return sums
 
@@ -142,7 +142,7 @@ def classical_postselect(
     The kept region depends only on the links, the threshold and the rule;
     only the CM assembly depends on the squeezing and chi.
     """
-    return postselect_column((sq,), ch_up, ch_down, (cfg,), quad, chi)[0][0]
+    return postselect_column((sq,), LinkRule(ch_up, quad), LinkRule(ch_down, quad), (cfg,), chi)[0][0]
 
 
 # Elementwise erfc from the standard library, so cvsat needs no scipy; it
@@ -179,7 +179,7 @@ def _tap_moments(v: float, zeta, tap_t: float, q_th: float, chi: float):
 _ROOT_NODES = 40
 
 
-def _root_rule(ch: FadingChannel, quad: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+def _root_rule(rule: LinkRule) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule (x_k, w_k) in x = sqrt(eta) for the link's transmittance table.
 
     Q of the weighted Chebyshev basis holds the table's orthonormal
@@ -187,7 +187,7 @@ def _root_rule(ch: FadingChannel, quad: QuadratureSpec) -> tuple[np.ndarray, np.
     (Golub and Welsch, Math. Comp. 23, 1969).  Unlike Lanczos this divides by
     nothing, so a link with almost no wander, or a point mass, is no special case.
     """
-    eta, w = transmittance_nodes(ch, quad)
+    eta, w = rule.table
     keep = w > 0.0
     x, w = np.sqrt(eta[keep]), w[keep]
     n = min(_ROOT_NODES, x.size)
@@ -216,10 +216,9 @@ def quantum_moments_realization(
     )
 
 
-def _quantum_result(v: float, zeta, roots, cfg: QuantumPsConfig, chi: float) -> PostSelectionResult:
+def _quantum_result(v: float, zeta, w_u, w_d, cfg: QuantumPsConfig, chi: float) -> PostSelectionResult:
     """Distilled CM of the tap moments summed on the outer product of the links' root rules."""
     t, r = cfg.tap_t, cfg.tap_r
-    (_, w_u), (_, w_d) = roots
     q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, b_q, c_q = _tap_moments(v, zeta, t, cfg.q_th, chi)
     p_s, s_a, s_b, s_aa, s_bb, s_ab, s_pb, s_pc = (
         float(w_u @ m @ w_d) for m in (p_sel, q_a, q_b, q_a_sq, q_b_sq, q_ab,
@@ -254,12 +253,11 @@ def quantum_postselect(
     induced by the asymmetric cut is subtracted); the p-sector is untouched by
     the q measurement apart from the selection reweighting.
     """
-    return postselect_column((sq,), ch_up, ch_down, (cfg,), quad, chi)[0][0]
+    return postselect_column((sq,), LinkRule(ch_up, quad), LinkRule(ch_down, quad), (cfg,), chi)[0][0]
 
 
-def postselect_column(squeezings, ch_up: FadingChannel, ch_down: FadingChannel, selections,
-                      quad: QuadratureSpec = DEFAULT_QUAD, chi: float = 0.0) -> list[list]:
-    """PostSelectionResult of every (squeezing, selection) pair, squeezing outer.
+def postselect_column(squeezings, up: LinkRule, down: LinkRule, selections, chi: float = 0.0) -> list[list]:
+    """PostSelectionResult of every (squeezing, selection) pair over the up- and downlink, squeezing outer.
 
     selections holds ClassicalPsConfig or QuantumPsConfig values.  What does
     not depend on the squeezing is built once for the column: the kept-region
@@ -268,11 +266,11 @@ def postselect_column(squeezings, ch_up: FadingChannel, ch_down: FadingChannel, 
     """
     if chi < 0.0:
         raise DomainError(f"chi must be >= 0, got {chi}")
-    sums = {cfg: _selection_sums(ch_up, ch_down, cfg.zeta_th, quad)
+    sums = {cfg: _selection_sums(up, down, cfg.zeta_th)
             for cfg in selections if isinstance(cfg, ClassicalPsConfig)}
     if any(isinstance(cfg, QuantumPsConfig) for cfg in selections):
-        roots = tuple(_root_rule(ch, quad) for ch in (ch_up, ch_down))
-        zeta = (roots[0][0][:, None] * roots[1][0]) ** 2
+        (x_u, w_u), (x_d, w_d) = (_root_rule(rule) for rule in (up, down))
+        zeta = (x_u[:, None] * x_d) ** 2
     return [[_classical_result(sq.v, sums[cfg], chi) if cfg in sums
-             else _quantum_result(sq.v, zeta, roots, cfg, chi) for cfg in selections]
+             else _quantum_result(sq.v, zeta, w_u, w_d, cfg, chi) for cfg in selections]
             for sq in squeezings]

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .fading import (FadingChannel, LinkGeometry, Links, expand_links, transmittance_nodes,
-                     trim_tail)
+# transmittance_nodes is unused here; perfbench/replay.py wraps it by attribute lookup in this module.
+from .fading import (FadingChannel, LinkGeometry, LinkRule, Links, expand_links,  # noqa: F401
+                     transmittance_nodes)
 from .gaussian import Squeezing, StandardFormCM, TwoModeCM
 from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums, tensor_rule
 
@@ -49,9 +50,13 @@ class SchemeConfig:
         """The pair of channels the scheme actually uses, in (A-side, B-side) order."""
         return scheme_links(self.kind, expand_links(self.geometry, self.beta, self.w))
 
+    def rules(self) -> tuple[LinkRule, LinkRule]:
+        """links() under this config's quadrature rule."""
+        return tuple(LinkRule(ch, self.quad) for ch in self.links())
 
-def scheme_links(kind: str, ln: Links) -> tuple[FadingChannel, FadingChannel]:
-    """The pair of the four links that scheme `kind` uses, in (A-side, B-side) order."""
+
+def scheme_links(kind: str, ln: Links) -> tuple:
+    """The pair of the four links (channels or rules) that scheme `kind` uses, in (A-side, B-side) order."""
     if kind == "direct":
         return ln.a_s, ln.s_b
     if kind == "satellite":
@@ -81,24 +86,17 @@ def direct_realization(sq: Squeezing, eta: float, eta_prime: float, chi: float =
     )
 
 
-def path_moments(kind: str, links: tuple[FadingChannel, FadingChannel],
-                 quad: QuadratureSpec) -> list[tuple[float, float]]:
+def path_moments(kind: str, rules: tuple[LinkRule, LinkRule]) -> list[tuple[float, float]]:
     """(E[eta], E[sqrt(eta)]) of the paths modes A and B cross in the direct or satellite scheme.
 
     Direct: mode A stays home (1, 1); mode B crosses the uplink, then the
     downlink.  Satellite: each mode crosses its own downlink.  Links fade
     independently, so a path's moments are products of its links' moments.
     """
-    ch_a, ch_b = links
-    moments = []
-    for path in ((), (ch_a, ch_b)) if kind == "direct" else ((ch_a,), (ch_b,)):
-        mean = root = 1.0
-        for ch in path:
-            eta, w = transmittance_nodes(ch, quad)
-            mean *= float(w @ eta)
-            root *= float(w @ np.sqrt(eta))
-        moments.append((mean, root))
-    return moments
+    paths = ((), rules) if kind == "direct" else ((rules[0],), (rules[1],))
+    # start=1.0 keeps direct mode A's empty path a float.
+    return [tuple(math.prod((rule.moments[i] for rule in path), start=1.0) for i in (0, 1))
+            for path in paths]
 
 
 @dataclass(frozen=True)
@@ -207,19 +205,17 @@ def swap_realization(sq: Squeezing, eta: float, eta_prime: float, chi: float = 0
     return swap_ensemble_cm(inp, general_optimal_gains(inp))
 
 
-def _swap_ensemble(links: tuple[FadingChannel, FadingChannel], squeezings, chi: float,
-                   quad: QuadratureSpec) -> list[TwoModeCM]:
+def _swap_ensemble(rules: tuple[LinkRule, LinkRule], squeezings, chi: float) -> list[TwoModeCM]:
     """Ensemble CMs of the swapping scheme, averaged over both uplinks, one per squeezing.
 
     Its entries E[v - eta G], E[v - eta' G] and E[sqrt(eta eta') G] share the
     factor G: one pair sum of G against weight columns w [1, eta, sqrt(eta)],
     which yields G for every v of the column in the same pass.  G is bounded,
-    so the pass runs over the tables without their far tails (trim_tail).
+    so the pass runs over the tables without their far tails (LinkRule.trimmed).
     """
     vs = [sq.v for sq in squeezings]
     chi2 = 2.0 * chi
-    tables = [transmittance_nodes(ch, quad) for ch in links]
-    (eta_a, w_a), (eta_b, w_b) = (trim_tail(table) for table in tables)
+    (eta_a, w_a), (eta_b, w_b) = (rule.trimmed for rule in rules)
 
     def columns(eta, w):
         return np.stack((w, w * eta, w * np.sqrt(eta)), axis=1)
@@ -231,7 +227,7 @@ def _swap_ensemble(links: tuple[FadingChannel, FadingChannel], squeezings, chi: 
 
     sums = pair_sums((eta_a, columns(eta_a, w_a)), tensor_rule(eta_b, columns(eta_b, w_b)),
                      eta_b.size, integrand)
-    mass_a, mass_b = (w.sum() for _, w in tables)
+    mass_a, mass_b = (rule.table[1].sum() for rule in rules)
     cms = []
     for v, s in zip(vs, sums):
         mass = v * mass_a * mass_b
@@ -239,9 +235,8 @@ def _swap_ensemble(links: tuple[FadingChannel, FadingChannel], squeezings, chi: 
     return cms
 
 
-def ensemble_column(kind: str, links: tuple[FadingChannel, FadingChannel], squeezings,
-                    chi: float, quad: QuadratureSpec) -> list[TwoModeCM]:
-    """Ensemble CMs of scheme `kind` over its links (A-side, B-side), one per squeezing.
+def ensemble_column(kind: str, rules: tuple[LinkRule, LinkRule], squeezings, chi: float) -> list[TwoModeCM]:
+    """Ensemble CMs of scheme `kind` over its link rules (A-side, B-side), one per squeezing.
 
     Everything that does not depend on the squeezing, the node tables and
     their sums, is built once for the whole column.  Direct and satellite
@@ -249,8 +244,8 @@ def ensemble_column(kind: str, links: tuple[FadingChannel, FadingChannel], squee
     without chi); swap does not factorize over its links.
     """
     if kind == "swap":
-        return _swap_ensemble(links, squeezings, chi, quad)
-    (mean_a, root_a), (mean_b, root_b) = path_moments(kind, links, quad)
+        return _swap_ensemble(rules, squeezings, chi)
+    (mean_a, root_a), (mean_b, root_b) = path_moments(kind, rules)
     cms = []
     for sq in squeezings:
         v = sq.v
@@ -262,4 +257,4 @@ def ensemble_column(kind: str, links: tuple[FadingChannel, FadingChannel], squee
 
 def ensemble_cm(cfg: SchemeConfig) -> TwoModeCM:
     """Ensemble CM of the scheme cfg.kind, averaged over the fading of its links."""
-    return ensemble_column(cfg.kind, cfg.links(), (cfg.squeezing,), cfg.chi, cfg.quad)[0]
+    return ensemble_column(cfg.kind, cfg.rules(), (cfg.squeezing,), cfg.chi)[0]

@@ -402,7 +402,10 @@ class TestCommandLine:
          + "postselect.type = quantum\npostselect.tap_t = 0.93\n"
            "postselect.threshold_min = 0.0\npostselect.threshold_max = 2.0\n"
            "postselect.threshold_steps = 3\n"),
-    ], ids=["three-schemes", "one-column", "quantum"])
+        ("postselect", SMALL.replace("schemes = direct, satellite", "schemes = direct")
+         + "postselect.type = classical\npostselect.threshold_min = 0.0\n"
+           "postselect.threshold_max = 0.1\npostselect.threshold_steps = 3\n"),
+    ], ids=["three-schemes", "one-column", "quantum", "classical"])
     def test_two_workers_write_the_bytes_of_one(self, tmp_path, command, text):
         path = scn(tmp_path, text)
         outs = []
@@ -487,6 +490,23 @@ class TestCommandLine:
         assert point["swap_signed_eta_a"] <= point["swap"]["eta_a"] + 1e-12
         assert 0.0 <= point["swap_separable_mass"] <= 1.0
         assert point["direct"]["eta_a"] == pytest.approx(1.0)
+
+    def test_effective_json_numbers_are_floats(self, tmp_path):
+        # a product over the direct scheme's empty A path must print 1.0, never 1
+        res = run_cli("effective", scn(tmp_path, BASE + "quad.nodes = 32\nquad.subdiv = 4\n"))
+        assert res.returncode == 0, res.stderr
+
+        def numbers(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                return [leaf for child in node for leaf in numbers(child)]
+            return [] if node is None or isinstance(node, (bool, str)) else [node]
+
+        leaves = numbers(json.loads(res.stdout))
+        assert len(leaves) > 4 * 12
+        assert {type(leaf) for leaf in leaves} == {float}
+        assert '"eta_a": 1.0,' in res.stdout
 
     def test_validate_passes_on_sane_scenario(self, tmp_path):
         # k1 = 0 makes the downlink a point mass; sigma_b = 0 makes both links one.
@@ -802,6 +822,8 @@ class TestColumnWork:
 
     Counted on a grid of 2 sigma_b, with 1 and 5 r: channels built, uncut
     node tables, pair sums, quantum root rules and classical selection sums.
+    A column builds one uncut table per distinct link, which its link rule
+    shares between the mean losses, the schemes and the sums.
     """
 
     @pytest.fixture
@@ -840,21 +862,23 @@ class TestColumnWork:
 
     def test_sweep(self, counts, tmp_path):
         work = self.work(counts, tmp_path, run_sweep, schemes="direct, satellite, swap")
-        # 6 columns: one expand_links (4 channels) and two loss_db tables each;
-        # the ensemble's 2 tables, and one pair sum for each swap column
-        assert work == {"channels": 6 * 4, "uncut tables": 6 * 4, "pair sums": 2}
+        # 6 columns: one expand_links (4 channels) and two link tables each,
+        # read by the mean losses and the ensemble; one pair sum for each swap column
+        assert work == {"channels": 6 * 4, "uncut tables": 6 * 2, "pair sums": 2}
 
     def test_effective(self, counts, tmp_path):
         work = self.work(counts, tmp_path, run_effective, schemes="direct, satellite, swap")
-        # 2 columns: one expand_links each; two tables for each of the three
-        # schemes, the swap's shared by its eta integrals and pole sums; the
-        # swap eta integrals with the separable mass, and the principal value
-        # off and on the pole
-        assert work == {"channels": 2 * 4, "uncut tables": 2 * 6, "pair sums": 2 * 3}
+        # 2 columns: one expand_links each; one table for each of the four
+        # links, shared by the schemes that use it and by the swap's eta
+        # integrals and pole sums; the swap eta integrals with the separable
+        # mass, and the principal value off and on the pole
+        assert work == {"channels": 2 * 4, "uncut tables": 2 * 4, "pair sums": 2 * 3}
 
     def test_classical_postselect(self, counts, tmp_path):
         work = self.work(counts, tmp_path, run_postselect, block=CLASSICAL)
         assert work["channels"] == 2 * 4
+        # the two link tables, read by the mean losses and, at threshold 0, the selection sums
+        assert work["uncut tables"] == 2 * 2
         assert work["selection sums"] == 2 * 3
         assert work["pair sums"] == 2 * 3
         assert "root rules" not in work
@@ -862,6 +886,8 @@ class TestColumnWork:
     def test_quantum_postselect(self, counts, tmp_path):
         work = self.work(counts, tmp_path, run_postselect, block=QUANTUM)
         assert work["channels"] == 2 * 4
+        # the two link tables, read by the mean losses and the root rules
+        assert work["uncut tables"] == 2 * 2
         assert work["root rules"] == 2 * 2
         assert "selection sums" not in work
 

@@ -26,6 +26,7 @@ from cvsat.fading import (
     D_MAX_SIGMAS,
     FadingChannel,
     LinkGeometry,
+    LinkRule,
     deflection_of_eta,
     eta_of_deflection,
     rayleigh_pdf,
@@ -48,9 +49,9 @@ def config(kind, r=1.0, geom=GEOM, beta=1.0, w=1.0):
 
 def cosh_average(ch_a, ch_b, v, quad):
     """(cosh(2 r'') average, pv_used) as _summary builds it: the per-r kernel plus the pole sums."""
-    tables = [transmittance_nodes(ch, quad) for ch in (ch_a, ch_b)]
-    kernel = _swap_eta_integrals(tables, (v,))[1][0][4]
-    mass, pv_sum, pv_used = _swap_pole_sums(ch_a, ch_b, tables, quad)
+    rules = (LinkRule(ch_a, quad), LinkRule(ch_b, quad))
+    kernel = _swap_eta_integrals(rules, (v,))[1][0][4]
+    mass, pv_sum, pv_used = _swap_pole_sums(rules)
     return -mass + (v + 1.0) * pv_sum - (v * v - 1.0) * kernel, pv_used
 
 
@@ -220,8 +221,7 @@ class TestSchemeEffectiveSummary:
         cfg = config("swap", r=1.0)
         ch_a, ch_b = cfg.links()
         v = cfg.squeezing.v
-        tables = [transmittance_nodes(ch, cfg.quad) for ch in (ch_a, ch_b)]
-        separable_mass, ((eta_a, _, signed_eta_a, _, _),) = _swap_eta_integrals(tables, (v,))
+        separable_mass, ((eta_a, _, signed_eta_a, _, _),) = _swap_eta_integrals(cfg.rules(), (v,))
         rng = np.random.default_rng(77)
         n = 400_000
         e = sample(ch_a, rng, n)
@@ -320,8 +320,7 @@ class TestSwapEtaIntegrals:
     def test_matches_full_table_closed_forms(self, ch_a, ch_b):
         quad = QuadratureSpec(64, 8)
         vs = [Squeezing(r).v for r in self.R_GRID]
-        tables = [transmittance_nodes(ch, quad) for ch in (ch_a, ch_b)]
-        separable, got = _swap_eta_integrals(tables, vs)
+        separable, got = _swap_eta_integrals((LinkRule(ch_a, quad), LinkRule(ch_b, quad)), vs)
         want_separable, want = swap_eta_integrals_tensor(ch_a, ch_b, vs, quad)
         assert separable == pytest.approx(want_separable, rel=1e-13, abs=0.0)
         for row, want_row in zip(got, want):
@@ -357,8 +356,8 @@ class TestPoleDecomposition:
         ch_a = FadingChannel(0.0, 1.0, 1.0)
         ch_b = FadingChannel(0.7, 1.0, 1.0)
         assert 1.0 - ch_b.eta0 < ch_a.eta0 < 1.0
-        tables = [transmittance_nodes(ch, QuadratureSpec(64, 8)) for ch in (ch_a, ch_b)]
-        assert _swap_pole_sums(ch_a, ch_b, tables, QuadratureSpec(64, 8))[2]
+        quad = QuadratureSpec(64, 8)
+        assert _swap_pole_sums((LinkRule(ch_a, quad), LinkRule(ch_b, quad)))[2]
         self.assert_matches_per_node_sum(ch_a, ch_b, r)
 
     @pytest.mark.parametrize("r", [0.1, 1.0, 2.0])

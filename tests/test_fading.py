@@ -18,6 +18,7 @@ from cvsat.fading import (
     D_MAX_SIGMAS,
     FadingChannel,
     LinkGeometry,
+    LinkRule,
     deflection_of_eta,
     eta_of_deflection,
     expand_links,
@@ -27,7 +28,6 @@ from cvsat.fading import (
     sample,
     scaled_subdivisions,
     transmittance_nodes,
-    trim_tail,
 )
 from cvsat.numerics import QuadratureSpec
 
@@ -290,11 +290,13 @@ class TestTransmittanceNodes:
 
 
 class TestTrimTail:
+    """LinkRule.trimmed against the rule's uncut table."""
+
     @pytest.mark.parametrize("sigma,beta,kept", [
         (0.7, 1.0, 395), (1.5, 1.0, 784), (0.1, 0.4, 395), (22.0, 0.5, None)])
     def test_bit_identical_prefix_without_the_tail_mass(self, sigma, beta, kept):
-        eta, w = transmittance_nodes(FadingChannel(sigma, beta, 1.0))
-        eta_t, w_t = trim_tail((eta, w))
+        rule = LinkRule(FadingChannel(sigma, beta, 1.0))
+        (eta, w), (eta_t, w_t) = rule.table, rule.trimmed
         n = w_t.size
         assert np.shares_memory(eta_t, eta) and np.shares_memory(w_t, w)
         assert np.array_equal(eta_t, eta[:n]) and np.array_equal(w_t, w[:n])
@@ -304,9 +306,32 @@ class TestTrimTail:
             assert n == kept
 
     def test_point_mass_table_is_whole(self):
-        table = transmittance_nodes(FadingChannel(0.0, 0.5, 1.0))
-        eta, w = trim_tail(table)
-        assert eta.tolist() == table[0].tolist() and w.tolist() == [1.0]
+        rule = LinkRule(FadingChannel(0.0, 0.5, 1.0))
+        eta, w = rule.trimmed
+        assert eta.tolist() == rule.table[0].tolist() and w.tolist() == [1.0]
+
+
+class TestLinkRule:
+    @pytest.mark.parametrize("sigma,beta", [(0.0, 0.5), (0.7, 1.0), (22.0, 0.5)])
+    def test_reads_the_public_functions_bit_for_bit(self, sigma, beta):
+        ch, quad = FadingChannel(sigma, beta, 1.0), QuadratureSpec(32, 4)
+        rule = LinkRule(ch, quad)
+        eta, w = transmittance_nodes(ch, quad)
+        # repr compares the floats bit for bit
+        assert repr(rule.loss_db) == repr(loss_db(ch, quad)) \
+            == repr(-10.0 * math.log10(float(w @ (eta * eta))))
+        assert repr(rule.moments) == repr((mean_transmittance(ch, quad), float(w @ np.sqrt(eta))))
+        assert repr(rule.moments[0]) == repr(float(w @ eta))
+
+    def test_each_member_is_built_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fading, "transmittance_nodes",
+                            lambda *args: calls.append(args) or transmittance_nodes(*args))
+        rule = LinkRule(FadingChannel(0.7, 1.0, 1.0))
+        for _ in range(2):
+            assert rule.trimmed[0] is rule.trimmed[0] and rule.moments is rule.moments
+            assert rule.loss_db == rule.loss_db
+        assert len(calls) == 1
 
 
 class TestScaledSubdivisions:

@@ -14,7 +14,7 @@ from scipy import special
 
 from cvsat import postselect
 from cvsat.errors import DomainError, NumericalError
-from cvsat.fading import LinkGeometry, sample, transmittance_nodes
+from cvsat.fading import LinkGeometry, LinkRule, sample, transmittance_nodes
 from cvsat.gaussian import Squeezing, apply_loss, log_negativity
 from cvsat.numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums
 from cvsat.postselect import (
@@ -175,8 +175,8 @@ class TestClassicalPostselect:
         r_grid = (1.5, 1.75, 2.0)
         cfg = dataclasses.replace(direct_cfg(geom=geom, beta=beta, w=w, chi=chi), quad=quad)
         up, down = links(cfg)
-        column = postselect_column([Squeezing(r) for r in r_grid], up, down,
-                                   [ClassicalPsConfig(zeta_th) for zeta_th in thresholds], quad, chi)
+        column = postselect_column([Squeezing(r) for r in r_grid], LinkRule(up, quad), LinkRule(down, quad),
+                                   [ClassicalPsConfig(zeta_th) for zeta_th in thresholds], chi)
         for r, row in zip(r_grid, column):
             for zeta_th, res in zip(thresholds, row):
                 # the integrand (1, 1 + zeta (v - 1), sqrt(zeta)) summed per row
@@ -393,8 +393,8 @@ class TestPostselectColumn:
         r_grid = (0.5, 1.5, 2.5)
         ch_up, ch_down = links(direct_cfg())
         quad = QuadratureSpec(32, 4)
-        column = postselect_column([Squeezing(r) for r in r_grid], ch_up, ch_down, selections,
-                                   quad, chi=0.01)
+        column = postselect_column([Squeezing(r) for r in r_grid], LinkRule(ch_up, quad),
+                                   LinkRule(ch_down, quad), selections, chi=0.01)
         assert len(column) == len(r_grid)
         for r, row in zip(r_grid, column):
             assert len(row) == len(selections)

@@ -11,10 +11,9 @@ import math
 import numpy as np
 import pytest
 
-from cvsat import schemes
 from cvsat.effective import scheme_effective_summary
 from cvsat.errors import DomainError
-from cvsat.fading import FadingChannel, LinkGeometry, sample, transmittance_nodes
+from cvsat.fading import FadingChannel, LinkGeometry, LinkRule, sample, transmittance_nodes
 from cvsat.gaussian import (
     Squeezing,
     add_excess_noise,
@@ -346,11 +345,11 @@ class TestSwapEnsembleTail:
     @pytest.mark.parametrize("geom,beta", [(GEOM, 1.0), (LinkGeometry(1.5, 0.5, 0.64), 1.0),
                                            (GEOM, 0.4), (LinkGeometry(1.3, 0.5, 0.64), 13.0)])
     def test_trimmed_tables_match_full_tables(self, monkeypatch, geom, beta):
-        links = config("swap", geom=geom, beta=beta).links()
+        cfg = config("swap", geom=geom, beta=beta, quad=QuadratureSpec(64, 8))
         squeezings = [Squeezing(r) for r in (0.0, 1e-8, 0.1, 2.0, 3.0)]
-        trimmed = ensemble_column("swap", links, squeezings, 0.02, QuadratureSpec(64, 8))
-        monkeypatch.setattr(schemes, "trim_tail", lambda table: table)
-        full = ensemble_column("swap", links, squeezings, 0.02, QuadratureSpec(64, 8))
+        trimmed = ensemble_column("swap", cfg.rules(), squeezings, 0.02)
+        monkeypatch.setattr(LinkRule, "trimmed", property(lambda rule: rule.table))
+        full = ensemble_column("swap", cfg.rules(), squeezings, 0.02)
         for got, want in zip(trimmed, full):
             np.testing.assert_allclose(got.m, want.m, rtol=1e-14, atol=0)
 
@@ -376,8 +375,7 @@ class TestEnsembleColumn:
     @pytest.mark.parametrize("chi", [0.0, 0.02])
     def test_matches_ensemble_cm_at_every_r(self, kind, chi):
         cfgs = [config(kind, r=r, chi=chi) for r in (0.1, 0.8, 1.5, 2.9)]
-        cms = ensemble_column(kind, cfgs[0].links(), [cfg.squeezing for cfg in cfgs], chi,
-                              cfgs[0].quad)
+        cms = ensemble_column(kind, cfgs[0].rules(), [cfg.squeezing for cfg in cfgs], chi)
         # repr of the entries compares the floats bit for bit
         assert [repr(cm.m.tolist()) for cm in cms] == [repr(ensemble_cm(cfg).m.tolist())
                                                        for cfg in cfgs]
