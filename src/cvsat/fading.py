@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .numerics import DEFAULT_QUAD, QuadratureSpec, panel_nodes
+from .numerics import DEFAULT_QUAD, QuadratureSpec, panel_edges, panel_nodes
 
 # Rayleigh-domain truncation: the tail mass beyond 12 sigma is below 1e-31.
 D_MAX_SIGMAS = 12.0
@@ -206,6 +206,11 @@ def scaled_subdivisions(ch: FadingChannel, quad: QuadratureSpec) -> int:
     return subs
 
 
+def _uncut_span(ch: FadingChannel, quad: QuadratureSpec) -> tuple[float, int]:
+    """End and panel count of the link's uncut deflection rule."""
+    return D_MAX_SIGMAS * ch.sigma_b, scaled_subdivisions(ch, quad)
+
+
 def transmittance_nodes(
     ch: FadingChannel, quad: QuadratureSpec = DEFAULT_QUAD, eta_min=0.0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -222,8 +227,7 @@ def transmittance_nodes(
     cut = np.asarray(eta_min, dtype=float)
     if ch.point_mass:
         return np.array([ch.eta0]), np.atleast_1d(1.0 * (ch.eta0 > cut))
-    subs = scaled_subdivisions(ch, quad)
-    d_hi = D_MAX_SIGMAS * ch.sigma_b
+    d_hi, subs = _uncut_span(ch, quad)
     if (cut > 0.0).any():
         # Cuts at or above eta0 end the rule at d = 0; cuts at or below 0 leave it uncut.
         d_cut = deflection_of_eta(ch, np.clip(cut, np.finfo(float).tiny, ch.eta0))
@@ -247,6 +251,8 @@ def transmittance_nodes(
 # ensemble's G, max(1, (v - 1)/2) for the swap transmittivity sums and 1/2 for
 # the swap kernel.  Unbounded integrands (the principal value) keep full tables.
 _TAIL_MASS = 1e-18
+# Degree of LinkRule.antiderivatives' Chebyshev interpolant on each panel.
+_CHEB_DEGREE = 64
 
 
 @dataclass(frozen=True)
@@ -276,6 +282,55 @@ class LinkRule:
         """(E[eta], E[sqrt(eta)])."""
         eta, w = self.table
         return float(w @ eta), float(w @ np.sqrt(eta))
+
+    @cached_property
+    def antiderivatives(self):
+        """F(d), the rows (F_0, F_1, F_1/2) of F_k(d) = integral_0^d p(d') eta(d')^k dd' at each deflection d.
+
+        d is clipped to the rule's end, where the rows are the table's weight
+        sum, E[eta] and E[sqrt(eta)] up to the rule's error.  F_0 is the
+        Rayleigh CDF in closed form.  F_1 and F_1/2 are built once, on the
+        panels of the link's rule: on each, the integrand in s, d = start +
+        width s^2, is interpolated by a Chebyshev series of degree
+        _CHEB_DEGREE and integrated term by term (Clenshaw and Curtis, Numer.
+        Math. 2, 1960).  In d the integrand behaves like d^(lambda + 1) at
+        d = 0, which is not analytic; in s it is s^(2 lambda + 3), smooth
+        enough that F keeps its digits at small d, where a threshold near the
+        largest zeta puts every cut.  A point mass sits at d = 0, so there
+        F_k = eta0^k at every d.
+        """
+        ch = self.ch
+        if ch.point_mass:
+            point = np.array([[1.0], [ch.eta0], [math.sqrt(ch.eta0)]])
+            return lambda d: np.repeat(point, np.size(d), axis=1)
+        cheb = np.polynomial.chebyshev
+        n = _CHEB_DEGREE
+        edges = panel_edges(0.0, *_uncut_span(ch, self.quad))
+        width = np.diff(edges)
+        # Values at the Chebyshev points of the first kind -> coefficients of
+        # the interpolant (discrete orthogonality) -> of its antiderivative.
+        x = np.cos(np.pi * (np.arange(n + 1) + 0.5) / (n + 1))
+        to_coef = cheb.chebvander(x, n).T * (2.0 / (n + 1))
+        to_coef[0] *= 0.5
+        to_integral = cheb.chebint(np.eye(n + 1), axis=0) @ to_coef
+        # s = (1 + x)/2 on [-1, 1], so dd = width s dx
+        s = 0.5 * (1.0 + x)
+        nodes = edges[:-1, None] + width[:, None] * s * s
+        eta, p = eta_of_deflection(ch, nodes), rayleigh_pdf(nodes, ch.sigma_b) * s * width[:, None]
+        coef = np.stack([p * eta, p * np.sqrt(eta)]) @ to_integral.T
+        # T_m(x) - T_m(-1) vanishes at the panel start and is 1 - (-1)^m at its end.
+        start = (-1.0) ** np.arange(n + 2)
+        totals = coef @ (1.0 - start)
+        before = np.concatenate([np.zeros((2, 1)), np.cumsum(totals, axis=1)], axis=1)
+
+        def evaluate(d):
+            d = np.clip(d, 0.0, edges[-1])
+            k = np.clip(np.searchsorted(edges, d, side="right") - 1, 0, width.size - 1)
+            basis = cheb.chebvander(2.0 * np.sqrt((d - edges[k]) / width[k]) - 1.0, n + 1)
+            basis -= start  # in place: chebvander's column-major layout keeps the einsum fast
+            return np.concatenate([-np.expm1(-0.5 * (d / ch.sigma_b) ** 2)[None],
+                                   before[:, k] + np.einsum("im,jim->ji", basis, coef[:, k])])
+        return evaluate
 
     @cached_property
     def loss_db(self) -> float:

@@ -58,6 +58,15 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
+def panel_edges(lo: float, hi, subdivisions: int) -> np.ndarray:
+    """Edges of `subdivisions` equal panels on [lo, hi], one row per end of a column hi."""
+    hi = np.asarray(hi, dtype=float)
+    # np.linspace(lo, hi, subdivisions + 1) written out, so a column of ends gives C-contiguous rows.
+    edges = np.arange(subdivisions + 1) * ((hi - lo) / subdivisions) + lo
+    edges[..., -1:] = hi
+    return edges
+
+
 def panel_nodes(
     lo: float,
     hi,
@@ -68,11 +77,8 @@ def panel_nodes(
     hi = np.asarray(hi, dtype=float)
     if not (lo <= hi).all():
         raise DomainError(f"integration bounds must satisfy lo <= hi, got [{lo}, {hi}]")
-    subs = spec.subdivisions if subdivisions is None else subdivisions
     xg, wg = _leggauss(spec.nodes_1d)
-    # np.linspace(lo, hi, subs + 1) written out, so a column of ends gives C-contiguous rows.
-    edges = np.arange(subs + 1) * ((hi - lo) / subs) + lo
-    edges[..., -1:] = hi
+    edges = panel_edges(lo, hi, spec.subdivisions if subdivisions is None else subdivisions)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
     x = (mid[..., None] + half[..., None] * xg).reshape(*mid.shape[:-1], -1)

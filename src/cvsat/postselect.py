@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .fading import FadingChannel, LinkRule, transmittance_nodes
+from .fading import FadingChannel, LinkRule, deflection_of_eta, transmittance_nodes
 from .gaussian import Squeezing, StandardFormCM, TwoModeCM, log_negativity
-from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums
+from .numerics import DEFAULT_QUAD, QuadratureSpec
 
 # Selections rarer than this are treated as numerically empty.
 P_SUCCESS_FLOOR = 1e-12
@@ -93,31 +93,30 @@ def _selection_sums(up: LinkRule, down: LinkRule, zeta_th: float) -> tuple[float
 
     The sums depend only on the links, the threshold and the rule, not on the
     squeezing or the excess noise, so postselect_column computes them once
-    for every r of a sigma_b column.  Both rules end on the selection
-    boundary, the uplink at zeta_th / eta0' and each uplink row's downlink at
-    zeta_th / eta, which keeps every panel's integrand smooth (masking nodes
-    would lose digits there).  With no threshold both links' uncut tables
-    serve, a cut at 0 being the uncut rule bit for bit, and eta, which
-    underflows to 0 on high-loss links, is never divided by.  A threshold at
-    or above the largest zeta raises DomainError, a numerically empty region
-    NumericalError.
+    for every r of a sigma_b column.  Each integrates (eta eta')^k, k = 0, 1,
+    1/2, which factors: the uplink node eta keeps the downlink deflections
+    below d'_c = deflection_of_eta(down, zeta_th / eta), over which the
+    downlink's integral of eta'^k is its antiderivative F_k(d'_c).  So a
+    threshold costs one sum over the uplink's table, which ends on the
+    selection boundary zeta_th / eta0' so that no panel straddles it.  With
+    no threshold the sums are products of the two links' weight sums and
+    moments, and eta, which underflows to 0 on high-loss links, is never
+    divided by.  A threshold at or above the largest zeta raises DomainError,
+    a numerically empty region NumericalError.
     """
     zeta_max = up.ch.eta0 * down.ch.eta0
     if zeta_th >= zeta_max:
         raise DomainError(f"zeta_th={zeta_th} is not below the maximum combined "
                           f"transmittance {zeta_max}")
-    cut = zeta_th > 0.0
-
-    def inner(eu, wu):
-        eta, w = transmittance_nodes(down.ch, down.quad, zeta_th / eu[:, None]) if cut else down.table
-        return eta, wu[:, None] * w
-
-    def integrand(eu, ed):
-        zeta = eu * ed
-        return np.ones_like(zeta), zeta, np.sqrt(zeta)
-
-    outer = transmittance_nodes(up.ch, up.quad, zeta_th / down.ch.eta0) if cut else up.table
-    sums = tuple(pair_sums(outer, inner, down.table[0].size, integrand))
+    if zeta_th == 0.0:
+        w_up, w_down = up.table[1].sum(), down.table[1].sum()
+        sums = (float(w_up * w_down), *(m * m_down for m, m_down in zip(up.moments, down.moments)))
+    else:
+        eta, w = transmittance_nodes(up.ch, up.quad, zeta_th / down.ch.eta0)
+        # clipped as transmittance_nodes clips a cut, so a subnormal zeta_th / eta stays finite in d
+        cut = np.maximum(zeta_th / eta, np.finfo(float).tiny)
+        kept = down.antiderivatives(deflection_of_eta(down.ch, cut))
+        sums = tuple(float(s) for s in (np.stack([w, w * eta, w * np.sqrt(eta)]) * kept).sum(axis=1))
     _check_success(sums[0])
     return sums
 
@@ -140,7 +139,9 @@ def classical_postselect(
     """Conditional CM and success probability of threshold post-selection.
 
     The kept region depends only on the links, the threshold and the rule;
-    only the CM assembly depends on the squeezing and chi.
+    only the CM assembly depends on the squeezing and chi.  Its sums are one
+    sum over the uplink's node table, with the downlink integrated through
+    its antiderivative tables (LinkRule.antiderivatives).
     """
     return postselect_column((sq,), LinkRule(ch_up, quad), LinkRule(ch_down, quad), (cfg,), chi)[0][0]
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from cvsat.fading import FadingChannel, transmittance_nodes
 from cvsat.gaussian import Squeezing, TwoModeCM, add_excess_noise, apply_loss, tmsv_cm
-from cvsat.numerics import QuadratureSpec
+from cvsat.numerics import QuadratureSpec, pair_sums
 from cvsat.postselect import _tap_moments
 from cvsat.schemes import GeneralBipartiteInput
 
@@ -246,6 +246,27 @@ def tap_moments_wigner(v: float, zeta: float, tap_t: float, q_th: float,
         "q_b_sq": moment(b3 * b3 * np.ones_like(dens)),
         "q_ab": moment(a3 * b3 * np.ones_like(dens)),
     }
+
+
+def classical_selection_sums_tensor(ch_up: FadingChannel, ch_down: FadingChannel,
+                                    quad: QuadratureSpec, zeta_th: float) -> tuple[float, float, float]:
+    """(P_s, sum w zeta, sum w sqrt(zeta)) of classical post-selection as a sum over node pairs.
+
+    The uplink's table ends on zeta_th / eta0', and each of its nodes eta
+    pairs with a downlink table of its own that ends on zeta_th / eta, so
+    every node pair lies in the kept region zeta = eta eta' > zeta_th.
+    """
+    def inner(eu, wu):
+        eta, w = transmittance_nodes(ch_down, quad, zeta_th / eu[:, None] if zeta_th > 0.0 else 0.0)
+        return eta, wu[:, None] * w
+
+    def integrand(eu, ed):
+        zeta = eu * ed
+        return np.ones_like(zeta), zeta, np.sqrt(zeta)
+
+    outer = transmittance_nodes(ch_up, quad, zeta_th / ch_down.eta0)
+    width = transmittance_nodes(ch_down, quad)[0].size
+    return tuple(pair_sums(outer, inner, width, integrand))
 
 
 def quantum_postselect_tensor(v: float, ch_up: FadingChannel, ch_down: FadingChannel,

@@ -3,6 +3,7 @@
 import collections
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -821,8 +822,9 @@ class TestColumnWork:
     """The r-independent work of a sigma_b column is done once, whatever r.steps.
 
     Counted on a grid of 2 sigma_b, with 1 and 5 r: channels built, uncut
-    node tables, pair sums, quantum root rules and classical selection sums.
-    A column builds one uncut table per distinct link, which its link rule
+    node tables, node tables with one cut per row, pair sums, quantum root
+    rules, classical selection sums and downlink antiderivative tables.  A
+    column builds one uncut table per distinct link, which its link rule
     shares between the mean losses, the schemes and the sums.
     """
 
@@ -832,7 +834,8 @@ class TestColumnWork:
 
         def counting(name, fn, counts_call=lambda *args: True):
             def wrapper(*args, **kwargs):
-                counts[name] += counts_call(*args, **kwargs)
+                if counts_call(*args, **kwargs):
+                    counts[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -840,14 +843,20 @@ class TestColumnWork:
                             counting("channels", FadingChannel.__post_init__))
         tables = counting("uncut tables", fading.transmittance_nodes,
                           lambda ch, quad, eta_min=0.0: bool(np.all(np.asarray(eta_min) == 0.0)))
+        tables = counting("row cut tables", tables,
+                          lambda ch, quad, eta_min=0.0: np.ndim(eta_min) > 0)
         pairs = counting("pair sums", numerics.pair_sums)
         for module in (fading, schemes, effective, postselect):
             monkeypatch.setattr(module, "transmittance_nodes", tables)
-        for module in (schemes, effective, postselect):
+        for module in (schemes, effective):
             monkeypatch.setattr(module, "pair_sums", pairs)
         monkeypatch.setattr(postselect, "_root_rule", counting("root rules", postselect._root_rule))
         monkeypatch.setattr(postselect, "_selection_sums",
                             counting("selection sums", postselect._selection_sums))
+        antiderivatives = functools.cached_property(
+            counting("antiderivative tables", fading.LinkRule.antiderivatives.func))
+        antiderivatives.__set_name__(fading.LinkRule, "antiderivatives")
+        monkeypatch.setattr(fading.LinkRule, "antiderivatives", antiderivatives)
         return counts
 
     def work(self, counts, tmp_path, run, **scenario_keys):
@@ -879,8 +888,12 @@ class TestColumnWork:
         assert work["channels"] == 2 * 4
         # the two link tables, read by the mean losses and, at threshold 0, the selection sums
         assert work["uncut tables"] == 2 * 2
+        # one 1D sum per threshold, over the uplink's table cut at the
+        # threshold, with the downlink's antiderivatives built once per column
         assert work["selection sums"] == 2 * 3
-        assert work["pair sums"] == 2 * 3
+        assert work["antiderivative tables"] == 2 * 1
+        assert "row cut tables" not in work
+        assert "pair sums" not in work
         assert "root rules" not in work
 
     def test_quantum_postselect(self, counts, tmp_path):

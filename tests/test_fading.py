@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 from cvsat import fading
 from cvsat.errors import DomainError, NumericalError
@@ -29,7 +29,7 @@ from cvsat.fading import (
     scaled_subdivisions,
     transmittance_nodes,
 )
-from cvsat.numerics import QuadratureSpec
+from cvsat.numerics import QuadratureSpec, panel_edges
 
 from oracles import (
     bessel_i0_series,
@@ -331,6 +331,47 @@ class TestLinkRule:
         for _ in range(2):
             assert rule.trimmed[0] is rule.trimmed[0] and rule.moments is rule.moments
             assert rule.loss_db == rule.loss_db
+        assert len(calls) == 1
+
+    # (sigma_b, beta, w) for LinkRule.antiderivatives: narrow and wide links, the
+    # high-loss uplink, beta/W = 2 and beta/W = 0.2
+    LINKS = [(0.5, 1.0, 2.0), (2.0, 1.0, 2.0), (22.0, 1.0, 2.0), (0.5, 1.0, 0.5), (30.0, 1.0, 5.0)]
+
+    @pytest.mark.parametrize("sigma,beta,w", LINKS)
+    def test_antiderivatives_start_at_zero_and_never_fall(self, sigma, beta, w):
+        table = LinkRule(FadingChannel(sigma, beta, w)).antiderivatives
+        f = table(np.linspace(0.0, D_MAX_SIGMAS * sigma, 20_001))
+        assert (f[:, 0] == 0.0).all()
+        assert (np.diff(f, axis=1) >= 0.0).all()
+
+    @pytest.mark.parametrize("sigma,beta,w", LINKS)
+    def test_antiderivatives_end_on_the_table_moments(self, sigma, beta, w):
+        rule = LinkRule(FadingChannel(sigma, beta, w))
+        eta, weights = rule.table
+        # d is clipped to the rule's end
+        for d in (D_MAX_SIGMAS * sigma, 2.0 * D_MAX_SIGMAS * sigma, math.inf):
+            got = rule.antiderivatives(np.array([d]))[:, 0]
+            np.testing.assert_allclose(got, (weights.sum(), *rule.moments), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("sigma,beta,w", LINKS)
+    def test_weight_antiderivative_is_the_rayleigh_cdf(self, sigma, beta, w):
+        d = np.random.default_rng(7).uniform(0.0, 6.0 * sigma, 1000)
+        got = LinkRule(FadingChannel(sigma, beta, w)).antiderivatives(d)[0]
+        np.testing.assert_allclose(got, stats.rayleigh.cdf(d, scale=sigma), rtol=1e-14, atol=0)
+
+    def test_point_mass_antiderivatives_are_the_point(self):
+        ch = FadingChannel(0.0, 0.5, 1.0)
+        f = LinkRule(ch).antiderivatives(np.array([0.0, 0.3, math.inf]))
+        np.testing.assert_array_equal(f, np.array([[1.0], [ch.eta0], [math.sqrt(ch.eta0)]]) * np.ones(3))
+
+    def test_antiderivatives_are_built_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(fading, "panel_edges",
+                            lambda *args: calls.append(args) or panel_edges(*args))
+        rule = LinkRule(FadingChannel(0.7, 1.0, 1.0))
+        for d in (0.1, 0.5, 2.0):
+            assert rule.antiderivatives is rule.antiderivatives
+            rule.antiderivatives(np.array([d]))
         assert len(calls) == 1
 
 

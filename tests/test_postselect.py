@@ -6,7 +6,10 @@ the no-selection limits against the plain ensemble states.
 """
 
 import dataclasses
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +17,10 @@ from scipy import special
 
 from cvsat import postselect
 from cvsat.errors import DomainError, NumericalError
-from cvsat.fading import LinkGeometry, LinkRule, sample, transmittance_nodes
+from cvsat.cli import parse_scenario
+from cvsat.fading import FadingChannel, LinkGeometry, LinkRule, sample
 from cvsat.gaussian import Squeezing, apply_loss, log_negativity
-from cvsat.numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums
+from cvsat.numerics import DEFAULT_QUAD, QuadratureSpec
 from cvsat.postselect import (
     ClassicalPsConfig,
     QuantumPsConfig,
@@ -28,12 +32,19 @@ from cvsat.postselect import (
 )
 from cvsat.schemes import SchemeConfig, ensemble_cm
 
-from oracles import fading_cdf, mc_ratio, quantum_postselect_tensor, tap_moments_wigner
+from oracles import (
+    classical_selection_sums_tensor,
+    fading_cdf,
+    mc_ratio,
+    quantum_postselect_tensor,
+    tap_moments_wigner,
+)
 
 GEOM = LinkGeometry(sigma_b=1.0, k1=0.5, k2=0.64)
 # 30 dB mean uplink loss, 10 dB downlink, as in scenarios/postselect_highloss.scn
 HIGHLOSS = LinkGeometry(sigma_b=22.0, k1=1.0 / 11.0, k2=1.0)
 SQ = Squeezing(1.5)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def direct_cfg(r=1.5, geom=GEOM, beta=0.5, w=1.0, chi=0.0):
@@ -169,9 +180,10 @@ class TestClassicalPostselect:
 
         def counted(*args):
             calls.append(args)
-            return pair_sums(*args)
+            return selection_sums(*args)
 
-        monkeypatch.setattr(postselect, "pair_sums", counted)
+        selection_sums = postselect._selection_sums
+        monkeypatch.setattr(postselect, "_selection_sums", counted)
         r_grid = (1.5, 1.75, 2.0)
         cfg = dataclasses.replace(direct_cfg(geom=geom, beta=beta, w=w, chi=chi), quad=quad)
         up, down = links(cfg)
@@ -179,25 +191,70 @@ class TestClassicalPostselect:
                                    [ClassicalPsConfig(zeta_th) for zeta_th in thresholds], chi)
         for r, row in zip(r_grid, column):
             for zeta_th, res in zip(thresholds, row):
-                # the integrand (1, 1 + zeta (v - 1), sqrt(zeta)) summed per row
                 v = Squeezing(r).v
-                full = transmittance_nodes(down, quad)
-
-                def inner(eu, wu):
-                    eta, wd = (transmittance_nodes(down, quad, zeta_th / eu[:, None])
-                               if zeta_th > 0.0 else full)
-                    return eta, wu[:, None] * wd
-
-                p_s, num_b, num_c = pair_sums(
-                    transmittance_nodes(up, quad, zeta_th / down.eta0), inner, full[0].size,
-                    lambda eu, ed: (np.ones_like(eu * ed), 1.0 + eu * ed * (v - 1.0),
-                                    np.sqrt(eu * ed)))
-                c = num_c / p_s * math.sqrt(v * v - 1.0)
-                want = np.array([[v, 0, c, 0], [0, v, 0, -c],
-                                 [c, 0, num_b / p_s + chi, 0], [0, -c, 0, num_b / p_s + chi]])
+                # the 2D form: each uplink node with its own cut downlink table
+                p_s, s_zeta, s_root = classical_selection_sums_tensor(up, down, quad, zeta_th)
+                c = s_root / p_s * math.sqrt(v * v - 1.0)
+                b = 1.0 + (v - 1.0) * s_zeta / p_s + chi
+                want = np.array([[v, 0, c, 0], [0, v, 0, -c], [c, 0, b, 0], [0, -c, 0, b]])
                 assert res.p_success == pytest.approx(p_s, rel=1e-14, abs=0)
                 np.testing.assert_allclose(res.cm.m, want, rtol=1e-14, atol=0)
+        # one 1D sum per threshold, shared by every r
         assert len(calls) == len(thresholds)
+
+
+def perfbench_workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSelectionSums:
+    """The 1D sums against the 2D form, which pairs each uplink node with its own cut downlink table."""
+
+    @staticmethod
+    def assert_matches_tensor(up, down, quad, thresholds):
+        rules = LinkRule(up, quad), LinkRule(down, quad)
+        for zeta_th in thresholds:
+            np.testing.assert_allclose(postselect._selection_sums(*rules, zeta_th),
+                                       classical_selection_sums_tensor(up, down, quad, zeta_th),
+                                       rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("seed", [None, 0, 5], ids=["shipped", "perfbench-seed0", "perfbench-seed5"])
+    def test_scenario_links(self, monkeypatch, tmp_path, seed):
+        if seed is None:
+            paths = sorted((ROOT / "scenarios").glob("postselect_*.scn"))
+        else:
+            invocations = perfbench_workloads(monkeypatch).generate("postselect", seed, tmp_path)
+            paths = [inv.scenario for inv in invocations]
+        scenarios = [parse_scenario(path) for path in paths]
+        scenarios = [scn for scn in scenarios if isinstance(scn.postselect[0], ClassicalPsConfig)]
+        assert len(scenarios) == 2
+        for scn in scenarios:
+            for sigma_b in scn.sigma_b_grid:
+                up, down = direct_cfg(geom=LinkGeometry(sigma_b, scn.k1, scn.k2), beta=scn.beta,
+                                      w=scn.w).links()
+                self.assert_matches_tensor(up, down, scn.quad, [ps.zeta_th for ps in scn.postselect])
+
+    @pytest.mark.parametrize("sigma_up,sigma_down,beta_over_w", [
+        (0.0, 0.5, 0.5), (1.0, 0.0, 0.5), (0.0, 0.0, 0.5), (1.0, 0.32, 0.2), (1.0, 0.32, 2.0),
+    ], ids=["point-uplink", "point-downlink", "point-both", "beta-w-0.2", "beta-w-2"])
+    def test_point_masses_and_beta_over_w(self, sigma_up, sigma_down, beta_over_w):
+        up, down = (FadingChannel(sigma, 1.0, 1.0 / beta_over_w) for sigma in (sigma_up, sigma_down))
+        self.assert_matches_tensor(up, down, DEFAULT_QUAD, [
+            frac * up.eta0 * down.eta0 for frac in (0.0, 0.3, 0.6, 0.9, 0.99)])
+
+    def test_zero_threshold_is_the_product_of_the_link_moments(self):
+        # the high-loss uplink's deep-tail nodes underflow to eta = 0
+        up, down = (LinkRule(ch, QuadratureSpec(32, 4))
+                    for ch in links(direct_cfg(geom=HIGHLOSS, beta=1.0, w=2.0)))
+        (_, w_up), (_, w_down) = up.table, down.table
+        (m_up, root_up), (m_down, root_down) = up.moments, down.moments
+        assert postselect._selection_sums(up, down, 0.0) == (
+            float(w_up.sum() * w_down.sum()), m_up * m_down, root_up * root_down)
 
 
 class TestTapMomentsRealization:

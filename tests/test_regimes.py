@@ -16,16 +16,20 @@ from hypothesis import strategies as st
 
 from cvsat.effective import ordering_check, try_effective
 from cvsat.errors import CvsatError
-from cvsat.fading import LinkGeometry
+from cvsat.fading import LinkGeometry, LinkRule
 from cvsat.gaussian import OMEGA, TOL_PHYS, Squeezing, TwoModeCM, log_negativity
 from cvsat.numerics import QuadratureSpec
 from cvsat.postselect import (
+    P_SUCCESS_FLOOR,
     ClassicalPsConfig,
     QuantumPsConfig,
     classical_postselect,
+    _selection_sums,
     quantum_postselect,
 )
 from cvsat.schemes import KINDS, SchemeConfig, ensemble_cm
+
+from oracles import classical_selection_sums_tensor
 
 QUAD = QuadratureSpec(nodes_1d=16, subdivisions=2)
 BETA = 1.0
@@ -77,6 +81,24 @@ def test_classical_postselect(cfg, frac):
         ps = ClassicalPsConfig(frac * ch_up.eta0 * ch_down.eta0)
         return classical_postselect(cfg.squeezing, ch_up, ch_down, ps, QUAD, cfg.chi).cm
     physical_or_typed(build)
+
+
+@FUZZ
+@given(cfg=configs(("direct",)), frac=st.floats(0.0, 0.999))
+def test_classical_selection_sums_match_the_2d_form(cfg, frac):
+    # 32x4, where the 2D form's per-node cut tables are resolved: at 16x2 they
+    # miss the exact inner integral by up to 8e-11
+    quad = QuadratureSpec(nodes_1d=32, subdivisions=4)
+    up, down = cfg.links()
+    zeta_th = frac * up.eta0 * down.eta0
+    try:
+        want = classical_selection_sums_tensor(up, down, quad, zeta_th)
+    except CvsatError:
+        return
+    if want[0] < P_SUCCESS_FLOOR:
+        return
+    got = _selection_sums(LinkRule(up, quad), LinkRule(down, quad), zeta_th)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 @FUZZ
