@@ -41,15 +41,14 @@ import numpy as np
 from .errors import DomainError, NumericalError
 # transmittance_nodes is unused here; perfbench/replay.py wraps it by attribute lookup in this module.
 from .fading import (  # noqa: F401
-    D_MAX_SIGMAS,
     LinkGeometry,
     LinkRule,
     Links,
+    _uncut_span,
     deflection_of_eta,
     eta_of_deflection,
     expand_links,
     rayleigh_pdf,
-    scaled_subdivisions,
     transmittance_nodes,
 )
 from .gaussian import Squeezing, TwoModeCM, standard_form
@@ -185,8 +184,8 @@ def _swap_pole_sums(rules: tuple[LinkRule, LinkRule]) -> tuple[float, float, boo
     if ch_b.point_mass and np.any(np.abs(eta_a + ch_b.eta0 - 1.0) < 1e-9):
         raise NumericalError("point-mass node sits on the swapped-state boundary")
 
-    d_hi = D_MAX_SIGMAS * ch_b.sigma_b
-    t01, w01 = panel_nodes(0.0, 1.0, quad, subdivisions=scaled_subdivisions(ch_b, quad))
+    d_hi, subs = _uncut_span(ch_b, quad)
+    t01, w01 = panel_nodes(0.0, 1.0, quad, subdivisions=subs)
     eta_b_floor = float(eta_of_deflection(ch_b, d_hi))
     lam, l_s, sig = ch_b.lambda_shape, ch_b.l_scale, ch_b.sigma_b
 

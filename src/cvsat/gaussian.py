@@ -19,8 +19,6 @@ from .errors import DomainError, NumericalError
 # by more than this is rejected outright instead of being clamped; clamping
 # would mask integration bugs upstream.
 TOL_PHYS = 1e-9
-# Tolerance for internal algebraic consistency checks.
-TOL_NUM = 1e-12
 
 
 # Two-mode symplectic form: one [[0, 1], [-1, 0]] block per mode.
@@ -31,13 +29,19 @@ OMEGA = np.array([
     [0.0, 0.0, -1.0, 0.0],
 ])
 
+# Entries that pair a q with a p quadrature: (0, 1), (0, 3), (1, 2), (2, 3) and mirrors.
+_QP = np.add.outer(np.arange(4), np.arange(4)) % 2 == 1
+
 
 @dataclass(frozen=True)
 class TwoModeCM:
-    """4x4 covariance matrix of a two-mode Gaussian state.
+    """4x4 covariance matrix of a two-mode Gaussian state with q and p uncorrelated.
 
-    The constructor validates symmetry and physicality; every CM held by this
-    type satisfies the uncertainty principle to within TOL_PHYS.
+    Every CM this package builds keeps q and p apart, so the constructor
+    requires it: the q-p entries must vanish (they are stored as exact zeros),
+    and the matrix splits into a q block Q and a p block P.  It is physical
+    when Q is positive definite and its smaller symplectic eigenvalue is at
+    least 1 - TOL_PHYS.
     """
 
     m: np.ndarray
@@ -48,20 +52,46 @@ class TwoModeCM:
             raise DomainError(f"two-mode CM must be 4x4, got {m.shape}")
         if not np.all(np.isfinite(m)):
             raise NumericalError("covariance matrix contains non-finite entries")
-        scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.T).max() > 1e-9 * scale:
+        tol = 1e-9 * max(1.0, float(np.abs(m).max()))
+        if np.abs(m - m.T).max() > tol:
             raise DomainError("covariance matrix must be symmetric")
         m = 0.5 * (m + m.T)
+        if np.abs(m[_QP]).max() > tol:
+            raise DomainError("covariance matrix has q-p correlations; cvsat CMs keep q and p apart")
+        m[_QP] = 0.0
         m.flags.writeable = False
         object.__setattr__(self, "m", m)
-        # The uncertainty relation M + i*Omega >= 0 as a Hermitian eigenvalue
-        # problem.  A magnitude test on eig(i*Omega*M) alone would accept
-        # indefinite matrices whose "symplectic spectrum" looks fine.
-        gap = float(np.linalg.eigvalsh(m + 1j * OMEGA).min())
-        if gap < -TOL_PHYS:
+        (q00, _, q01, _), (_, p00, _, p01), (_, _, q11, _), (_, _, _, p11) = m.tolist()
+        # Positive variances and det Q > 0 make Q positive definite and P nonzero.
+        if not (min(q00, p00, p11) > 0.0 and q00 * q11 - q01 * q01 > 0.0):
+            raise DomainError("unphysical covariance matrix: a variance or det Q is not positive")
+        lo, _ = _squared_spectrum(q00, q01, q11, p00, p01, p11)
+        if not lo >= (1.0 - TOL_PHYS) ** 2:
             raise DomainError(
-                f"unphysical covariance matrix: min eig(M + i*Omega) = {gap:.12g} < 0"
+                f"unphysical covariance matrix: smallest squared symplectic eigenvalue {lo:.12g} < 1"
             )
+
+
+def _squared_spectrum(q00: float, q01: float, q11: float,
+                      p00: float, p01: float, p11: float) -> tuple[float, float]:
+    """Squared symplectic eigenvalues (lo, hi) of the CM with q block Q and p block P.
+
+    In the order (q1, q2, p1, p2), (Omega M)^2 = -diag(PQ, QP), so nu^2 runs
+    over the eigenvalues of QP, which are those of the symmetric R P R with
+    R = sqrt(Q) = (Q + sqrt(det Q) I) / sqrt(tr Q + 2 sqrt(det Q)).  Q must
+    be positive definite.  The discriminant is a hypot, so near-equal roots
+    keep their digits, and lo = det Q det P / hi, so near-pure states do.
+    """
+    det_q = q00 * q11 - q01 * q01
+    s = math.sqrt(det_q)
+    t = math.sqrt(q00 + q11 + 2.0 * s)
+    r00, r01, r11 = (q00 + s) / t, q01 / t, (q11 + s) / t
+    # Rows of R P, then R P R.
+    u0, u1 = r00 * p00 + r01 * p01, r00 * p01 + r01 * p11
+    w0, w1 = r01 * p00 + r11 * p01, r01 * p01 + r11 * p11
+    x, y, z = u0 * r00 + u1 * r01, u0 * r01 + u1 * r11, w0 * r01 + w1 * r11
+    hi = 0.5 * (x + z) + math.hypot(0.5 * (x - z), y)
+    return det_q * (p00 * p11 - p01 * p01) / hi, hi
 
 
 @dataclass(frozen=True)
@@ -91,11 +121,7 @@ def standard_form(cm: TwoModeCM) -> StandardFormCM:
     General symplectic standard-form reduction is out of scope.
     """
     m = cm.m
-    scale = max(1.0, float(np.abs(m).max()))
-    tol = 1e-9 * scale
-    off = np.array([m[0, 1], m[2, 3], m[0, 3], m[1, 2]])
-    if np.abs(off).max() > tol:
-        raise DomainError("CM has q-p correlations; not in standard form")
+    tol = 1e-9 * max(1.0, float(np.abs(m).max()))
     if abs(m[0, 0] - m[1, 1]) > tol or abs(m[2, 2] - m[3, 3]) > tol:
         raise DomainError("CM diagonal blocks are not proportional to the identity")
     return StandardFormCM(a=m[0, 0], b=m[2, 2], c_plus=m[0, 2], c_minus=m[1, 3])
@@ -123,51 +149,15 @@ def tmsv_cm(sq: Squeezing) -> TwoModeCM:
     return StandardFormCM(a=v, b=v, c_plus=c, c_minus=-c).to_cm()
 
 
-def _det2(b: np.ndarray) -> float:
-    return float(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
-
-
-_PT_SIGNS = np.diag([1.0, 1.0, 1.0, -1.0])
-
-
-def _spectrum_hermitian(m: np.ndarray) -> tuple[float, float]:
-    # nu_j are the positive eigenvalues of the Hermitian matrix
-    # i * sqrt(M) Omega sqrt(M); errors stay O(eps * ||M||) even when the
-    # two symplectic eigenvalues coincide.
-    w, q = np.linalg.eigh(m)
-    if w[0] < -TOL_PHYS * max(1.0, w[-1]):
-        raise NumericalError(f"covariance matrix is not positive: min eig {w[0]:.3e}")
-    mh = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.T
-    nus = np.linalg.eigvalsh(1j * (mh @ OMEGA @ mh))
-    return float(nus[2]), float(nus[3])
-
-
 def symplectic_spectrum_pt(cm: TwoModeCM) -> tuple[float, float]:
     """Symplectic spectrum (nu_minus, nu_plus) of the partially transposed CM.
 
-    Uses the local invariants det A, det B, det C, det M; the partial
-    transpose of the second mode flips the sign of det C.
+    Transposing the second mode flips the sign of p2, which negates the cross
+    term of the p block.
     """
-    m = cm.m
-    det_a = _det2(m[:2, :2])
-    det_b = _det2(m[2:, 2:])
-    det_c = _det2(m[:2, 2:])
-    det_m = float(np.linalg.det(m))
-    delta = det_a + det_b - 2.0 * det_c
-    scale = max(1.0, delta * delta)
-    disc = delta * delta - 4.0 * det_m
-    if disc < 1e-8 * scale:
-        # Nearly coincident roots: disc is a difference of close squares and
-        # carries O(eps * delta^2) noise, so sqrt(disc) loses half the digits.
-        return _spectrum_hermitian(_PT_SIGNS @ m @ _PT_SIGNS)
-    root = math.sqrt(disc)
-    hi = (delta + root) / 2.0
-    # delta - root cancels badly for near-pure states (nu_minus << nu_plus);
-    # the product of the roots is det M, so divide instead of subtracting.
-    lo = det_m / hi
-    if lo < -TOL_NUM * scale:
-        raise NumericalError(f"negative squared symplectic eigenvalue {lo:.3e}")
-    return math.sqrt(max(lo, 0.0)), math.sqrt(hi)
+    (q00, _, q01, _), (_, p00, _, p01), (_, _, q11, _), (_, _, _, p11) = cm.m.tolist()
+    lo, hi = _squared_spectrum(q00, q01, q11, p00, -p01, p11)
+    return math.sqrt(lo), math.sqrt(hi)
 
 
 def log_negativity(cm: TwoModeCM) -> float:

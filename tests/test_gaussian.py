@@ -1,11 +1,14 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvsat.cli import _column, parse_scenario
 from cvsat.errors import DomainError
+from cvsat.fading import LinkGeometry
 from cvsat.gaussian import (
     OMEGA,
     Squeezing,
@@ -19,7 +22,17 @@ from cvsat.gaussian import (
     symplectic_spectrum_pt,
     tmsv_cm,
 )
-from oracles import pt_spectrum_bruteforce, symplectic_eigenvalues
+from cvsat.numerics import QuadratureSpec
+from cvsat.postselect import QuantumPsConfig, postselect_column, quantum_postselect
+from cvsat.schemes import SchemeConfig, ensemble_column, swap_conditional
+from oracles import (
+    log_negativity_decimal,
+    pt_spectrum_bruteforce,
+    random_general_input,
+    symplectic_eigenvalues,
+)
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def vacuum_cm() -> TwoModeCM:
@@ -62,6 +75,22 @@ class TestTwoModeCM:
         with pytest.raises(DomainError):
             TwoModeCM(m)
 
+    @pytest.mark.parametrize("delta, accepted", [(5e-10, True), (2e-9, False)])
+    def test_uncertainty_bound_slack_is_tol_phys(self, delta, accepted):
+        # (1 - delta) I has nu = 1 - delta: inside the 1e-9 slack, or outside it
+        if accepted:
+            TwoModeCM((1.0 - delta) * np.eye(4))
+        else:
+            with pytest.raises(DomainError, match="unphysical"):
+                TwoModeCM((1.0 - delta) * np.eye(4))
+
+    def test_qp_entries_within_tolerance_are_stored_as_zeros(self):
+        m = np.eye(4) * 2.0
+        m[1, 2] = m[2, 1] = 1e-12
+        m[0, 3] = m[3, 0] = -1e-12
+        cm = TwoModeCM(m)
+        assert cm.m[1, 2] == cm.m[2, 1] == cm.m[0, 3] == cm.m[3, 0] == 0.0
+
     def test_matrix_is_read_only(self):
         cm = vacuum_cm()
         with pytest.raises(ValueError):
@@ -76,10 +105,11 @@ class TestStandardForm:
         assert got == pytest.approx((sf.a, sf.b, sf.c_plus, sf.c_minus))
 
     def test_rejects_qp_correlations(self):
+        # standard_form needs no q-p check of its own: TwoModeCM refuses them
         m = np.eye(4) * 2.0
         m[0, 1] = m[1, 0] = 0.3
-        with pytest.raises(DomainError):
-            standard_form(TwoModeCM(m))
+        with pytest.raises(DomainError, match="q-p correlations"):
+            TwoModeCM(m)
 
     def test_record_is_checked_at_to_cm(self):
         # the record holds any four numbers; building the CM is the physicality check
@@ -109,12 +139,23 @@ class TestSymplectic:
 
     def test_pt_spectrum_matches_bruteforce_on_random_states(self):
         rng = np.random.default_rng(42)
-        for _ in range(50):
-            sq = Squeezing(rng.uniform(0.05, 2.0))
-            cm = add_excess_noise(
-                apply_loss(tmsv_cm(sq), rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)),
-                rng.uniform(0.0, 0.4), rng.uniform(0.0, 0.4),
-            )
+        cms = [add_excess_noise(
+            apply_loss(tmsv_cm(Squeezing(rng.uniform(0.05, 2.0))),
+                       rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0)),
+            rng.uniform(0.0, 0.4), rng.uniform(0.0, 0.4),
+        ) for _ in range(50)]
+        cms += [swap_conditional(random_general_input(rng)) for _ in range(20)]
+        # quantum distilled CMs: q and p blocks differ (a_q != a_p)
+        quad = QuadratureSpec(16, 2)
+        for r, q_th in ((0.3, 0.0), (1.0, 1.5), (2.0, 3.0)):
+            cfg = SchemeConfig(kind="direct", squeezing=Squeezing(r),
+                               geometry=LinkGeometry(sigma_b=1.0, k1=0.5, k2=0.64),
+                               beta=0.5, w=1.0, quad=quad)
+            cms.append(quantum_postselect(cfg.squeezing, *cfg.links(), QuantumPsConfig(0.93, q_th),
+                                          quad).cm)
+        # coincident roots, and a near-pure state
+        cms += [vacuum_cm(), StandardFormCM(2.5, 2.5, 0.0, 0.0).to_cm(), tmsv_cm(Squeezing(3.0))]
+        for cm in cms:
             lo, hi = symplectic_spectrum_pt(cm)
             lo_ref, hi_ref = pt_spectrum_bruteforce(cm)
             assert lo == pytest.approx(lo_ref, abs=1e-10)
@@ -135,6 +176,41 @@ class TestLogNegativity:
     def test_clamped_at_zero_for_separable(self):
         cm = apply_loss(tmsv_cm(Squeezing(0.4)), 0.0, 1.0)
         assert log_negativity(cm) == 0.0
+
+
+class TestLogNegativityDigits:
+    """log_negativity against the 60-digit decimal E_LN of the very same float CMs."""
+
+    @pytest.mark.parametrize("name", ["lowloss_bw0.4", "lowloss_bw0.5", "lowloss_bw1.0"])
+    def test_every_entangled_survey_row(self, name):
+        scenario = parse_scenario(SCENARIOS / f"{name}.scn")
+        refs = []
+        for kind in scenario.schemes:
+            for sigma_b in scenario.sigma_b_grid:
+                cfgs, rules, _ = _column(scenario, kind, sigma_b)
+                for cm in ensemble_column(kind, rules, [cfg.squeezing for cfg in cfgs], scenario.chi):
+                    ref = log_negativity_decimal(cm)
+                    if ref > 0.0:
+                        assert log_negativity(cm) == pytest.approx(ref, rel=1e-12, abs=0)
+                        refs.append(ref)
+        # weakly entangled swap rows (E_LN below 0.01, nu_minus near 1) are included
+        assert len(refs) > 400 and min(refs) < 1e-2
+
+    @pytest.mark.parametrize("name", ["postselect_highloss", "postselect_midloss_classical",
+                                      "postselect_midloss_quantum"])
+    def test_every_distilled_cm(self, name):
+        scenario = parse_scenario(SCENARIOS / f"{name}.scn")
+        checked = 0
+        for sigma_b in scenario.sigma_b_grid:
+            cfgs, rules, _ = _column(scenario, "direct", sigma_b)
+            for row in postselect_column([cfg.squeezing for cfg in cfgs], *rules,
+                                         scenario.postselect, scenario.chi):
+                for res in row:
+                    ref = log_negativity_decimal(res.cm)
+                    if ref > 0.0:
+                        assert res.e_ln == pytest.approx(ref, rel=1e-13, abs=0)
+                        checked += 1
+        assert checked >= 10
 
 
 class TestApplyLoss:
