@@ -52,7 +52,7 @@ from .fading import (  # noqa: F401
     transmittance_nodes,
 )
 from .gaussian import Squeezing, TwoModeCM, standard_form
-from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums, panel_nodes, tensor_rule
+from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums, panel_nodes
 from .schemes import KINDS, SchemeConfig, path_moments, scheme_links
 
 
@@ -70,7 +70,7 @@ def to_effective(cm: TwoModeCM) -> EffectiveParams:
 
     Defined only for the a*I / b*I / diag(c, -c) family and only when the CM
     is entangled; apply_loss(tmsv_cm(r_e), eta_a, eta_b) reconstructs the
-    input.
+    input wherever r_e is at most gaussian.MAX_SQUEEZING.
     """
     sf = standard_form(cm)
     scale = max(1.0, abs(sf.c_plus))
@@ -157,7 +157,7 @@ def _swap_eta_integrals(rules: tuple[LinkRule, LinkRule], vs) -> tuple[float, li
                 yield num
             yield np.divide(1.0 / u, np.add(s, k, out=num), out=num)
 
-    sums = pair_sums((ea, columns(ea, wa)), tensor_rule(eb, columns(eb, wb)), eb.size, integrand)
+    sums = pair_sums((ea, columns(ea, wa)), (eb, columns(eb, wb)), integrand)
     n_a, n_b = ea.size, eb.size
     separable_mass = (sums[0][0, 0] + w_a[n_a:] @ ((eta_a[n_a:, None] + eta_b) < 1.0) @ w_b
                       + wa @ ((ea[:, None] + eta_b[n_b:]) < 1.0) @ w_b[n_b:])
@@ -185,7 +185,7 @@ def _swap_pole_sums(rules: tuple[LinkRule, LinkRule]) -> tuple[float, float, boo
         raise NumericalError("point-mass node sits on the swapped-state boundary")
 
     d_hi, subs = _uncut_span(ch_b, quad)
-    t01, w01 = panel_nodes(0.0, 1.0, quad, subdivisions=subs)
+    unit = panel_nodes(0.0, 1.0, quad, subdivisions=subs)
     eta_b_floor = float(eta_of_deflection(ch_b, d_hi))
     lam, l_s, sig = ch_b.lambda_shape, ch_b.l_scale, ch_b.sigma_b
 
@@ -197,30 +197,31 @@ def _swap_pole_sums(rules: tuple[LinkRule, LinkRule]) -> tuple[float, float, boo
         slope = -(1.0 - e) * 0.5 * lam * d0 ** (lam - 1.0) / l_s**lam
         return rayleigh_pdf(d0, sig) * e * eta_of_deflection(ch_b, d0) / slope
 
-    def split_at_pole(e, w):
-        d0 = crossing(e)[:, None]
-        width = d_hi - d0
-        d = np.concatenate((d0 * t01, d0 + width * t01), axis=1)
-        return d, w[:, None] * np.concatenate((d0 * w01, width * w01), axis=1)
-
-    def subtracted(e, d):
+    def subtracted(e, t):
+        # The unit variable t in [0, 1] maps to d = d0 t below the crossing
+        # and to d = d0 + (d_hi - d0) t above it; the outer weight columns
+        # carry the two Jacobians.
         d0 = crossing(e)
-        eb = eta_of_deflection(ch_b, d)
-        density = rayleigh_pdf(d, sig)
-        yield density
-        yield density * e * eb / (e + eb - 1.0) - residue(e, d0) / (d - d0)
+        res = residue(e, d0)
+        for d in (d0 * t, d0 + (d_hi - d0) * t):
+            eb = eta_of_deflection(ch_b, d)
+            density = rayleigh_pdf(d, sig)
+            yield density
+            yield density * e * eb / (e + eb - 1.0) - res / (d - d0)
 
     pole = (eta_a > 1.0 - ch_b.eta0) & (eta_a < 1.0 - eta_b_floor)
     # Each sum is empty, hence 0, when no row falls on its side of the split.
     mass = float(w_a[~pole].sum()) * float(w_b.sum())
-    pv_sum = sum(pair_sums((eta_a[~pole], w_a[~pole]), tensor_rule(eta_b, w_b), eta_b.size,
+    pv_sum = sum(pair_sums((eta_a[~pole], w_a[~pole]), (eta_b, w_b),
                            lambda e, eb: (e * eb / (e + eb - 1.0),)))
     if np.any(pole):
         e, w = eta_a[pole], w_a[pole]
-        split_mass, split_pv = pair_sums((e, w), split_at_pole, 2 * t01.size, subtracted)
         d0 = crossing(e)
-        mass += split_mass
-        pv_sum += split_pv + float(w @ (residue(e, d0) * np.log((d_hi - d0) / d0)))
+        below_mass, below_pv, above_mass, above_pv = pair_sums(
+            (e, np.stack((w * d0, w * (d_hi - d0)), axis=1)), unit, subtracted)
+        mass += float(below_mass[0] + above_mass[1])
+        pv_sum += (float(below_pv[0] + above_pv[1])
+                   + float(w @ (residue(e, d0) * np.log((d_hi - d0) / d0))))
     return mass, pv_sum, bool(np.any(pole))
 
 

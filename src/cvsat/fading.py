@@ -212,30 +212,28 @@ def _uncut_span(ch: FadingChannel, quad: QuadratureSpec) -> tuple[float, int]:
 
 
 def transmittance_nodes(
-    ch: FadingChannel, quad: QuadratureSpec = DEFAULT_QUAD, eta_min=0.0
+    ch: FadingChannel, quad: QuadratureSpec = DEFAULT_QUAD, eta_min: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes (eta_i, w_i) such that sum(w_i * g(eta_i)) = E[g(eta) * 1{eta > eta_min}].
 
-    The rule lives in the deflection domain and ends on the cut eta_min (a
-    scalar, or a column for a table with one row per cut), so no panel
-    straddles it.  Weights include the Rayleigh density; a rule whose weights
-    miss its mass up to the end (1 but for a negligible tail when uncut) by
-    more than _WEIGHT_SUM_TOL is too coarse and raises NumericalError.  A
-    point-mass channel yields the single node eta0, weighted 1 where it
-    clears the cut.
+    The rule lives in the deflection domain and ends on the cut eta_min, so
+    no panel straddles it.  Weights include the Rayleigh density; a rule
+    whose weights miss its mass up to the end (1 but for a negligible tail
+    when uncut) by more than _WEIGHT_SUM_TOL is too coarse and raises
+    NumericalError.  A point-mass channel yields the single node eta0,
+    weighted 1 where it clears the cut.
     """
-    cut = np.asarray(eta_min, dtype=float)
     if ch.point_mass:
-        return np.array([ch.eta0]), np.atleast_1d(1.0 * (ch.eta0 > cut))
+        return np.array([ch.eta0]), np.array([1.0 if ch.eta0 > eta_min else 0.0])
     d_hi, subs = _uncut_span(ch, quad)
-    if (cut > 0.0).any():
-        # Cuts at or above eta0 end the rule at d = 0; cuts at or below 0 leave it uncut.
-        d_cut = deflection_of_eta(ch, np.clip(cut, np.finfo(float).tiny, ch.eta0))
-        d_hi = np.minimum(d_hi, np.where(cut > 0.0, d_cut, np.inf))
+    if eta_min > 0.0:
+        # A cut at or above eta0 ends the rule at d = 0; one at or below 0 leaves it uncut.
+        cut = min(max(eta_min, np.finfo(float).tiny), ch.eta0)
+        d_hi = min(d_hi, float(deflection_of_eta(ch, cut)))
     d, wd = panel_nodes(0.0, d_hi, quad, subdivisions=subs)
     w = wd * rayleigh_pdf(d, ch.sigma_b)
-    # Weight sum minus the Rayleigh mass below d_hi, row by row.
-    excess = np.abs(w.sum(axis=-1, keepdims=True) + np.expm1(-0.5 * (d_hi / ch.sigma_b) ** 2)).max()
+    # Weight sum minus the Rayleigh mass below d_hi.
+    excess = abs(w.sum() + math.expm1(-0.5 * (d_hi / ch.sigma_b) ** 2))
     if excess > _WEIGHT_SUM_TOL:
         raise NumericalError(
             f"under-resolved quadrature at sigma_b={ch.sigma_b:g}: the {quad.nodes_1d}-node x "

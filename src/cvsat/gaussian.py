@@ -19,6 +19,12 @@ from .errors import DomainError, NumericalError
 # by more than this is rejected outright instead of being clamped; clamping
 # would mask integration bugs upstream.
 TOL_PHYS = 1e-9
+# Largest squeezing a Squeezing holds.  The rounding of det Q and nu_+^2 grows
+# like cosh(2r)^2 and reaches TOL_PHYS from r = 4.19 on, where TwoModeCM's
+# physicality verdict on a pure TMSV is noise.  It is not the CLI's source
+# bound of 3: the effective squeezing of an ensemble CM exceeds its source's
+# (3.12 from r = 2 in the low-loss survey family), and rebuilding it needs a Squeezing.
+MAX_SQUEEZING = 4.0
 
 
 # Two-mode symplectic form: one [[0, 1], [-1, 0]] block per mode.
@@ -129,13 +135,13 @@ def standard_form(cm: TwoModeCM) -> StandardFormCM:
 
 @dataclass(frozen=True)
 class Squeezing:
-    """Two-mode squeezing strength r >= 0; v = cosh(2r) is the quadrature variance."""
+    """Two-mode squeezing strength 0 <= r <= MAX_SQUEEZING; v = cosh(2r) is the quadrature variance."""
 
     r: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.r) or self.r < 0.0:
-            raise DomainError(f"squeezing parameter must be finite and >= 0, got {self.r}")
+        if not 0.0 <= self.r <= MAX_SQUEEZING:
+            raise DomainError(f"squeezing parameter must lie in [0, {MAX_SQUEEZING:g}], got {self.r}")
 
     @property
     def v(self) -> float:

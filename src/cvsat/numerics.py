@@ -58,32 +58,25 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def panel_edges(lo: float, hi, subdivisions: int) -> np.ndarray:
-    """Edges of `subdivisions` equal panels on [lo, hi], one row per end of a column hi."""
-    hi = np.asarray(hi, dtype=float)
-    # np.linspace(lo, hi, subdivisions + 1) written out, so a column of ends gives C-contiguous rows.
-    edges = np.arange(subdivisions + 1) * ((hi - lo) / subdivisions) + lo
-    edges[..., -1:] = hi
-    return edges
+def panel_edges(lo: float, hi: float, subdivisions: int) -> np.ndarray:
+    """Edges of `subdivisions` equal panels on [lo, hi]."""
+    return np.linspace(lo, hi, subdivisions + 1)
 
 
 def panel_nodes(
     lo: float,
-    hi,
+    hi: float,
     spec: QuadratureSpec = DEFAULT_QUAD,
     subdivisions: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite Gauss-Legendre rule on [lo, hi], one row per end of a column hi."""
-    hi = np.asarray(hi, dtype=float)
-    if not (lo <= hi).all():
+    """Nodes and weights of the composite Gauss-Legendre rule on [lo, hi]."""
+    if not lo <= hi:
         raise DomainError(f"integration bounds must satisfy lo <= hi, got [{lo}, {hi}]")
     xg, wg = _leggauss(spec.nodes_1d)
     edges = panel_edges(lo, hi, spec.subdivisions if subdivisions is None else subdivisions)
     half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])
-    x = (mid[..., None] + half[..., None] * xg).reshape(*mid.shape[:-1], -1)
-    w = (half[..., None] * wg).reshape(*mid.shape[:-1], -1)
-    return x, w
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    return (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
 
 
 # Elements per block of a channel-pair sum.  Each output array of a block
@@ -101,42 +94,35 @@ _BLOCK_ELEMENTS = 1 << 14
 np.empty(16 * _BLOCK_ELEMENTS)
 
 
-def pair_sums(outer, inner, width: int, integrand) -> list:
+def pair_sums(outer, inner, integrand) -> list:
     """Weighted sums over a channel pair, one per output of the integrand.
 
-    outer = (x, w) is the outer node table.  inner(x, w) takes a block of
-    outer rows and returns the inner nodes y, broadcastable to (rows, width),
-    and either the joint weights of that shape, for an inner rule that
-    differs from row to row, or the pair (outer weights, inner weights) of a
-    tensor_rule.  integrand(x[:, None], y) yields its output arrays one at a
-    time, so shared subexpressions are computed once per block.  Each output
-    is reduced before the next one is requested, so the integrand may reuse
-    one buffer for several outputs.  Rows are processed in blocks of about
-    _BLOCK_ELEMENTS points.
+    outer = (x, w) and inner = (y, wy) are node tables; every outer node
+    pairs with every inner one.  integrand(x[:, None], y[None, :]) yields its
+    output arrays one at a time, so shared subexpressions are computed once
+    per block of outer rows, and each output is reduced, by the matrix
+    products w_block^T @ (vals @ wy), before the next one is requested, so
+    the integrand may reuse one buffer for several outputs.  Rows are
+    processed in blocks of about _BLOCK_ELEMENTS points.
 
-    Each sum is a float, or for a tensor rule with weight columns, outer w of
-    shape (n, m) and inner wy of shape (width, k), the (m, k) matrix of sums
-    of the output times every column pair.
+    Each sum is a float, or for weight columns, w of shape (n, m) and wy of
+    shape (k,) or (k, l), the array of sums of the output times every column
+    pair.  A rule that differs from row to row is a weight-column rule in a
+    unit variable: the integrand maps it to each row's own interval and the
+    outer columns carry each row's Jacobian.
     """
     x, w = outer
+    y, wy = inner
     totals: list = []
-    step = max(1, _BLOCK_ELEMENTS // width)
+    step = max(1, _BLOCK_ELEMENTS // y.size)
     for start in range(0, x.size, step):
         xb = x[start:start + step]
-        y, wgt = inner(xb, w[start:start + step])
-        outputs = integrand(xb[:, None], y)
-        # A tensor rule reduces each output by matrix products, forming no joint weight.
-        parts = ([wgt[0].T @ (vals @ wgt[1]) for vals in outputs] if isinstance(wgt, tuple)
-                 else [(wgt * vals).sum() for vals in outputs])
+        outputs = integrand(xb[:, None], y[None, :])
+        parts = [w[start:start + step].T @ (vals @ wy) for vals in outputs]
         totals = [t + p for t, p in zip(totals, parts)] if totals else parts
     if not all(np.isfinite(t).all() for t in totals):
         raise NumericalError("channel-pair integrand returned non-finite values")
     return [t if np.ndim(t) else float(t) for t in totals]
-
-
-def tensor_rule(y: np.ndarray, wy: np.ndarray):
-    """Inner rule for pair_sums that pairs every outer row with the same table (y, wy)."""
-    return lambda x, w: (y[None, :], (w, wy))
 
 
 def mc_expectation(sampler, g, spec: McSpec) -> tuple[float, float]:

@@ -25,7 +25,7 @@ from .errors import DomainError, NumericalError
 from .fading import (FadingChannel, LinkGeometry, LinkRule, Links, expand_links,  # noqa: F401
                      transmittance_nodes)
 from .gaussian import Squeezing, StandardFormCM, TwoModeCM
-from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums, tensor_rule
+from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums
 
 KINDS = ("direct", "satellite", "swap")
 
@@ -225,8 +225,7 @@ def _swap_ensemble(rules: tuple[LinkRule, LinkRule], squeezings, chi: float) -> 
         for v in vs:
             yield (v * v - 1.0) / (2.0 + s * (v - 1.0) + chi2)
 
-    sums = pair_sums((eta_a, columns(eta_a, w_a)), tensor_rule(eta_b, columns(eta_b, w_b)),
-                     eta_b.size, integrand)
+    sums = pair_sums((eta_a, columns(eta_a, w_a)), (eta_b, columns(eta_b, w_b)), integrand)
     mass_a, mass_b = (rule.table[1].sum() for rule in rules)
     cms = []
     for v, s in zip(vs, sums):

@@ -17,9 +17,18 @@ import numpy as np
 from scipy import special
 
 from cvsat import postselect
-from cvsat.fading import FadingChannel, transmittance_nodes
+from cvsat.errors import NumericalError
+from cvsat.fading import (
+    D_MAX_SIGMAS,
+    FadingChannel,
+    deflection_of_eta,
+    eta_of_deflection,
+    rayleigh_pdf,
+    scaled_subdivisions,
+    transmittance_nodes,
+)
 from cvsat.gaussian import Squeezing, TwoModeCM, add_excess_noise, apply_loss, tmsv_cm
-from cvsat.numerics import QuadratureSpec, pair_sums
+from cvsat.numerics import QuadratureSpec, panel_nodes
 from cvsat.postselect import _tap_moments
 from cvsat.schemes import GeneralBipartiteInput
 
@@ -284,20 +293,36 @@ def classical_selection_sums_tensor(ch_up: FadingChannel, ch_down: FadingChannel
     """(P_s, sum w zeta, sum w sqrt(zeta)) of classical post-selection as a sum over node pairs.
 
     The uplink's table ends on zeta_th / eta0', and each of its nodes eta
-    pairs with a downlink table of its own that ends on zeta_th / eta, so
-    every node pair lies in the kept region zeta = eta eta' > zeta_th.
+    pairs with a downlink rule of its own that ends on d_c, the deflection of
+    zeta_th / eta, so every node pair lies in the kept region zeta = eta eta'
+    > zeta_th.  That rule is the downlink's panel rule on [0, 1] scaled onto
+    [0, d_c].  A row whose weights miss the Rayleigh mass below d_c by more
+    than 1e-9 is under-resolved and raises NumericalError, as a cut table of
+    transmittance_nodes does.
     """
-    def inner(eu, wu):
-        eta, w = transmittance_nodes(ch_down, quad, zeta_th / eu[:, None] if zeta_th > 0.0 else 0.0)
-        return eta, wu[:, None] * w
-
-    def integrand(eu, ed):
-        zeta = eu * ed
-        return np.ones_like(zeta), zeta, np.sqrt(zeta)
-
-    outer = transmittance_nodes(ch_up, quad, zeta_th / ch_down.eta0)
-    width = transmittance_nodes(ch_down, quad)[0].size
-    return tuple(pair_sums(outer, inner, width, integrand))
+    eta, w = transmittance_nodes(ch_up, quad, zeta_th / ch_down.eta0)
+    eta0, sigma = ch_down.eta0, ch_down.sigma_b
+    cut = zeta_th / eta if zeta_th > 0.0 else np.zeros_like(eta)
+    if ch_down.point_mass:
+        kept = w * (eta0 > cut)
+        zeta = eta * eta0
+        return float(kept.sum()), float(kept @ zeta), float(kept @ np.sqrt(zeta))
+    t, wt = panel_nodes(0.0, 1.0, quad, subdivisions=scaled_subdivisions(ch_down, quad))
+    d_c = np.full(eta.size, D_MAX_SIGMAS * sigma)
+    if zeta_th > 0.0:
+        d_c = np.minimum(d_c, deflection_of_eta(ch_down, np.clip(cut, np.finfo(float).tiny, eta0)))
+    sums = np.zeros(3)
+    # blocks of about 2**20 node pairs
+    for rows in np.array_split(np.arange(eta.size), 1 + eta.size * t.size // (1 << 20)):
+        d = d_c[rows, None] * t
+        w_d = d_c[rows, None] * wt * rayleigh_pdf(d, sigma)
+        miss = np.abs(w_d.sum(axis=1) + np.expm1(-0.5 * (d_c[rows] / sigma) ** 2)).max()
+        if miss > 1e-9:
+            raise NumericalError(f"under-resolved cut downlink rule: weights miss by {miss:.2e}")
+        zeta = eta[rows, None] * eta_of_deflection(ch_down, d)
+        sums += w[rows] @ np.stack([w_d.sum(axis=1), (w_d * zeta).sum(axis=1),
+                                    (w_d * np.sqrt(zeta)).sum(axis=1)], axis=1)
+    return tuple(sums.tolist())
 
 
 def quantum_postselect_tensor(v: float, ch_up: FadingChannel, ch_down: FadingChannel,

@@ -6,11 +6,13 @@ and the principal-value fading average against scipy's Cauchy-weight rule.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from cvsat.cli import _column, parse_scenario
 from cvsat.effective import (
     EffectiveParams,
     _swap_eta_integrals,
@@ -35,12 +37,13 @@ from cvsat.fading import (
     transmittance_nodes,
 )
 from cvsat.gaussian import Squeezing, StandardFormCM, apply_loss, log_negativity, tmsv_cm
-from cvsat.numerics import QuadratureSpec, pair_sums, panel_nodes, tensor_rule
+from cvsat.numerics import QuadratureSpec, panel_nodes
 from cvsat.schemes import KINDS, SchemeConfig, swap_realization
 
 from oracles import cosh_swapped, dense_channel_average, swap_eta_integrals_tensor
 
 GEOM = LinkGeometry(sigma_b=0.7, k1=0.5, k2=0.64)
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def config(kind, r=1.0, geom=GEOM, beta=1.0, w=1.0):
@@ -55,55 +58,82 @@ def cosh_average(ch_a, ch_b, v, quad):
     return -mass + (v + 1.0) * pv_sum - (v * v - 1.0) * kernel, pv_used
 
 
+def split_at_crossing(ch_b, quad, e, w):
+    """Pole rows' B-side rules, each split at its crossing d0 with the halves side by side.
+
+    e and w are columns of A-side nodes and weights.  Returns (d0, d, joint):
+    row i holds the B-side panel rule on [0, d0_i] and then the one on
+    [d0_i, 12 sigma_b], as deflections d and joint weights w_i times the
+    deflection weights.
+    """
+    d_hi = D_MAX_SIGMAS * ch_b.sigma_b
+    t01, w01 = panel_nodes(0.0, 1.0, quad, subdivisions=scaled_subdivisions(ch_b, quad))
+    d0 = np.asarray(deflection_of_eta(ch_b, 1.0 - e), dtype=float)
+    d = np.concatenate((d0 * t01, d0 + (d_hi - d0) * t01), axis=1)
+    return d0, d, w * np.concatenate((d0 * w01, (d_hi - d0) * w01), axis=1)
+
+
+def pole_rows(eta_a, ch_b):
+    """The A-side nodes whose B-side deflection integral crosses s = 1."""
+    eta_b_floor = float(eta_of_deflection(ch_b, D_MAX_SIGMAS * ch_b.sigma_b))
+    return (eta_a > 1.0 - ch_b.eta0) & (eta_a < 1.0 - eta_b_floor)
+
+
+def residue_slope(ch_b, e, d0):
+    """Slope of s(d) = e + eta_b(d) - 1 at the crossing d0."""
+    lam, l_s = ch_b.lambda_shape, ch_b.l_scale
+    return -(1.0 - e) * 0.5 * lam * d0 ** (lam - 1.0) / l_s**lam
+
+
+def concatenated_pole_sums(ch_a, ch_b, quad):
+    """(M, P, pv_used) of _swap_pole_sums, each pole row's split summed with joint weights.
+
+    M is the weight mass and P the average of eta eta' / (s - 1): rows clear
+    of the pole sum over the whole B-side table, pole rows over their split
+    rule with the pole subtracted, plus its log term.
+    """
+    eta_a, w_a = transmittance_nodes(ch_a, quad)
+    eta_b, w_b = transmittance_nodes(ch_b, quad)
+    pole = pole_rows(eta_a, ch_b)
+    e, w = eta_a[~pole, None], w_a[~pole, None]
+    mass = float(w.sum()) * float(w_b.sum())
+    pv = float((w * w_b * (e * eta_b / (e + eta_b - 1.0))).sum())
+    if np.any(pole):
+        e, w = eta_a[pole, None], w_a[pole, None]
+        d0, d, joint = split_at_crossing(ch_b, quad, e, w)
+        eb, density = eta_of_deflection(ch_b, d), rayleigh_pdf(d, ch_b.sigma_b)
+        res = rayleigh_pdf(d0, ch_b.sigma_b) * e * eta_of_deflection(ch_b, d0) / residue_slope(ch_b, e, d0)
+        mass += float((joint * density).sum())
+        pv += float((joint * (density * e * eb / (e + eb - 1.0) - res / (d - d0))).sum())
+        pv += float((w * res * np.log((D_MAX_SIGMAS * ch_b.sigma_b - d0) / d0)).sum())
+    return mass, pv, bool(np.any(pole))
+
+
 def per_node_cosh_average(ch_a, ch_b, v, quad):
     """The undecomposed average: cosh(2 r'') summed node by node, v inside the pole split.
 
     Rows clear of the pole sum num / ((s - 1)(s (v - 1) + 2)) over the B-side
     table; pole rows split the B-side deflection rule at the crossing,
-    subtract the v-dependent residue there and add back its log term.
+    subtract the v-dependent residue there and add back its log term.  Each
+    part is summed with joint weights.
     """
-    def cosh_swapped_num_den(e, ep):
-        num = (e * e + ep * ep) * (1.0 - v) + e * ep * (v * v + 3.0) \
-            + (e + ep) * (v - 3.0) + 2.0
-        return num / ((e + ep - 1.0) * ((e + ep) * (v - 1.0) + 2.0))
+    def smooth_part(e, eb):
+        return ((e * e + eb * eb) * (1.0 - v) + e * eb * (v * v + 3.0)
+                + (e + eb) * (v - 3.0) + 2.0) / ((e + eb) * (v - 1.0) + 2.0)
 
     eta_a, w_a = transmittance_nodes(ch_a, quad)
     eta_b, w_b = transmittance_nodes(ch_b, quad)
-    d_hi = D_MAX_SIGMAS * ch_b.sigma_b
-    t01, w01 = panel_nodes(0.0, 1.0, quad, subdivisions=scaled_subdivisions(ch_b, quad))
-    lam, l_s, sig = ch_b.lambda_shape, ch_b.l_scale, ch_b.sigma_b
-
-    def smooth_part(e, d, eb):
-        num = (e * e + eb ** 2) * (1.0 - v) + e * eb * (v * v + 3.0) \
-            + (e + eb) * (v - 3.0) + 2.0
-        return rayleigh_pdf(d, sig) * num / ((e + eb) * (v - 1.0) + 2.0)
-
-    def crossing(e):
-        return np.asarray(deflection_of_eta(ch_b, 1.0 - e), dtype=float)
-
-    def residue(e, d0):
-        slope = -(1.0 - e) * 0.5 * lam * d0 ** (lam - 1.0) / l_s**lam
-        return smooth_part(e, d0, eta_of_deflection(ch_b, d0)) / slope
-
-    def split_at_pole(e, w):
-        d0 = crossing(e)[:, None]
-        width = d_hi - d0
-        d = np.concatenate((d0 * t01, d0 + width * t01), axis=1)
-        return d, w[:, None] * np.concatenate((d0 * w01, width * w01), axis=1)
-
-    def subtracted(e, d):
-        d0 = crossing(e)
-        eb = eta_of_deflection(ch_b, d)
-        yield smooth_part(e, d, eb) / (e + eb - 1.0) - residue(e, d0) / (d - d0)
-
-    pole = (eta_a > 1.0 - ch_b.eta0) & (eta_a < 1.0 - float(eta_of_deflection(ch_b, d_hi)))
-    total = sum(pair_sums((eta_a[~pole], w_a[~pole]), tensor_rule(eta_b, w_b), eta_b.size,
-                          lambda e, eb: (cosh_swapped_num_den(e, eb),)))
+    pole = pole_rows(eta_a, ch_b)
+    e, w = eta_a[~pole, None], w_a[~pole, None]
+    total = float((w * w_b * (smooth_part(e, eta_b) / (e + eta_b - 1.0))).sum())
     if np.any(pole):
-        e, w = eta_a[pole], w_a[pole]
-        total += sum(pair_sums((e, w), split_at_pole, 2 * t01.size, subtracted))
-        d0 = crossing(e)
-        total += float(w @ (residue(e, d0) * np.log((d_hi - d0) / d0)))
+        e, w = eta_a[pole, None], w_a[pole, None]
+        d0, d, joint = split_at_crossing(ch_b, quad, e, w)
+        eb, sig = eta_of_deflection(ch_b, d), ch_b.sigma_b
+        res = rayleigh_pdf(d0, sig) * smooth_part(e, eta_of_deflection(ch_b, d0)) / residue_slope(ch_b, e, d0)
+        total += float((joint * (rayleigh_pdf(d, sig) * smooth_part(e, eb) / (e + eb - 1.0)
+                                 - res / (d - d0))).sum())
+        total += float((w * res * np.log((D_MAX_SIGMAS * sig - d0) / d0)).sum())
     return total
 
 
@@ -370,6 +400,36 @@ class TestPoleDecomposition:
         eta_b_floor = float(eta_of_deflection(ch_b, D_MAX_SIGMAS * ch_b.sigma_b))
         assert np.all((eta_a > 1.0 - ch_b.eta0) & (eta_a < 1.0 - eta_b_floor))
         self.assert_matches_per_node_sum(ch_a, ch_b, r)
+
+
+class TestPoleSums:
+    """(M, P, pv_used) against the concatenated per-row split summed with joint weights."""
+
+    @staticmethod
+    def assert_matches_concatenated_split(rules):
+        got = _swap_pole_sums(rules)
+        mass, pv, pv_used = concatenated_pole_sums(rules[0].ch, rules[1].ch, rules[0].quad)
+        assert got[2] is pv_used
+        assert got[0] == pytest.approx(mass, rel=1e-13, abs=0)
+        assert got[1] == pytest.approx(pv, rel=1e-13, abs=0)
+        return pv_used
+
+    @pytest.mark.parametrize("name,pole_columns", [
+        ("lowloss_bw0.4", 15), ("lowloss_bw0.5", 14), ("lowloss_bw1.0", 14)])
+    def test_survey_pole_columns(self, name, pole_columns):
+        scenario = parse_scenario(SCENARIOS / f"{name}.scn")
+        columns = [_column(scenario, "swap", sigma_b)[1] for sigma_b in scenario.sigma_b_grid]
+        assert sum(self.assert_matches_concatenated_split(rules) for rules in columns) == pole_columns
+
+    @pytest.mark.parametrize("sigma_b", [0.1, 0.7, 1.5])
+    def test_fading_pair(self, sigma_b):
+        cfg = config("swap", geom=LinkGeometry(sigma_b=sigma_b, k1=0.5, k2=0.64))
+        self.assert_matches_concatenated_split(cfg.rules())
+
+    def test_every_a_row_a_pole_row(self):
+        quad = QuadratureSpec(64, 8)
+        rules = (LinkRule(FadingChannel(0.05, 1.0, 1.0), quad), LinkRule(FadingChannel(0.7, 1.0, 1.0), quad))
+        assert self.assert_matches_concatenated_split(rules)
 
 
 class TestOrderingColumn:

@@ -10,6 +10,7 @@ from cvsat.cli import _column, parse_scenario
 from cvsat.errors import DomainError
 from cvsat.fading import LinkGeometry
 from cvsat.gaussian import (
+    MAX_SQUEEZING,
     OMEGA,
     Squeezing,
     StandardFormCM,
@@ -48,6 +49,14 @@ class TestSqueezing:
             Squeezing(-0.1)
         with pytest.raises(DomainError):
             Squeezing(float("nan"))
+
+    def test_bounded_below_the_physicality_noise(self):
+        # from r = 4.19 on the physicality verdict on a pure TMSV is rounding noise
+        assert MAX_SQUEEZING == 4.0
+        tmsv_cm(Squeezing(MAX_SQUEEZING))
+        for r in (math.nextafter(4.0, math.inf), 4.2, 400.0, math.inf):
+            with pytest.raises(DomainError, match=r"\[0, 4\]"):
+                Squeezing(r)
 
 
 class TestTwoModeCM:

@@ -21,7 +21,7 @@ from cvsat.gaussian import (
     log_negativity,
     tmsv_cm,
 )
-from cvsat.numerics import QuadratureSpec, pair_sums, tensor_rule
+from cvsat.numerics import QuadratureSpec, pair_sums
 from cvsat.schemes import (
     GeneralBipartiteInput,
     SchemeConfig,
@@ -121,9 +121,8 @@ class TestDirectEnsemble:
         ):
             up, down = cfg.links()
             v = cfg.squeezing.v
-            eta_d, w_d = transmittance_nodes(down, cfg.quad)
             b_sum, c_sum, zeta = pair_sums(
-                transmittance_nodes(up, cfg.quad), tensor_rule(eta_d, w_d), eta_d.size,
+                transmittance_nodes(up, cfg.quad), transmittance_nodes(down, cfg.quad),
                 lambda e, ep: (1.0 + e * ep * (v - 1.0), np.sqrt(e * ep), e * ep),
             )
             b, c = b_sum + cfg.chi, c_sum * math.sqrt(v * v - 1.0)
@@ -302,20 +301,17 @@ class TestSwapEnsemble:
     @pytest.mark.parametrize("r", [0.1, 2.0])
     @pytest.mark.parametrize("chi", [0.0, 0.05])
     def test_matches_joint_weight_pair_sum(self, geom, r, chi):
-        # the per-entry integrands summed with a (rows x width) joint weight:
-        # no weight columns, no matrix products
+        # the per-entry integrands summed with the joint weights in plain
+        # numpy: no weight columns, no matrix products, no pair_sums
         cfg = config("swap", r=r, geom=geom, chi=chi)
         ch_a, ch_b = cfg.links()
         v = cfg.squeezing.v
+        eta_a, w_a = transmittance_nodes(ch_a, cfg.quad)
         eta_b, w_b = transmittance_nodes(ch_b, cfg.quad)
-
-        def integrand(e, ep):
-            shared = (v * v - 1.0) / (2.0 + (e + ep) * (v - 1.0) + 2.0 * chi)
-            return v - e * shared, v - ep * shared, np.sqrt(e * ep) * shared
-
-        a, b, c = pair_sums(transmittance_nodes(ch_a, cfg.quad),
-                            lambda x, w: (eta_b[None, :], w[:, None] * w_b[None, :]),
-                            eta_b.size, integrand)
+        e, ep, joint = eta_a[:, None], eta_b[None, :], w_a[:, None] * w_b[None, :]
+        shared = (v * v - 1.0) / (2.0 + (e + ep) * (v - 1.0) + 2.0 * chi)
+        a, b, c = (float((joint * vals).sum())
+                   for vals in (v - e * shared, v - ep * shared, np.sqrt(e * ep) * shared))
         want = np.array([[a, 0, c, 0], [0, a, 0, -c], [c, 0, b, 0], [0, -c, 0, b]])
         np.testing.assert_allclose(ensemble_cm(cfg).m, want, rtol=1e-14, atol=0)
 
