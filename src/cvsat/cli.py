@@ -362,6 +362,8 @@ def _jsonable(obj):
 
 def run_effective(scenario: Scenario) -> dict:
     """Effective-channel report: per-point scheme summaries plus ordering flags, column by column."""
+    if scenario.chi > 0.0:
+        raise ConfigError(f"scenario key 'chi' = {scenario.chi}: effective reduces noiseless links only")
     points = []
     for sigma_b in scenario.sigma_b_grid:
         reports = ordering_column(LinkGeometry(sigma_b=sigma_b, k1=scenario.k1, k2=scenario.k2),

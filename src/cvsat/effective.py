@@ -44,7 +44,6 @@ from .fading import (  # noqa: F401
     LinkGeometry,
     LinkRule,
     Links,
-    _uncut_span,
     deflection_of_eta,
     eta_of_deflection,
     expand_links,
@@ -52,7 +51,7 @@ from .fading import (  # noqa: F401
     transmittance_nodes,
 )
 from .gaussian import Squeezing, TwoModeCM, standard_form
-from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums, panel_nodes
+from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums
 from .schemes import KINDS, SchemeConfig, path_moments, scheme_links
 
 
@@ -180,12 +179,11 @@ def _swap_pole_sums(rules: tuple[LinkRule, LinkRule]) -> tuple[float, float, boo
     included, because the integrand is unbounded near the pole.
     """
     (eta_a, w_a), (eta_b, w_b) = (rule.table for rule in rules)
-    ch_b, quad = rules[1].ch, rules[1].quad
+    ch_b = rules[1].ch
     if ch_b.point_mass and np.any(np.abs(eta_a + ch_b.eta0 - 1.0) < 1e-9):
         raise NumericalError("point-mass node sits on the swapped-state boundary")
 
-    d_hi, subs = _uncut_span(ch_b, quad)
-    unit = panel_nodes(0.0, 1.0, quad, subdivisions=subs)
+    d_hi, _ = rules[1].span
     eta_b_floor = float(eta_of_deflection(ch_b, d_hi))
     lam, l_s, sig = ch_b.lambda_shape, ch_b.l_scale, ch_b.sigma_b
 
@@ -218,7 +216,7 @@ def _swap_pole_sums(rules: tuple[LinkRule, LinkRule]) -> tuple[float, float, boo
         e, w = eta_a[pole], w_a[pole]
         d0 = crossing(e)
         below_mass, below_pv, above_mass, above_pv = pair_sums(
-            (e, np.stack((w * d0, w * (d_hi - d0)), axis=1)), unit, subtracted)
+            (e, np.stack((w * d0, w * (d_hi - d0)), axis=1)), rules[1].unit, subtracted)
         mass += float(below_mass[0] + above_mass[1])
         pv_sum += (float(below_pv[0] + above_pv[1])
                    + float(w @ (residue(e, d0) * np.log((d_hi - d0) / d0))))

@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .numerics import DEFAULT_QUAD, QuadratureSpec, panel_edges, panel_nodes
+from .numerics import DEFAULT_QUAD, QuadratureSpec, panel_nodes
 
 # Rayleigh-domain truncation: the tail mass beyond 12 sigma is below 1e-31.
 D_MAX_SIGMAS = 12.0
@@ -191,53 +191,34 @@ def sample(ch: FadingChannel, rng: np.random.Generator, size=None):
     return eta_of_deflection(ch, d)
 
 
-def scaled_subdivisions(ch: FadingChannel, quad: QuadratureSpec) -> int:
-    """Panel count grown with sigma_b/beta so wide Rayleigh domains stay resolved.
-
-    The transmittance varies over deflections of order l_scale (comparable to
-    beta); for high-loss channels the Rayleigh support is much wider than that,
-    so panels are added proportionally, up to _MAX_NODES_PER_AXIS nodes.
-    """
-    subs = quad.subdivisions * max(1, math.ceil(ch.sigma_b / ch.beta))
-    n = quad.nodes_1d * subs
-    if n > _MAX_NODES_PER_AXIS:
-        raise DomainError(f"sigma_b={ch.sigma_b:g} with the {quad.nodes_1d}x{quad.subdivisions} "
-                          f"rule needs {n} nodes per axis, above the limit {_MAX_NODES_PER_AXIS}")
-    return subs
-
-
-def _uncut_span(ch: FadingChannel, quad: QuadratureSpec) -> tuple[float, int]:
-    """End and panel count of the link's uncut deflection rule."""
-    return D_MAX_SIGMAS * ch.sigma_b, scaled_subdivisions(ch, quad)
-
-
 def transmittance_nodes(
-    ch: FadingChannel, quad: QuadratureSpec = DEFAULT_QUAD, eta_min: float = 0.0
+    ch: FadingChannel, quad: QuadratureSpec, eta_min: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature nodes (eta_i, w_i) such that sum(w_i * g(eta_i)) = E[g(eta) * 1{eta > eta_min}].
 
-    The rule lives in the deflection domain and ends on the cut eta_min, so
-    no panel straddles it.  Weights include the Rayleigh density; a rule
-    whose weights miss its mass up to the end (1 but for a negligible tail
-    when uncut) by more than _WEIGHT_SUM_TOL is too coarse and raises
-    NumericalError.  A point-mass channel yields the single node eta0,
-    weighted 1 where it clears the cut.
+    The rule lives in the deflection domain, on the panels of LinkRule.span,
+    and ends on the cut eta_min, so no panel straddles it.  Weights include
+    the Rayleigh density; a rule whose weights miss its mass up to the end
+    (1 but for a negligible tail when uncut) by more than _WEIGHT_SUM_TOL is
+    too coarse and raises NumericalError.  A point-mass channel yields the
+    single node eta0, weighted 1 where it clears the cut.  It takes (ch, quad),
+    not a LinkRule, because perfbench's replay calls it in that form.
     """
     if ch.point_mass:
         return np.array([ch.eta0]), np.array([1.0 if ch.eta0 > eta_min else 0.0])
-    d_hi, subs = _uncut_span(ch, quad)
+    d_hi, panels = LinkRule(ch, quad).span
     if eta_min > 0.0:
         # A cut at or above eta0 ends the rule at d = 0; one at or below 0 leaves it uncut.
         cut = min(max(eta_min, np.finfo(float).tiny), ch.eta0)
         d_hi = min(d_hi, float(deflection_of_eta(ch, cut)))
-    d, wd = panel_nodes(0.0, d_hi, quad, subdivisions=subs)
+    d, wd = panel_nodes(0.0, d_hi, quad.nodes_1d, panels)
     w = wd * rayleigh_pdf(d, ch.sigma_b)
     # Weight sum minus the Rayleigh mass below d_hi.
     excess = abs(w.sum() + math.expm1(-0.5 * (d_hi / ch.sigma_b) ** 2))
     if excess > _WEIGHT_SUM_TOL:
         raise NumericalError(
             f"under-resolved quadrature at sigma_b={ch.sigma_b:g}: the {quad.nodes_1d}-node x "
-            f"{subs}-panel rule's weights miss their Rayleigh mass by {excess:.2e}"
+            f"{panels}-panel rule's weights miss their Rayleigh mass by {excess:.2e}"
         )
     return eta_of_deflection(ch, d), w
 
@@ -255,10 +236,36 @@ _CHEB_DEGREE = 64
 
 @dataclass(frozen=True)
 class LinkRule:
-    """A link's uncut node table under a quadrature rule and what follows from it, each built on first use."""
+    """A link's quadrature layout, its uncut node table and what follows from them, each built on first use."""
 
     ch: FadingChannel
     quad: QuadratureSpec = DEFAULT_QUAD
+
+    @cached_property
+    def span(self) -> tuple[float, int]:
+        """(d_hi, panels): the uncut rule's end D_MAX_SIGMAS sigma_b and its equal panels.
+
+        The transmittance varies over deflections of order l_scale
+        (comparable to beta); for high-loss channels the Rayleigh support is
+        much wider than that, so panels grow with sigma_b/beta, up to
+        _MAX_NODES_PER_AXIS nodes.
+        """
+        ch, quad = self.ch, self.quad
+        panels = quad.subdivisions * max(1, math.ceil(ch.sigma_b / ch.beta))
+        n = quad.nodes_1d * panels
+        if n > _MAX_NODES_PER_AXIS:
+            raise DomainError(f"sigma_b={ch.sigma_b:g} with the {quad.nodes_1d}x{quad.subdivisions} "
+                              f"rule needs {n} nodes per axis, above the limit {_MAX_NODES_PER_AXIS}")
+        return D_MAX_SIGMAS * ch.sigma_b, panels
+
+    @cached_property
+    def unit(self) -> tuple[np.ndarray, np.ndarray]:
+        """The link's panel rule on [0, 1], for rules that end on a row's own deflection.
+
+        The uncut table is not rebuilt from it: d_hi t moves its nodes in the
+        last bits, and the principal value is that sensitive to them.
+        """
+        return panel_nodes(0.0, 1.0, self.quad.nodes_1d, self.span[1])
 
     @cached_property
     def table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -303,7 +310,8 @@ class LinkRule:
             return lambda d: np.repeat(point, np.size(d), axis=1)
         cheb = np.polynomial.chebyshev
         n = _CHEB_DEGREE
-        edges = panel_edges(0.0, *_uncut_span(ch, self.quad))
+        d_hi, panels = self.span
+        edges = np.linspace(0.0, d_hi, panels + 1)
         width = np.diff(edges)
         # Values at the Chebyshev points of the first kind -> coefficients of
         # the interpolant (discrete orthogonality) -> of its antiderivative.

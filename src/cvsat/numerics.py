@@ -58,22 +58,12 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def panel_edges(lo: float, hi: float, subdivisions: int) -> np.ndarray:
-    """Edges of `subdivisions` equal panels on [lo, hi]."""
-    return np.linspace(lo, hi, subdivisions + 1)
-
-
-def panel_nodes(
-    lo: float,
-    hi: float,
-    spec: QuadratureSpec = DEFAULT_QUAD,
-    subdivisions: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the composite Gauss-Legendre rule on [lo, hi]."""
+def panel_nodes(lo: float, hi: float, nodes_1d: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on [lo, hi]: nodes_1d points on each of `panels` equal panels."""
     if not lo <= hi:
         raise DomainError(f"integration bounds must satisfy lo <= hi, got [{lo}, {hi}]")
-    xg, wg = _leggauss(spec.nodes_1d)
-    edges = panel_edges(lo, hi, spec.subdivisions if subdivisions is None else subdivisions)
+    xg, wg = _leggauss(nodes_1d)
+    edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     return (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()

@@ -19,16 +19,15 @@ from scipy import special
 from cvsat import postselect
 from cvsat.errors import NumericalError
 from cvsat.fading import (
-    D_MAX_SIGMAS,
     FadingChannel,
+    LinkRule,
     deflection_of_eta,
     eta_of_deflection,
     rayleigh_pdf,
-    scaled_subdivisions,
     transmittance_nodes,
 )
 from cvsat.gaussian import Squeezing, TwoModeCM, add_excess_noise, apply_loss, tmsv_cm
-from cvsat.numerics import QuadratureSpec, panel_nodes
+from cvsat.numerics import QuadratureSpec
 from cvsat.postselect import _tap_moments
 from cvsat.schemes import GeneralBipartiteInput
 
@@ -295,8 +294,8 @@ def classical_selection_sums_tensor(ch_up: FadingChannel, ch_down: FadingChannel
     The uplink's table ends on zeta_th / eta0', and each of its nodes eta
     pairs with a downlink rule of its own that ends on d_c, the deflection of
     zeta_th / eta, so every node pair lies in the kept region zeta = eta eta'
-    > zeta_th.  That rule is the downlink's panel rule on [0, 1] scaled onto
-    [0, d_c].  A row whose weights miss the Rayleigh mass below d_c by more
+    > zeta_th.  That rule is the downlink's unit rule (LinkRule.unit) scaled
+    onto [0, d_c].  A row whose weights miss the Rayleigh mass below d_c by more
     than 1e-9 is under-resolved and raises NumericalError, as a cut table of
     transmittance_nodes does.
     """
@@ -307,8 +306,9 @@ def classical_selection_sums_tensor(ch_up: FadingChannel, ch_down: FadingChannel
         kept = w * (eta0 > cut)
         zeta = eta * eta0
         return float(kept.sum()), float(kept @ zeta), float(kept @ np.sqrt(zeta))
-    t, wt = panel_nodes(0.0, 1.0, quad, subdivisions=scaled_subdivisions(ch_down, quad))
-    d_c = np.full(eta.size, D_MAX_SIGMAS * sigma)
+    down = LinkRule(ch_down, quad)
+    t, wt = down.unit
+    d_c = np.full(eta.size, down.span[0])
     if zeta_th > 0.0:
         d_c = np.minimum(d_c, deflection_of_eta(ch_down, np.clip(cut, np.finfo(float).tiny, eta0)))
     sums = np.zeros(3)
@@ -336,8 +336,8 @@ def quantum_postselect_tensor(v: float, ch_up: FadingChannel, ch_down: FadingCha
     The erfc inside is scipy's ufunc rather than the package's elementwise
     math.erfc, which would cost one Python call per node pair.
     """
-    eta_u, w_u = transmittance_nodes(ch_up, quad)
-    eta_d, w_d = transmittance_nodes(ch_down, quad)
+    eta_u, w_u = LinkRule(ch_up, quad).table
+    eta_d, w_d = LinkRule(ch_down, quad).table
     sums = np.zeros(8)
     with mock.patch.object(postselect, "_erfc", special.erfc):
         for eu, wu in zip(eta_u, w_u):
@@ -364,8 +364,8 @@ def swap_eta_integrals_tensor(ch_a: FadingChannel, ch_b: FadingChannel, vs,
     node at a time.  At v = 1 the closed forms vanish wherever they are
     defined, so they are taken as 0 there (a node with eta' = 1 makes them 0/0).
     """
-    eta_a, w_a = transmittance_nodes(ch_a, quad)
-    eta_b, w_b = transmittance_nodes(ch_b, quad)
+    eta_a, w_a = LinkRule(ch_a, quad).table
+    eta_b, w_b = LinkRule(ch_b, quad).table
     separable = 0.0
     sums = np.zeros((len(vs), 5))
     for e, wa in zip(eta_a, w_a):

@@ -492,6 +492,21 @@ class TestCommandLine:
         assert 0.0 <= point["swap_separable_mass"] <= 1.0
         assert point["direct"]["eta_a"] == pytest.approx(1.0)
 
+    def test_effective_refuses_excess_noise(self, tmp_path, capsys):
+        # the reduction has no chi: a chi > 0 report would be the chi = 0 one
+        text = ("schemes = direct, swap\nr.min = 1.0\nsigma_b.min = 0.4\n"
+                "beta = 0.5\nbeta_over_w = 1\nk1 = 0.5\nk2 = 0.64\n"
+                "quad.nodes = 32\nquad.subdiv = 4\n")
+        assert main(["effective", scn(tmp_path, text + "chi = 0.05\n")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: scenario key 'chi' = 0.05")
+        reports = []
+        for chi in ("", "chi = 0\n"):
+            assert main(["effective", scn(tmp_path, text + chi)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["chi"] == 0.0
+
     def test_effective_json_numbers_are_floats(self, tmp_path):
         # a product over the direct scheme's empty A path must print 1.0, never 1
         res = run_cli("effective", scn(tmp_path, BASE + "quad.nodes = 32\nquad.subdiv = 4\n"))
@@ -822,7 +837,7 @@ class TestColumnWork:
     """The r-independent work of a sigma_b column is done once, whatever r.steps.
 
     Counted on a grid of 2 sigma_b, with 1 and 5 r: channels built, uncut
-    node tables, node tables with one cut per row, pair sums, quantum root
+    node tables, node tables cut at a threshold, pair sums, quantum root
     rules, classical selection sums and downlink antiderivative tables.  A
     column builds one uncut table per distinct link, which its link rule
     shares between the mean losses, the schemes and the sums.
@@ -842,9 +857,8 @@ class TestColumnWork:
         monkeypatch.setattr(FadingChannel, "__post_init__",
                             counting("channels", FadingChannel.__post_init__))
         tables = counting("uncut tables", fading.transmittance_nodes,
-                          lambda ch, quad, eta_min=0.0: bool(np.all(np.asarray(eta_min) == 0.0)))
-        tables = counting("row cut tables", tables,
-                          lambda ch, quad, eta_min=0.0: np.ndim(eta_min) > 0)
+                          lambda ch, quad, eta_min=0.0: eta_min == 0.0)
+        tables = counting("cut tables", tables, lambda ch, quad, eta_min=0.0: eta_min > 0.0)
         pairs = counting("pair sums", numerics.pair_sums)
         for module in (fading, schemes, effective, postselect):
             monkeypatch.setattr(module, "transmittance_nodes", tables)
@@ -892,7 +906,8 @@ class TestColumnWork:
         # threshold, with the downlink's antiderivatives built once per column
         assert work["selection sums"] == 2 * 3
         assert work["antiderivative tables"] == 2 * 1
-        assert "row cut tables" not in work
+        # one uplink table cut at each positive threshold, 0.05 and 0.1
+        assert work["cut tables"] == 2 * 2
         assert "pair sums" not in work
         assert "root rules" not in work
 
@@ -902,7 +917,7 @@ class TestColumnWork:
         # the two link tables, read by the mean losses and the root rules
         assert work["uncut tables"] == 2 * 2
         assert work["root rules"] == 2 * 2
-        assert "selection sums" not in work
+        assert "selection sums" not in work and "cut tables" not in work
 
 
 class TestWithoutScipy:

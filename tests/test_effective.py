@@ -33,11 +33,9 @@ from cvsat.fading import (
     eta_of_deflection,
     rayleigh_pdf,
     sample,
-    scaled_subdivisions,
-    transmittance_nodes,
 )
 from cvsat.gaussian import Squeezing, StandardFormCM, apply_loss, log_negativity, tmsv_cm
-from cvsat.numerics import QuadratureSpec, panel_nodes
+from cvsat.numerics import QuadratureSpec
 from cvsat.schemes import KINDS, SchemeConfig, swap_realization
 
 from oracles import cosh_swapped, dense_channel_average, swap_eta_integrals_tensor
@@ -66,8 +64,8 @@ def split_at_crossing(ch_b, quad, e, w):
     [d0_i, 12 sigma_b], as deflections d and joint weights w_i times the
     deflection weights.
     """
-    d_hi = D_MAX_SIGMAS * ch_b.sigma_b
-    t01, w01 = panel_nodes(0.0, 1.0, quad, subdivisions=scaled_subdivisions(ch_b, quad))
+    rule = LinkRule(ch_b, quad)
+    d_hi, (t01, w01) = rule.span[0], rule.unit
     d0 = np.asarray(deflection_of_eta(ch_b, 1.0 - e), dtype=float)
     d = np.concatenate((d0 * t01, d0 + (d_hi - d0) * t01), axis=1)
     return d0, d, w * np.concatenate((d0 * w01, (d_hi - d0) * w01), axis=1)
@@ -92,8 +90,8 @@ def concatenated_pole_sums(ch_a, ch_b, quad):
     of the pole sum over the whole B-side table, pole rows over their split
     rule with the pole subtracted, plus its log term.
     """
-    eta_a, w_a = transmittance_nodes(ch_a, quad)
-    eta_b, w_b = transmittance_nodes(ch_b, quad)
+    eta_a, w_a = LinkRule(ch_a, quad).table
+    eta_b, w_b = LinkRule(ch_b, quad).table
     pole = pole_rows(eta_a, ch_b)
     e, w = eta_a[~pole, None], w_a[~pole, None]
     mass = float(w.sum()) * float(w_b.sum())
@@ -121,8 +119,8 @@ def per_node_cosh_average(ch_a, ch_b, v, quad):
         return ((e * e + eb * eb) * (1.0 - v) + e * eb * (v * v + 3.0)
                 + (e + eb) * (v - 3.0) + 2.0) / ((e + eb) * (v - 1.0) + 2.0)
 
-    eta_a, w_a = transmittance_nodes(ch_a, quad)
-    eta_b, w_b = transmittance_nodes(ch_b, quad)
+    eta_a, w_a = LinkRule(ch_a, quad).table
+    eta_b, w_b = LinkRule(ch_b, quad).table
     pole = pole_rows(eta_a, ch_b)
     e, w = eta_a[~pole, None], w_a[~pole, None]
     total = float((w * w_b * (smooth_part(e, eta_b) / (e + eta_b - 1.0))).sum())
@@ -396,7 +394,7 @@ class TestPoleDecomposition:
         # window: the sum over rows clear of the pole is empty
         ch_a = FadingChannel(0.05, 1.0, 1.0)
         ch_b = FadingChannel(0.7, 1.0, 1.0)
-        eta_a, _ = transmittance_nodes(ch_a, QuadratureSpec(64, 8))
+        eta_a, _ = LinkRule(ch_a, QuadratureSpec(64, 8)).table
         eta_b_floor = float(eta_of_deflection(ch_b, D_MAX_SIGMAS * ch_b.sigma_b))
         assert np.all((eta_a > 1.0 - ch_b.eta0) & (eta_a < 1.0 - eta_b_floor))
         self.assert_matches_per_node_sum(ch_a, ch_b, r)

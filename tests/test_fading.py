@@ -25,11 +25,11 @@ from cvsat.fading import (
     loss_db,
     mean_transmittance,
     pdf,
+    rayleigh_pdf,
     sample,
-    scaled_subdivisions,
     transmittance_nodes,
 )
-from cvsat.numerics import QuadratureSpec, panel_edges
+from cvsat.numerics import DEFAULT_QUAD, QuadratureSpec, panel_nodes
 
 from oracles import (
     bessel_i0_series,
@@ -214,7 +214,7 @@ class TestTransmittanceNodes:
     @pytest.mark.parametrize("sigma", [0.32, 0.7, 1.0, 2.0, 22.0])
     def test_weights_sum_to_one(self, sigma):
         ch = FadingChannel(sigma, 0.5, 1.0)
-        eta, w = transmittance_nodes(ch)
+        eta, w = LinkRule(ch).table
         assert np.all(w > 0.0)
         # deep-tail nodes may underflow to exactly 0 for very wide channels
         assert np.all((eta >= 0.0) & (eta <= ch.eta0))
@@ -229,7 +229,7 @@ class TestTransmittanceNodes:
 
     def test_second_moment_against_dense_oracle(self):
         ch = FadingChannel(0.7, 1.0, 1.0)
-        eta, w = transmittance_nodes(ch)
+        eta, w = LinkRule(ch).table
         assert float(w @ (eta * eta)) == pytest.approx(
             dense_channel_average(ch, lambda e: e * e), abs=1e-9
         )
@@ -248,7 +248,7 @@ class TestTransmittanceNodes:
 
     def test_point_mass_single_node(self):
         ch = FadingChannel(0.0, 0.5, 1.0)
-        eta, w = transmittance_nodes(ch)
+        eta, w = LinkRule(ch).table
         assert eta.tolist() == [ch.eta0]
         assert w.tolist() == [1.0]
         assert mean_transmittance(ch) == ch.eta0
@@ -263,7 +263,7 @@ class TestTransmittanceNodes:
             assert float(w.sum()) == pytest.approx(-math.expm1(-0.5 * (d_c / sigma) ** 2), abs=1e-12)
             assert np.all(eta > cut)
         # a cut at 0 leaves the table uncut, bit for bit; one at or above eta0 keeps no weight
-        uncut, cut_at_zero = transmittance_nodes(ch, quad), transmittance_nodes(ch, quad, 0.0)
+        uncut, cut_at_zero = LinkRule(ch, quad).table, transmittance_nodes(ch, quad, 0.0)
         assert all(np.array_equal(a, b) for a, b in zip(uncut, cut_at_zero))
         for cut in (ch.eta0, 1.5 * ch.eta0, math.inf):
             assert not np.any(transmittance_nodes(ch, quad, cut)[1])
@@ -272,7 +272,7 @@ class TestTransmittanceNodes:
         ch = FadingChannel(0.0, 0.5, 1.0)
         for cut, weight in ((0.0, 1.0), (1e-300, 1.0), (0.5 * ch.eta0, 1.0), (ch.eta0, 0.0),
                             (1.5 * ch.eta0, 0.0), (math.inf, 0.0)):
-            eta, w = transmittance_nodes(ch, eta_min=cut)
+            eta, w = transmittance_nodes(ch, DEFAULT_QUAD, cut)
             assert eta.tolist() == [ch.eta0]
             assert w.tolist() == [weight]
 
@@ -308,7 +308,7 @@ class TestLinkRule:
     def test_reads_the_public_functions_bit_for_bit(self, sigma, beta):
         ch, quad = FadingChannel(sigma, beta, 1.0), QuadratureSpec(32, 4)
         rule = LinkRule(ch, quad)
-        eta, w = transmittance_nodes(ch, quad)
+        eta, w = rule.table
         # repr compares the floats bit for bit
         assert repr(rule.loss_db) == repr(loss_db(ch, quad)) \
             == repr(-10.0 * math.log10(float(w @ (eta * eta))))
@@ -357,9 +357,10 @@ class TestLinkRule:
         np.testing.assert_array_equal(f, np.array([[1.0], [ch.eta0], [math.sqrt(ch.eta0)]]) * np.ones(3))
 
     def test_antiderivatives_are_built_once(self, monkeypatch):
+        # building them evaluates the Rayleigh density once; evaluating them never does
         calls = []
-        monkeypatch.setattr(fading, "panel_edges",
-                            lambda *args: calls.append(args) or panel_edges(*args))
+        monkeypatch.setattr(fading, "rayleigh_pdf",
+                            lambda *args: calls.append(args) or rayleigh_pdf(*args))
         rule = LinkRule(FadingChannel(0.7, 1.0, 1.0))
         for d in (0.1, 0.5, 2.0):
             assert rule.antiderivatives is rule.antiderivatives
@@ -367,13 +368,32 @@ class TestLinkRule:
         assert len(calls) == 1
 
 
-class TestScaledSubdivisions:
+class TestSpan:
+    """LinkRule.span, (d_hi, panels), and the tables laid out on it."""
+
+    QUAD = QuadratureSpec(nodes_1d=32, subdivisions=4)
+
     def test_wide_channels_get_more_panels(self):
-        quad = QuadratureSpec(nodes_1d=32, subdivisions=4)
-        narrow = FadingChannel(0.3, 0.5, 1.0)
-        wide = FadingChannel(22.0, 0.5, 1.0)
-        assert scaled_subdivisions(narrow, quad) == 4
-        assert scaled_subdivisions(wide, quad) == 4 * 44
+        for sigma, panels in ((0.0, 4), (0.3, 4), (0.7, 8), (22.0, 4 * 44)):
+            assert LinkRule(FadingChannel(sigma, 0.5, 1.0), self.QUAD).span == (D_MAX_SIGMAS * sigma, panels)
+
+    def test_too_many_nodes_per_axis(self):
+        rule = LinkRule(FadingChannel(22.0, 0.5, 1.0), QuadratureSpec(1024, 1))
+        with pytest.raises(DomainError, match="1024x1 rule needs 45056 nodes per axis, above the limit 32768"):
+            rule.span
+
+    @pytest.mark.parametrize("sigma", [0.7, 22.0])
+    def test_table_and_unit_rule_share_the_panels(self, sigma):
+        ch = FadingChannel(sigma, 0.5, 1.0)
+        rule = LinkRule(ch, self.QUAD)
+        d_hi, panels = rule.span
+        # the uncut table is laid out on [0, d_hi] directly, bit for bit
+        d, wd = panel_nodes(0.0, d_hi, 32, panels)
+        assert np.array_equal(rule.table[0], eta_of_deflection(ch, d))
+        assert np.array_equal(rule.table[1], wd * rayleigh_pdf(d, sigma))
+        t, wt = rule.unit
+        assert all(np.array_equal(a, b) for a, b in zip((t, wt), panel_nodes(0.0, 1.0, 32, panels)))
+        np.testing.assert_allclose(d_hi * t, d, rtol=1e-13, atol=0)
 
 
 class TestLossDb:

@@ -5,7 +5,7 @@ import pytest
 
 from cvsat import numerics
 from cvsat.errors import DomainError, NumericalError
-from cvsat.fading import FadingChannel, transmittance_nodes
+from cvsat.fading import FadingChannel, LinkRule
 from cvsat.numerics import (
     DEFAULT_QUAD,
     McSpec,
@@ -16,14 +16,18 @@ from cvsat.numerics import (
 )
 
 
+def rule(lo, hi, spec=DEFAULT_QUAD):
+    return panel_nodes(lo, hi, spec.nodes_1d, spec.subdivisions)
+
+
 def integrate_1d(f, lo, hi, spec=DEFAULT_QUAD):
-    x, w = panel_nodes(lo, hi, spec)
+    x, w = rule(lo, hi, spec)
     return float(w @ f(x))
 
 
 def integrate_2d(f, box, spec=DEFAULT_QUAD):
     (lo1, hi1), (lo2, hi2) = box
-    (total,) = pair_sums(panel_nodes(lo1, hi1, spec), panel_nodes(lo2, hi2, spec),
+    (total,) = pair_sums(rule(lo1, hi1, spec), rule(lo2, hi2, spec),
                          lambda x, y: (f(x, y),))
     return total
 
@@ -70,11 +74,11 @@ class TestIntegrate1d:
         # pair_sums with a one-node inner rule of weight 1 is a 1D sum
         one_node = (np.zeros(1), np.ones(1))
         with np.errstate(divide="ignore"), pytest.raises(NumericalError):
-            pair_sums(panel_nodes(0.0, 1.0), one_node, lambda x, y: (1.0 / (x - x),))
+            pair_sums(rule(0.0, 1.0), one_node, lambda x, y: (1.0 / (x - x),))
 
     def test_panel_nodes_cover_interval(self):
         for hi in (5.0, 2.5, 4.0):
-            x, w = panel_nodes(2.0, hi, QuadratureSpec(8, 3))
+            x, w = panel_nodes(2.0, hi, 8, 3)
             assert x.shape == w.shape == (24,)
             assert np.all((x > 2.0) & (x < hi))
             assert float(w.sum()) == pytest.approx(hi - 2.0, rel=1e-14)
@@ -82,13 +86,12 @@ class TestIntegrate1d:
     def test_panel_nodes_are_the_linspace_panels(self):
         # uncut node tables must not move: the rule is bit-for-bit the one on
         # np.linspace panel edges
-        spec = QuadratureSpec(16, 5)
         xg, wg = np.polynomial.legendre.leggauss(16)
         for hi in (0.0, 1.0, 8.4, 264.0):
             edges = np.linspace(0.0, hi, 6)
             half = 0.5 * np.diff(edges)
             mid = 0.5 * (edges[:-1] + edges[1:])
-            x, w = panel_nodes(0.0, hi, spec)
+            x, w = panel_nodes(0.0, hi, 16, 5)
             assert np.array_equal(x, (mid[:, None] + half[:, None] * xg).ravel())
             assert np.array_equal(w, (half[:, None] * wg).ravel())
 
@@ -113,8 +116,8 @@ class TestPairSums:
     def test_independent_of_block_size(self, monkeypatch):
         # the swap uplinks at sigma_b = 1.5, k2 = 0.64 (1024 x 512 nodes) and
         # the swap ensemble's integrands at r = 1
-        eta_a, w_a = transmittance_nodes(FadingChannel(1.5, 1.0, 1.0))
-        eta_b, w_b = transmittance_nodes(FadingChannel(0.96, 1.0, 1.0))
+        eta_a, w_a = LinkRule(FadingChannel(1.5, 1.0, 1.0)).table
+        eta_b, w_b = LinkRule(FadingChannel(0.96, 1.0, 1.0)).table
         v = math.cosh(2.0)
 
         def integrand(e, ep):
@@ -150,7 +153,7 @@ class TestPairSums:
         # split at its midpoint m: the unit variable t maps to y = m t and to
         # y = m + m t, and the outer weight columns (w m, w m) carry the
         # Jacobians, so each half's sum is its own output's own column
-        x, w = panel_nodes(0.0, 1.0)
+        x, w = rule(0.0, 1.0)
         m = 0.5 * (1.0 - x)
 
         def halves(x, t):
@@ -159,13 +162,13 @@ class TestPairSums:
             yield x + half + half * t
 
         lower, upper = pair_sums((x, np.stack((w * m, w * m), axis=1)),
-                                 panel_nodes(0.0, 1.0, QuadratureSpec(16, 2)), halves)
+                                 panel_nodes(0.0, 1.0, 16, 2), halves)
         assert lower.shape == upper.shape == (2,)
         assert lower[0] + upper[1] == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     def test_empty_outer_table(self):
         empty = (np.empty(0), np.empty(0))
-        assert pair_sums(empty, panel_nodes(0.0, 1.0), lambda x, y: (x,)) == []
+        assert pair_sums(empty, rule(0.0, 1.0), lambda x, y: (x,)) == []
 
 
 class TestMcExpectation:

@@ -247,6 +247,14 @@ class TestSelectionSums:
         self.assert_matches_tensor(up, down, DEFAULT_QUAD, [
             frac * up.eta0 * down.eta0 for frac in (0.0, 0.3, 0.6, 0.9, 0.99)])
 
+    def test_oracle_refuses_an_under_resolved_row(self):
+        # a point-mass uplink leaves one row, whose downlink rule at sigma_b = 0.1
+        # ends on the uncut span: 8x1 misses its Rayleigh mass, 16x2 holds it
+        up, down = FadingChannel(0.0, 1.0, 1.0), FadingChannel(0.1, 1.0, 1.0)
+        with pytest.raises(NumericalError, match="weights miss by 7.29e-03"):
+            classical_selection_sums_tensor(up, down, QuadratureSpec(8, 1), 0.01)
+        assert np.isfinite(classical_selection_sums_tensor(up, down, QuadratureSpec(16, 2), 0.01)).all()
+
     def test_zero_threshold_is_the_product_of_the_link_moments(self):
         # the high-loss uplink's deep-tail nodes underflow to eta = 0
         up, down = (LinkRule(ch, QuadratureSpec(32, 4))

@@ -13,7 +13,7 @@ import pytest
 
 from cvsat.effective import scheme_effective_summary
 from cvsat.errors import DomainError
-from cvsat.fading import FadingChannel, LinkGeometry, LinkRule, sample, transmittance_nodes
+from cvsat.fading import FadingChannel, LinkGeometry, LinkRule, sample
 from cvsat.gaussian import (
     Squeezing,
     add_excess_noise,
@@ -122,7 +122,7 @@ class TestDirectEnsemble:
             up, down = cfg.links()
             v = cfg.squeezing.v
             b_sum, c_sum, zeta = pair_sums(
-                transmittance_nodes(up, cfg.quad), transmittance_nodes(down, cfg.quad),
+                LinkRule(up, cfg.quad).table, LinkRule(down, cfg.quad).table,
                 lambda e, ep: (1.0 + e * ep * (v - 1.0), np.sqrt(e * ep), e * ep),
             )
             b, c = b_sum + cfg.chi, c_sum * math.sqrt(v * v - 1.0)
@@ -306,8 +306,8 @@ class TestSwapEnsemble:
         cfg = config("swap", r=r, geom=geom, chi=chi)
         ch_a, ch_b = cfg.links()
         v = cfg.squeezing.v
-        eta_a, w_a = transmittance_nodes(ch_a, cfg.quad)
-        eta_b, w_b = transmittance_nodes(ch_b, cfg.quad)
+        eta_a, w_a = LinkRule(ch_a, cfg.quad).table
+        eta_b, w_b = LinkRule(ch_b, cfg.quad).table
         e, ep, joint = eta_a[:, None], eta_b[None, :], w_a[:, None] * w_b[None, :]
         shared = (v * v - 1.0) / (2.0 + (e + ep) * (v - 1.0) + 2.0 * chi)
         a, b, c = (float((joint * vals).sum())
