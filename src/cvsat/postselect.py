@@ -174,29 +174,6 @@ def _tap_moments(v: float, zeta, tap_t: float, q_th: float, chi: float):
     return q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, b_q, c_q
 
 
-# Nodes of the Gauss rule in sqrt(eta) per link.  Over 150 random draws of the
-# regime fuzz domain (tap_t down to 0.01) at the default 64x8 rule, 40 nodes
-# agree with 96 to 7e-15 of the CM's largest entry; 32 miss by 1.8e-12, 24 by 1.1e-9.
-_ROOT_NODES = 40
-
-
-def _root_rule(rule: LinkRule) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule (x_k, w_k) in x = sqrt(eta) for the link's transmittance table.
-
-    Q of the weighted Chebyshev basis holds the table's orthonormal
-    polynomials; the eigenpairs of x in that basis are the nodes and weights
-    (Golub and Welsch, Math. Comp. 23, 1969).  Unlike Lanczos this divides by
-    nothing, so a link with almost no wander, or a point mass, is no special case.
-    """
-    eta, w = rule.table
-    keep = w > 0.0
-    x, w = np.sqrt(eta[keep]), w[keep]
-    n = min(_ROOT_NODES, x.size)
-    q, _ = np.linalg.qr(np.polynomial.chebyshev.chebvander(2.0 * x - 1.0, n - 1) * np.sqrt(w)[:, None])
-    nodes, vecs = np.linalg.eigh(q.T @ (x[:, None] * q))
-    return nodes, w.sum() * vecs[0] ** 2
-
-
 def quantum_moments_realization(
     sq: Squeezing,
     eta: float,
@@ -249,7 +226,7 @@ def quantum_postselect(
 
     The tap moments are analytic in sqrt(zeta), through which alone they
     depend on the links, so _tap_moments summed on the outer product of the
-    two links' _root_rule reproduces the full node-pair sum.  The q-sector
+    two links' LinkRule.root reproduces the full node-pair sum.  The q-sector
     entries are central moments of the kept ensemble (the mean displacement
     induced by the asymmetric cut is subtracted); the p-sector is untouched by
     the q measurement apart from the selection reweighting.
@@ -270,7 +247,7 @@ def postselect_column(squeezings, up: LinkRule, down: LinkRule, selections, chi:
     sums = {cfg: _selection_sums(up, down, cfg.zeta_th)
             for cfg in selections if isinstance(cfg, ClassicalPsConfig)}
     if any(isinstance(cfg, QuantumPsConfig) for cfg in selections):
-        (x_u, w_u), (x_d, w_d) = (_root_rule(rule) for rule in (up, down))
+        (x_u, w_u), (x_d, w_d) = up.root, down.root
         zeta = (x_u[:, None] * x_d) ** 2
     return [[_classical_result(sq.v, sums[cfg], chi) if cfg in sums
              else _quantum_result(sq.v, zeta, w_u, w_d, cfg, chi) for cfg in selections]

@@ -209,23 +209,25 @@ def _swap_ensemble(rules: tuple[LinkRule, LinkRule], squeezings, chi: float) -> 
     """Ensemble CMs of the swapping scheme, averaged over both uplinks, one per squeezing.
 
     Its entries E[v - eta G], E[v - eta' G] and E[sqrt(eta eta') G] share the
-    factor G: one pair sum of G against weight columns w [1, eta, sqrt(eta)],
-    which yields G for every v of the column in the same pass.  G is bounded,
-    so the pass runs over the tables without their far tails (LinkRule.trimmed).
+    factor G = (v^2 - 1)/(2 + s (v - 1) + 2 chi), s = eta + eta'.  Its pole
+    lies at s < 0, so in x = sqrt(eta) every entry is analytic on [0, 1]^2:
+    one pair sum of G on the two links' root rules (LinkRule.root) against
+    weight columns w [1, x^2, x] yields G for every v of the column.  Per v,
+    G = (v + 1)/(s + k) with k = (2 + 2 chi)/(v - 1), and v = 1 gives G = 0.
     """
     vs = [sq.v for sq in squeezings]
-    chi2 = 2.0 * chi
-    (eta_a, w_a), (eta_b, w_b) = (rule.trimmed for rule in rules)
+    ks = [math.inf if v == 1.0 else (2.0 + 2.0 * chi) / (v - 1.0) for v in vs]
+    (x_a, w_a), (x_b, w_b) = (rule.root for rule in rules)
 
-    def columns(eta, w):
-        return np.stack((w, w * eta, w * np.sqrt(eta)), axis=1)
+    def columns(x, w):
+        return np.stack((w, w * x * x, w * x), axis=1)
 
-    def integrand(e, ep):
-        s = e + ep
-        for v in vs:
-            yield (v * v - 1.0) / (2.0 + s * (v - 1.0) + chi2)
+    def integrand(x, y):
+        s = x * x + y * y
+        for v, k in zip(vs, ks):
+            yield (v + 1.0) / (s + k)
 
-    sums = pair_sums((eta_a, columns(eta_a, w_a)), (eta_b, columns(eta_b, w_b)), integrand)
+    sums = pair_sums((x_a, columns(x_a, w_a)), (x_b, columns(x_b, w_b)), integrand)
     mass_a, mass_b = (rule.table[1].sum() for rule in rules)
     cms = []
     for v, s in zip(vs, sums):
@@ -237,10 +239,10 @@ def _swap_ensemble(rules: tuple[LinkRule, LinkRule], squeezings, chi: float) -> 
 def ensemble_column(kind: str, rules: tuple[LinkRule, LinkRule], squeezings, chi: float) -> list[TwoModeCM]:
     """Ensemble CMs of scheme `kind` over its link rules (A-side, B-side), one per squeezing.
 
-    Everything that does not depend on the squeezing, the node tables and
-    their sums, is built once for the whole column.  Direct and satellite
-    entries follow from path_moments (direct station A keeps v exactly,
-    without chi); swap does not factorize over its links.
+    Everything that does not depend on the squeezing, the node tables, the
+    root rules and their sums, is built once for the whole column.  Direct
+    and satellite entries follow from path_moments (direct station A keeps v
+    exactly, without chi); swap does not factorize over its links.
     """
     if kind == "swap":
         return _swap_ensemble(rules, squeezings, chi)

@@ -382,3 +382,27 @@ def swap_eta_integrals_tensor(ch_a: FadingChannel, ch_b: FadingChannel, vs,
             sums[i] += wa * np.array([w_b @ f for f in (
                 np.maximum(num_a, 0.0), np.maximum(num_b, 0.0), num_a, num_b, kernel)])
     return separable, sums.tolist()
+
+
+def swap_ensemble_tensor(ch_a: FadingChannel, ch_b: FadingChannel, quad: QuadratureSpec, vs,
+                         chi: float = 0.0) -> list[np.ndarray]:
+    """Swap ensemble CMs, one per v, from the shared factor summed over every node pair of the full tables.
+
+    G = (v^2 - 1)/(2 + s (v - 1) + 2 chi), s = eta + eta', in the form the
+    swap reduction first gives it, enters the entries E[v - eta G],
+    E[v - eta' G] and E[sqrt(eta eta') G]; the sums run one A-side node at a
+    time over the whole B-side table, for every v at once.
+    """
+    eta_a, w_a = LinkRule(ch_a, quad).table
+    eta_b, w_b = LinkRule(ch_b, quad).table
+    v = np.asarray(vs, dtype=float)[:, None]
+    sums = np.zeros((v.size, 3))
+    for e, wa in zip(eta_a, w_a):
+        g = (v * v - 1.0) / (2.0 + (e + eta_b) * (v - 1.0) + 2.0 * chi)
+        sums += wa * np.stack([g @ (w_b * e), g @ (w_b * eta_b), g @ (w_b * np.sqrt(e * eta_b))], axis=1)
+    mass = w_a.sum() * w_b.sum()
+    cms = []
+    for v_i, (s_a, s_b, s_c) in zip(vs, sums):
+        a, b = v_i * mass - s_a, v_i * mass - s_b
+        cms.append(np.array([[a, 0, s_c, 0], [0, a, 0, -s_c], [s_c, 0, b, 0], [0, -s_c, 0, b]]))
+    return cms

@@ -837,8 +837,8 @@ class TestColumnWork:
     """The r-independent work of a sigma_b column is done once, whatever r.steps.
 
     Counted on a grid of 2 sigma_b, with 1 and 5 r: channels built, uncut
-    node tables, node tables cut at a threshold, pair sums, quantum root
-    rules, classical selection sums and downlink antiderivative tables.  A
+    node tables, node tables cut at a threshold, pair sums, root rules (swap
+    and quantum), classical selection sums and downlink antiderivative tables.  A
     column builds one uncut table per distinct link, which its link rule
     shares between the mean losses, the schemes and the sums.
     """
@@ -864,13 +864,12 @@ class TestColumnWork:
             monkeypatch.setattr(module, "transmittance_nodes", tables)
         for module in (schemes, effective):
             monkeypatch.setattr(module, "pair_sums", pairs)
-        monkeypatch.setattr(postselect, "_root_rule", counting("root rules", postselect._root_rule))
         monkeypatch.setattr(postselect, "_selection_sums",
                             counting("selection sums", postselect._selection_sums))
-        antiderivatives = functools.cached_property(
-            counting("antiderivative tables", fading.LinkRule.antiderivatives.func))
-        antiderivatives.__set_name__(fading.LinkRule, "antiderivatives")
-        monkeypatch.setattr(fading.LinkRule, "antiderivatives", antiderivatives)
+        for name, label in (("antiderivatives", "antiderivative tables"), ("root", "root rules")):
+            prop = functools.cached_property(counting(label, getattr(fading.LinkRule, name).func))
+            prop.__set_name__(fading.LinkRule, name)
+            monkeypatch.setattr(fading.LinkRule, name, prop)
         return counts
 
     def work(self, counts, tmp_path, run, **scenario_keys):
@@ -886,15 +885,16 @@ class TestColumnWork:
     def test_sweep(self, counts, tmp_path):
         work = self.work(counts, tmp_path, run_sweep, schemes="direct, satellite, swap")
         # 6 columns: one expand_links (4 channels) and two link tables each,
-        # read by the mean losses and the ensemble; one pair sum for each swap column
-        assert work == {"channels": 6 * 4, "uncut tables": 6 * 2, "pair sums": 2}
+        # read by the mean losses and the ensemble; each swap column reduces
+        # its two tables to root rules and sums them in one pair sum
+        assert work == {"channels": 6 * 4, "uncut tables": 6 * 2, "root rules": 2 * 2, "pair sums": 2}
 
     def test_effective(self, counts, tmp_path):
         work = self.work(counts, tmp_path, run_effective, schemes="direct, satellite, swap")
         # 2 columns: one expand_links each; one table for each of the four
         # links, shared by the schemes that use it and by the swap's eta
         # integrals and pole sums; the swap eta integrals with the separable
-        # mass, and the principal value off and on the pole
+        # mass, and the principal value off and on the pole; no root rules
         assert work == {"channels": 2 * 4, "uncut tables": 2 * 4, "pair sums": 2 * 3}
 
     def test_classical_postselect(self, counts, tmp_path):
@@ -918,6 +918,21 @@ class TestColumnWork:
         assert work["uncut tables"] == 2 * 2
         assert work["root rules"] == 2 * 2
         assert "selection sums" not in work and "cut tables" not in work
+
+    def test_swap_pair_sum_does_not_grow_with_wander(self, monkeypatch, tmp_path):
+        # one column at sigma_b = 0.7 and one at 22, whose 64x8 tables hold
+        # 512 and 11,264 nodes: each pair sum runs over the two root rules
+        points = []
+
+        def counted(outer, inner, integrand):
+            points.append(outer[0].size * inner[0].size)
+            return numerics.pair_sums(outer, inner, integrand)
+
+        monkeypatch.setattr(schemes, "pair_sums", counted)
+        text = ("schemes = swap\nsigma_b.min = 0.7\nsigma_b.max = 22\nsigma_b.steps = 2\n"
+                "r.min = 0.5\nr.max = 2\nr.steps = 3\nbeta = 1\nbeta_over_w = 1\nk1 = 0.5\nk2 = 1\n")
+        assert len(run_sweep(parse_scenario(scn(tmp_path, text)))) == 2 * 3
+        assert points == [fading._ROOT_NODES ** 2] * 2
 
 
 class TestWithoutScipy:

@@ -1,10 +1,12 @@
-"""A link's quadrature layout has one owner, fading.LinkRule.
+"""A link's quadrature layout and its root rule have one owner, fading.LinkRule.
 
-LinkRule decides a link's span, its panels and its unit rule on [0, 1].  The
-checks read each module's syntax tree: only fading refers to the panel rule
-builder panel_nodes or to the truncation D_MAX_SIGMAS, and only fading,
-numerics (which validates a QuadratureSpec) and cli (which builds one) read
-a spec's nodes_1d or subdivisions.
+LinkRule decides a link's span, its panels, its unit rule on [0, 1] and its
+Gauss rule in sqrt(eta).  The checks read each module's syntax tree: only
+fading refers to the panel rule builder panel_nodes, to the truncation
+D_MAX_SIGMAS, to the root rule's size _ROOT_NODES or to the QR and eigen
+solvers that build a root rule, and only fading, numerics (which validates a
+QuadratureSpec) and cli (which builds one) read a spec's nodes_1d or
+subdivisions.
 """
 
 import ast
@@ -12,12 +14,12 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cvsat"
 
-LAYOUT_NAMES = {"panel_nodes", "D_MAX_SIGMAS"}
+OWNED_NAMES = {"panel_nodes", "D_MAX_SIGMAS", "_ROOT_NODES", "qr", "eigh"}
 SPEC_FIELDS = {"nodes_1d", "subdivisions"}
 
 
 def layout_reads(source: str) -> tuple[set[str], set[str]]:
-    """(layout names the source refers to, spec fields it reads as attributes)."""
+    """(owned names the source refers to, spec fields it reads as attributes)."""
     names, fields = set(), set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
@@ -28,7 +30,7 @@ def layout_reads(source: str) -> tuple[set[str], set[str]]:
             names.add(node.attr)
             if isinstance(node.ctx, ast.Load):
                 fields.add(node.attr)
-    return names & LAYOUT_NAMES, fields & SPEC_FIELDS
+    return names & OWNED_NAMES, fields & SPEC_FIELDS
 
 
 def test_only_fading_lays_out_a_link():
@@ -43,3 +45,10 @@ def test_check_flags_an_injected_read():
     assert layout_reads(source) == (set(), set())
     injected = source + "\nfrom .fading import D_MAX_SIGMAS as cap\npanels = rules[1].quad.subdivisions\n"
     assert layout_reads(injected) == ({"D_MAX_SIGMAS"}, {"subdivisions"})
+
+
+def test_check_flags_an_injected_root_rule():
+    source = (SRC / "postselect.py").read_text()
+    assert layout_reads(source)[0] == set()
+    injected = source + "\nfrom .fading import _ROOT_NODES\nq, _ = np.linalg.qr(basis)\nnp.linalg.eigh(q)\n"
+    assert layout_reads(injected)[0] == {"_ROOT_NODES", "qr", "eigh"}

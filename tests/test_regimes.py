@@ -29,7 +29,7 @@ from cvsat.postselect import (
 )
 from cvsat.schemes import KINDS, SchemeConfig, ensemble_cm
 
-from oracles import classical_selection_sums_tensor
+from oracles import classical_selection_sums_tensor, swap_ensemble_tensor
 
 QUAD = QuadratureSpec(nodes_1d=16, subdivisions=2)
 BETA = 1.0
@@ -71,6 +71,17 @@ def physical_or_typed(build):
 @given(cfg=configs())
 def test_scheme_ensembles(cfg):
     physical_or_typed(lambda: ensemble_cm(cfg))
+
+
+@FUZZ
+@given(cfg=configs(("swap",)))
+def test_swap_ensemble_matches_the_full_table_sum(cfg):
+    try:
+        got = ensemble_cm(cfg).m
+    except CvsatError:
+        return
+    want, = swap_ensemble_tensor(*cfg.links(), QUAD, [cfg.squeezing.v], cfg.chi)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
 
 
 @FUZZ

@@ -7,10 +7,12 @@ against brute-force linear algebra on the four-mode covariance matrix.
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cvsat.cli import _column, parse_scenario
 from cvsat.effective import scheme_effective_summary
 from cvsat.errors import DomainError
 from cvsat.fading import FadingChannel, LinkGeometry, LinkRule, sample
@@ -42,7 +44,10 @@ from oracles import (
     random_standard_input,
     swap_conditional_oracle,
     swap_displaced_oracle,
+    swap_ensemble_tensor,
 )
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 GEOM = LinkGeometry(sigma_b=0.7, k1=0.5, k2=0.64)
 POINT = LinkGeometry(sigma_b=0.0, k1=0.5, k2=0.64)
@@ -337,17 +342,41 @@ class TestSwapEnsemble:
         assert vals[0] > vals[1] > vals[2]
 
 
-class TestSwapEnsembleTail:
+class TestSwapEnsembleRootRule:
+    """The swap ensemble on the links' root rules against the sum over every node pair of their full tables.
+
+    Both sides use the same rule, and the pin is relative to the CM's largest
+    entry.  The rule's own error is another matter: at beta/W = 13 the 64x8
+    table is 8.9e-6 off a 128x16 one.
+    """
+
+    @staticmethod
+    def assert_matches_full_tables(cfg, rs, chi):
+        got = ensemble_column("swap", cfg.rules(), [Squeezing(r) for r in rs], chi)
+        want = swap_ensemble_tensor(*cfg.links(), cfg.quad, [Squeezing(r).v for r in rs], chi)
+        for cm, ref in zip(got, want):
+            np.testing.assert_allclose(cm.m, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("chi", [0.0, 0.1])
     @pytest.mark.parametrize("geom,beta", [(GEOM, 1.0), (LinkGeometry(1.5, 0.5, 0.64), 1.0),
                                            (GEOM, 0.4), (LinkGeometry(1.3, 0.5, 0.64), 13.0)])
-    def test_trimmed_tables_match_full_tables(self, monkeypatch, geom, beta):
+    def test_geometries(self, geom, beta, chi):
         cfg = config("swap", geom=geom, beta=beta, quad=QuadratureSpec(64, 8))
-        squeezings = [Squeezing(r) for r in (0.0, 1e-8, 0.1, 2.0, 3.0)]
-        trimmed = ensemble_column("swap", cfg.rules(), squeezings, 0.02)
-        monkeypatch.setattr(LinkRule, "trimmed", property(lambda rule: rule.table))
-        full = ensemble_column("swap", cfg.rules(), squeezings, 0.02)
-        for got, want in zip(trimmed, full):
-            np.testing.assert_allclose(got.m, want.m, rtol=1e-14, atol=0)
+        self.assert_matches_full_tables(cfg, (0.0, 1e-8, 0.1, 1.0, 2.0, 3.0), chi)
+
+    @pytest.mark.parametrize("name", ["lowloss_bw0.4", "lowloss_bw0.5", "lowloss_bw1.0"])
+    def test_survey_columns(self, name):
+        scenario = parse_scenario(SCENARIOS / f"{name}.scn")
+        for sigma_b in scenario.sigma_b_grid:
+            cfgs, _, _ = _column(scenario, "swap", sigma_b)
+            self.assert_matches_full_tables(cfgs[0], scenario.r_grid, scenario.chi)
+
+    def test_zero_squeezing_has_no_shared_factor(self):
+        # v = 1 gives G = 0 exactly: the CM is the weight mass times the identity
+        rules = config("swap").rules()
+        cm, = ensemble_column("swap", rules, [Squeezing(0.0)], 0.1)
+        mass = rules[0].table[1].sum() * rules[1].table[1].sum()
+        assert cm.m.tolist() == (mass * np.eye(4)).tolist()
 
 
 class TestEnsembleCmDispatch:
