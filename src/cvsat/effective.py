@@ -19,9 +19,10 @@ realization, with s = eta + eta',
 so the pole carries no squeezing beyond the factor v + 1, and the average is
 -M + (v + 1) P - (v^2 - 1) C(v).  The weight mass M and the principal value P
 depend only on the links and the rule, so a sigma_b column computes them
-once for all its r.  The smooth kernel C(v) of every r is summed in one pass
-over the same node tables, together with the transmittivities and, once,
-the separable mass; that pass forms its r-independent terms once per block.
+once for all its r.  The smooth kernel C(v) of every r is summed on the
+links' Gauss rules in sqrt(eta); the transmittivities and, once, the
+separable mass are summed over the node tables, their clipped parts only on
+the rectangle of nodes that can reach the entangled side.
 
 The per-realization effective transmittivities are defined only on the
 entangled side; their closed forms vanish on the boundary and turn negative
@@ -103,7 +104,7 @@ def try_effective(cm: TwoModeCM) -> EffectiveParams | None:
 
 
 def _swap_eta_integrals(rules: tuple[LinkRule, LinkRule], vs) -> tuple[float, list[list[float]]]:
-    """The separable mass and the squeezing-dependent swap sums of every v in vs, in one pass.
+    """The separable mass and the squeezing-dependent swap sums of every v in vs.
 
     rules are those of the A and B links.  Returns
     (separable_mass, [[eta_a, eta_b, signed_eta_a, signed_eta_b, kernel] per
@@ -118,53 +119,69 @@ def _swap_eta_integrals(rules: tuple[LinkRule, LinkRule], vs) -> tuple[float, li
     average that _summary completes with _swap_pole_sums.
 
     With u = v - 1, k = 2/u, x = eta / (1 - eta') and y = eta' / (1 - eta)
-    the closed forms read num_a = (x - 1) / (x + k) and num_b = (y - 1) / (y + k),
-    and the kernel is eta eta' / (s u + 2) = (1/u) / (s + k), its eta eta'
-    left to the weight columns (w, w eta).  Each block forms s, x - 1 and
-    y - 1 once, so each v costs one add and one divide per output.  v = 1
-    (u = 0, k infinite) entangles nothing and has the kernel 1/2.  Every
-    integrand is bounded, so the pass runs over the tables without their far
-    tails (LinkRule.trimmed); the separable mass, which can be smaller than a
-    tail, adds the trimmed pairs back.
+    the closed forms read num_a = (x - 1) / (x + k) and num_b = (y - 1) / (y + k);
+    each block forms x - 1 and y - 1 once, so each v costs one add and one
+    divide per side.  Both are bounded, so they run over the tables without
+    their far tails (LinkRule.trimmed); the separable mass, which can be
+    smaller than a tail, adds the trimmed pairs back.  max(num, 0) is 0 unless
+    x > 1 or y > 1; the tables descend in eta, so those pairs lie in a prefix
+    rectangle, and only there is the clip formed.  The kernel
+    eta eta' / (s u + 2) is analytic in sqrt(eta), so it is summed as the swap
+    ensemble is: on the links' root rules (LinkRule.root) against the weight
+    columns w eta.
     """
     (eta_a, w_a), (eta_b, w_b) = (rule.table for rule in rules)
     (ea, wa), (eb, wb) = (rule.trimmed for rule in rules)
+    us = [v - 1.0 for v in vs]
 
-    def columns(eta, w):
-        return np.stack((w, w * eta), axis=1)
+    def minus_1(e, ep):
+        # x - 1 and y - 1.  A transmittance that rounds to 1 makes x or y 1e300
+        # rather than infinite, so num takes its limit 1 there.
+        return e / np.maximum(1.0 - ep, 1e-300) - 1.0, ep / np.maximum(1.0 - e, 1e-300) - 1.0
 
-    def integrand(e, ep):
-        s = e + ep
-        num, out = np.empty_like(s), np.empty_like(s)
-        yield np.less(s, 1.0, out=out)
-        # A transmittance that rounds to 1 makes x or y 1e300 rather than
-        # infinite, so num takes its limit 1 there, as in the closed forms.
-        x_minus_1 = e / np.maximum(1.0 - ep, 1e-300) - 1.0
-        y_minus_1 = ep / np.maximum(1.0 - e, 1e-300) - 1.0
-        for v in vs:
-            u = v - 1.0
-            if u == 0.0:
-                num.fill(0.0)
-                yield from (num,) * 4
-                num.fill(0.5)
-                yield num
-                continue
-            k = 2.0 / u
-            for z_minus_1 in (x_minus_1, y_minus_1):
-                np.divide(z_minus_1, np.add(z_minus_1, 1.0 + k, out=num), out=num)
-                yield np.maximum(num, 0.0, out=out)
-                yield num
-            yield np.divide(1.0 / u, np.add(s, k, out=num), out=num)
+    def integrand(clipped):
+        def outputs(e, ep):
+            num = e + ep
+            yield np.less(num, 1.0, out=num)
+            out = np.empty_like(num)
+            sides = minus_1(e, ep)
+            for u in us:
+                for z_minus_1 in sides:
+                    if u == 0.0:
+                        num.fill(0.0)
+                    else:
+                        np.divide(z_minus_1, np.add(z_minus_1, 1.0 + 2.0 / u, out=num), out=num)
+                    if clipped:
+                        yield np.maximum(num, 0.0, out=out)
+                    yield num
+        return outputs
 
-    sums = pair_sums((ea, columns(ea, wa)), (eb, columns(eb, wb)), integrand)
+    # x and y grow with eta and eta', so a row with no pair past 1 against
+    # the B table's largest eta has none at all, and likewise a column.
+    rows = int(np.count_nonzero(np.maximum(*minus_1(ea, eb[0])) > 0.0))
+    cols = int(np.count_nonzero(np.maximum(*minus_1(ea[0], eb)) > 0.0))
+    clipped = pair_sums((ea[:rows], wa[:rows]), (eb[:cols], wb[:cols]), integrand(True))
+    signed = [below + beside for below, beside in zip(
+        pair_sums((ea[rows:], wa[rows:]), (eb, wb), integrand(False)),
+        pair_sums((ea[:rows], wa[:rows]), (eb[cols:], wb[cols:]), integrand(False)))]
     n_a, n_b = ea.size, eb.size
-    separable_mass = (sums[0][0, 0] + w_a[n_a:] @ ((eta_a[n_a:, None] + eta_b) < 1.0) @ w_b
+    separable_mass = (clipped[0] + signed[0] + w_a[n_a:] @ ((eta_a[n_a:, None] + eta_b) < 1.0) @ w_b
                       + wa @ ((ea[:, None] + eta_b[n_b:]) < 1.0) @ w_b[n_b:])
-    # After the indicator, each v yielded max(num_a, 0), num_a, max(num_b, 0), num_b, kernel.
+
+    (x_a, r_a), (x_b, r_b) = (rule.root for rule in rules)
+
+    def kernel(x, y):
+        s = x * x + y * y
+        for u in us:
+            yield 1.0 / (s * u + 2.0)
+
+    kernels = pair_sums((x_a, r_a * x_a * x_a), (x_b, r_b * x_b * x_b), kernel)
+    # After the indicator, each v yielded max(num_a, 0), num_a, max(num_b, 0),
+    # num_b in the rectangle and num_a, num_b elsewhere.
     return float(separable_mass), [
-        [float(sums[i][0, 0]), float(sums[i + 2][0, 0]), float(sums[i + 1][0, 0]),
-         float(sums[i + 3][0, 0]), float(sums[i + 4][1, 1])]
-        for i in range(1, len(sums), 5)]
+        [clipped[4 * i + 1], clipped[4 * i + 3], clipped[4 * i + 2] + signed[2 * i + 1],
+         clipped[4 * i + 4] + signed[2 * i + 2], kernels[i]]
+        for i in range(len(vs))]
 
 
 def _swap_pole_sums(rules: tuple[LinkRule, LinkRule]) -> tuple[float, float, bool]:
@@ -208,10 +225,10 @@ def _swap_pole_sums(rules: tuple[LinkRule, LinkRule]) -> tuple[float, float, boo
             yield density * e * eb / (e + eb - 1.0) - res / (d - d0)
 
     pole = (eta_a > 1.0 - ch_b.eta0) & (eta_a < 1.0 - eta_b_floor)
-    # Each sum is empty, hence 0, when no row falls on its side of the split.
+    # A side of the split with no rows sums to 0.
     mass = float(w_a[~pole].sum()) * float(w_b.sum())
-    pv_sum = sum(pair_sums((eta_a[~pole], w_a[~pole]), (eta_b, w_b),
-                           lambda e, eb: (e * eb / (e + eb - 1.0),)))
+    pv_sum, = pair_sums((eta_a[~pole], w_a[~pole]), (eta_b, w_b),
+                        lambda e, eb: (e * eb / (e + eb - 1.0),))
     if np.any(pole):
         e, w = eta_a[pole], w_a[pole]
         d0 = crossing(e)

@@ -226,8 +226,8 @@ def transmittance_nodes(
 # Weight that LinkRule.trimmed leaves off the far end of an uncut table, about the
 # Rayleigh tail beyond 9.1 sigma_b.  Its one reader, the effective swap eta pass, drops
 # pairs of weight below 2 * _TAIL_MASS, so an integrand bounded by B moves by at most
-# 2 * _TAIL_MASS * B: B = max(1, (v - 1)/2) for the transmittivity sums and 1/2 for
-# the kernel.  Unbounded integrands (the principal value) keep full tables.
+# 2 * _TAIL_MASS * B, with B = max(1, (v - 1)/2) for the transmittivity sums.
+# Unbounded integrands (the principal value) keep full tables.
 _TAIL_MASS = 1e-18
 # Nodes of LinkRule.root.  Over 150 random draws of the regime fuzz domain
 # (tap_t down to 0.01) at the default 64x8 rule, 40 nodes agree with 96 to 7e-15
@@ -289,11 +289,12 @@ class LinkRule:
     def root(self) -> tuple[np.ndarray, np.ndarray]:
         """Gauss rule (x_k, w_k) of _ROOT_NODES nodes in x = sqrt(eta) for the link's table.
 
-        It sums integrands analytic in x, the quantum post-selection rows and the swap
-        ensemble.  Q of the weighted Chebyshev basis holds the table's orthonormal
-        polynomials; the eigenpairs of x in that basis are the nodes and weights (Golub
-        and Welsch, Math. Comp. 23, 1969).  Unlike Lanczos this divides by nothing, so a
-        link with almost no wander, or a point mass, is no special case.
+        It sums integrands analytic in x: the quantum post-selection rows, the swap
+        ensemble and the effective swap kernel C(v).  Q of the weighted Chebyshev basis
+        holds the table's orthonormal polynomials; the eigenpairs of x in that basis are
+        the nodes and weights (Golub and Welsch, Math. Comp. 23, 1969).  Unlike Lanczos
+        this divides by nothing, so a link with almost no wander, or a point mass, is no
+        special case.
         """
         eta, w = self.table
         keep = w > 0.0

@@ -99,13 +99,14 @@ def pair_sums(outer, inner, integrand) -> list:
     shape (k,) or (k, l), the array of sums of the output times every column
     pair.  A rule that differs from row to row is a weight-column rule in a
     unit variable: the integrand maps it to each row's own interval and the
-    outer columns carry each row's Jacobian.
+    outer columns carry each row's Jacobian.  An empty table on either side
+    makes one empty block, so every sum is a zero of its columns' shape.
     """
     x, w = outer
     y, wy = inner
     totals: list = []
-    step = max(1, _BLOCK_ELEMENTS // y.size)
-    for start in range(0, x.size, step):
+    step = max(1, _BLOCK_ELEMENTS // max(1, y.size))
+    for start in range(0, max(1, x.size), step):
         xb = x[start:start + step]
         outputs = integrand(xb[:, None], y[None, :])
         parts = [w[start:start + step].T @ (vals @ wy) for vals in outputs]

@@ -362,22 +362,31 @@ def swap_eta_integrals_tensor(ch_a: FadingChannel, ch_b: FadingChannel, vs,
     num_a = -(s - 1)(v - 1) / (eta (1 - v) + 2 (eta' - 1)), its mirror num_b,
     and the kernel eta eta' / (s (v - 1) + 2), s = eta + eta', one A-side
     node at a time.  At v = 1 the closed forms vanish wherever they are
-    defined, so they are taken as 0 there (a node with eta' = 1 makes them 0/0).
+    defined, so they are taken as 0 there.
+
+    1 - eta and 1 - eta' enter as c = max(1 - eta, 1e-300), with s - 1 =
+    eta - c' in num_a and eta' - c in num_b.  The subtraction is exact where
+    eta >= 1/2, so no digit of s - 1 is lost where eta0 lies within 1e-13 of 1
+    (beta/W above 3), as it would be from the rounded s.  The floor reads an
+    eta that rounds to 1 as 1 - 1e-300, the convention the effective pass
+    states for x and y; without it a node with eta' = 1 makes num_a 0/0
+    against eta = 0.
     """
     eta_a, w_a = LinkRule(ch_a, quad).table
     eta_b, w_b = LinkRule(ch_b, quad).table
+    c_b = np.maximum(1.0 - eta_b, 1e-300)
     separable = 0.0
     sums = np.zeros((len(vs), 5))
     for e, wa in zip(eta_a, w_a):
         s = e + eta_b
+        c_a = max(1.0 - e, 1e-300)
         separable += wa * float(w_b @ (s < 1.0))
         for i, v in enumerate(vs):
             if v == 1.0:
                 num_a = num_b = np.zeros_like(s)
             else:
-                across = -(s - 1.0) * (v - 1.0)
-                num_a = across / (e * (1.0 - v) + 2.0 * (eta_b - 1.0))
-                num_b = across / (eta_b * (1.0 - v) + 2.0 * (e - 1.0))
+                num_a = -(e - c_b) * (v - 1.0) / (e * (1.0 - v) - 2.0 * c_b)
+                num_b = -(eta_b - c_a) * (v - 1.0) / (eta_b * (1.0 - v) - 2.0 * c_a)
             kernel = e * eta_b / (s * (v - 1.0) + 2.0)
             sums[i] += wa * np.array([w_b @ f for f in (
                 np.maximum(num_a, 0.0), np.maximum(num_b, 0.0), num_a, num_b, kernel)])

@@ -893,9 +893,12 @@ class TestColumnWork:
         work = self.work(counts, tmp_path, run_effective, schemes="direct, satellite, swap")
         # 2 columns: one expand_links each; one table for each of the four
         # links, shared by the schemes that use it and by the swap's eta
-        # integrals and pole sums; the swap eta integrals with the separable
-        # mass, and the principal value off and on the pole; no root rules
-        assert work == {"channels": 2 * 4, "uncut tables": 2 * 4, "pair sums": 2 * 3}
+        # integrals and pole sums; the swap transmittivities and separable
+        # mass in three sums (the clipped rectangle and the two blocks beside
+        # it), the kernel on the two swap links' root rules, and the
+        # principal value off and on the pole
+        assert work == {"channels": 2 * 4, "uncut tables": 2 * 4, "root rules": 2 * 2,
+                        "pair sums": 2 * 6}
 
     def test_classical_postselect(self, counts, tmp_path):
         work = self.work(counts, tmp_path, run_postselect, block=CLASSICAL)

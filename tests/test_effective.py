@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from cvsat import effective
 from cvsat.cli import _column, parse_scenario
 from cvsat.effective import (
     EffectiveParams,
@@ -25,6 +26,7 @@ from cvsat.effective import (
 )
 from cvsat.errors import DomainError, NumericalError
 from cvsat.fading import (
+    _ROOT_NODES,
     D_MAX_SIGMAS,
     FadingChannel,
     LinkGeometry,
@@ -35,7 +37,7 @@ from cvsat.fading import (
     sample,
 )
 from cvsat.gaussian import Squeezing, StandardFormCM, apply_loss, log_negativity, tmsv_cm
-from cvsat.numerics import QuadratureSpec
+from cvsat.numerics import QuadratureSpec, pair_sums
 from cvsat.schemes import KINDS, SchemeConfig, swap_realization
 
 from oracles import cosh_swapped, dense_channel_average, swap_eta_integrals_tensor
@@ -331,23 +333,12 @@ class TestSwapCoshAverage:
 
 
 class TestSwapEtaIntegrals:
-    """The hoisted pass over tail-trimmed tables against the closed forms on full tables."""
+    """The split pass over tail-trimmed tables and the root-rule kernel against the closed forms on full tables."""
 
     R_GRID = (0.0, 1e-8, 0.1, 2.0, 3.0)
 
-    @pytest.mark.parametrize("ch_a,ch_b", [
-        (FadingChannel(0.7, 0.4, 1.0), FadingChannel(0.448, 0.4, 1.0)),  # sigma_b > beta
-        (FadingChannel(0.7, 1.0, 1.0), FadingChannel(0.448, 1.0, 1.0)),  # straddles s = 1
-        (FadingChannel(1.5, 1.0, 1.0), FadingChannel(0.96, 1.0, 1.0)),  # sigma_b > beta
-        # eta0 = 1, and a separable mass (deep in both tails) below _TAIL_MASS
-        (FadingChannel(1.3, 13.0, 1.0), FadingChannel(0.832, 13.0, 1.0)),
-        (FadingChannel(0.0, 1.0, 1.0), FadingChannel(0.7, 1.0, 1.0)),
-        (FadingChannel(0.7, 1.0, 1.0), FadingChannel(0.0, 1.0, 1.0)),
-        (FadingChannel(0.0, 1.0, 1.0), FadingChannel(0.0, 0.4, 1.0)),
-    ], ids=["bw0.4-wide", "bw1", "bw1-wide", "bw13", "point-a", "point-b", "point-both"])
-    def test_matches_full_table_closed_forms(self, ch_a, ch_b):
-        quad = QuadratureSpec(64, 8)
-        vs = [Squeezing(r).v for r in self.R_GRID]
+    @staticmethod
+    def assert_matches_full_tables(ch_a, ch_b, vs, quad):
         separable, got = _swap_eta_integrals((LinkRule(ch_a, quad), LinkRule(ch_b, quad)), vs)
         want_separable, want = swap_eta_integrals_tensor(ch_a, ch_b, vs, quad)
         assert separable == pytest.approx(want_separable, rel=1e-13, abs=0.0)
@@ -360,7 +351,77 @@ class TestSwapEtaIntegrals:
             for value, reference, positive in ((signed_a, w_signed_a, w_eta_a),
                                                (signed_b, w_signed_b, w_eta_b)):
                 assert abs(value - reference) <= 1e-13 * (2.0 * positive - reference)
+        return got
+
+    @pytest.mark.parametrize("ch_a,ch_b", [
+        (FadingChannel(0.7, 0.4, 1.0), FadingChannel(0.448, 0.4, 1.0)),  # sigma_b > beta
+        (FadingChannel(0.7, 1.0, 1.0), FadingChannel(0.448, 1.0, 1.0)),  # straddles s = 1
+        (FadingChannel(1.5, 1.0, 1.0), FadingChannel(0.96, 1.0, 1.0)),  # sigma_b > beta
+        # eta0 = 1, and a separable mass (deep in both tails) below _TAIL_MASS
+        (FadingChannel(1.3, 13.0, 1.0), FadingChannel(0.832, 13.0, 1.0)),
+        (FadingChannel(0.0, 1.0, 1.0), FadingChannel(0.7, 1.0, 1.0)),
+        (FadingChannel(0.7, 1.0, 1.0), FadingChannel(0.0, 1.0, 1.0)),
+        (FadingChannel(0.0, 1.0, 1.0), FadingChannel(0.0, 0.4, 1.0)),
+    ], ids=["bw0.4-wide", "bw1", "bw1-wide", "bw13", "point-a", "point-b", "point-both"])
+    def test_matches_full_table_closed_forms(self, ch_a, ch_b):
+        vs = [Squeezing(r).v for r in self.R_GRID]
+        got = self.assert_matches_full_tables(ch_a, ch_b, vs, QuadratureSpec(64, 8))
         assert got[0][:4] == [0.0] * 4
+
+    def test_empty_entangled_prefix(self):
+        # eta0 + eta0' = 0.81 at beta/W = 0.3: no pair is entangled, so the
+        # clipped sums run over no pair and are exactly 0
+        ch_a, ch_b = FadingChannel(0.3, 0.3, 1.0), FadingChannel(0.192, 0.3, 1.0)
+        assert ch_a.eta0 + ch_b.eta0 < 1.0
+        vs = [Squeezing(r).v for r in self.R_GRID]
+        got = self.assert_matches_full_tables(ch_a, ch_b, vs, QuadratureSpec(64, 8))
+        assert all(row[0] == row[1] == 0.0 for row in got)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_draws(self, seed):
+        # sigma_b <= 3 on each link, a point mass one time in five, beta/W
+        # log-uniform in [0.3, 13] and r <= 3, at the regime fuzz's 16x2 rule
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            beta_over_w = math.exp(rng.uniform(math.log(0.3), math.log(13.0)))
+            ch_a, ch_b = (FadingChannel(0.0 if rng.random() < 0.2 else rng.uniform(0.01, 3.0),
+                                        beta_over_w, 1.0) for _ in range(2))
+            vs = [Squeezing(r).v for r in (0.0, *rng.uniform(0.0, 3.0, 2), 3.0)]
+            self.assert_matches_full_tables(ch_a, ch_b, vs, QuadratureSpec(16, 2))
+
+
+class TestSwapEtaPassWork:
+    """The clipped sums cover only the entangled prefix, and the kernel only the root rules."""
+
+    @staticmethod
+    def pair_points(monkeypatch, sigma_b):
+        """Points of each pair sum of the pass, in order, and of the trimmed grid.
+
+        The sums are the rectangle, the two blocks beside it and the kernel.
+        """
+        points = []
+
+        def counting(outer, inner, integrand):
+            points.append(outer[0].size * inner[0].size)
+            return pair_sums(outer, inner, integrand)
+
+        monkeypatch.setattr(effective, "pair_sums", counting)
+        rules = config("swap", geom=LinkGeometry(sigma_b=sigma_b, k1=0.5, k2=0.64)).rules()
+        _swap_eta_integrals(rules, [Squeezing(r).v for r in (0.1, 1.0)])
+        (ea, _), (eb, _) = (rule.trimmed for rule in rules)
+        return points, ea.size * eb.size
+
+    def test_wide_wander(self, monkeypatch):
+        (clipped, below, beside, kernel), grid = self.pair_points(monkeypatch, 1.5)
+        assert clipped + below + beside == grid
+        assert clipped <= 0.05 * grid
+        assert kernel == _ROOT_NODES**2
+
+    def test_narrow_wander(self, monkeypatch):
+        # at sigma_b = 0.1 every trimmed pair is entangled
+        (clipped, below, beside, kernel), grid = self.pair_points(monkeypatch, 0.1)
+        assert (clipped, below, beside) == (grid, 0, 0)
+        assert kernel == _ROOT_NODES**2
 
 
 class TestPoleDecomposition:

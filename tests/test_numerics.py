@@ -166,9 +166,33 @@ class TestPairSums:
         assert lower.shape == upper.shape == (2,)
         assert lower[0] + upper[1] == pytest.approx(1.0 / 3.0, rel=1e-14)
 
+    @staticmethod
+    def two_outputs(x, y):
+        yield x + y
+        yield x * y
+
     def test_empty_outer_table(self):
+        x, w = rule(0.0, 1.0)
+        assert pair_sums((np.empty(0), np.empty(0)), (x, w), self.two_outputs) == [0.0, 0.0]
+        # weight columns shape each zero sum: 3 outer columns, 2 inner ones
+        sums = pair_sums((np.empty(0), np.empty((0, 3))), (x, np.stack((w, w * x), axis=1)),
+                         self.two_outputs)
+        assert len(sums) == 2
+        for total in sums:
+            assert total.shape == (3, 2) and not total.any()
+
+    def test_empty_inner_table(self):
+        x, w = rule(0.0, 1.0)
+        assert pair_sums((x, w), (np.empty(0), np.empty(0)), self.two_outputs) == [0.0, 0.0]
+        sums = pair_sums((x, np.stack((w, w * x), axis=1)), (np.empty(0), np.empty((0, 3))),
+                         self.two_outputs)
+        assert len(sums) == 2
+        for total in sums:
+            assert total.shape == (2, 3) and not total.any()
+
+    def test_both_tables_empty(self):
         empty = (np.empty(0), np.empty(0))
-        assert pair_sums(empty, rule(0.0, 1.0), lambda x, y: (x,)) == []
+        assert pair_sums(empty, empty, self.two_outputs) == [0.0, 0.0]
 
 
 class TestMcExpectation:
