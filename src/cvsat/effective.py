@@ -200,7 +200,7 @@ def _swap_pole_sums(rules: tuple[LinkRule, LinkRule]) -> tuple[float, float, boo
     if ch_b.point_mass and np.any(np.abs(eta_a + ch_b.eta0 - 1.0) < 1e-9):
         raise NumericalError("point-mass node sits on the swapped-state boundary")
 
-    d_hi, _ = rules[1].span
+    d_hi = float(rules[1].edges[-1])
     eta_b_floor = float(eta_of_deflection(ch_b, d_hi))
     lam, l_s, sig = ch_b.lambda_shape, ch_b.l_scale, ch_b.sigma_b
 
@@ -227,8 +227,13 @@ def _swap_pole_sums(rules: tuple[LinkRule, LinkRule]) -> tuple[float, float, boo
     pole = (eta_a > 1.0 - ch_b.eta0) & (eta_a < 1.0 - eta_b_floor)
     # A side of the split with no rows sums to 0.
     mass = float(w_a[~pole].sum()) * float(w_b.sum())
-    pv_sum, = pair_sums((eta_a[~pole], w_a[~pole]), (eta_b, w_b),
-                        lambda e, eb: (e * eb / (e + eb - 1.0),))
+    # Where eta0 rounds to 1 and the far tail to 0, an off-pole pair can sit on s = 1 exactly.
+    with np.errstate(all="ignore"):
+        try:
+            pv_sum, = pair_sums((eta_a[~pole], w_a[~pole]), (eta_b, w_b),
+                                lambda e, eb: (e * eb / (e + eb - 1.0),))
+        except NumericalError:
+            raise NumericalError("an off-pole node pair sits on the swapped-state boundary s = 1") from None
     if np.any(pole):
         e, w = eta_a[pole], w_a[pole]
         d0 = crossing(e)

@@ -58,12 +58,9 @@ def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def panel_nodes(lo: float, hi: float, nodes_1d: int, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on [lo, hi]: nodes_1d points on each of `panels` equal panels."""
-    if not lo <= hi:
-        raise DomainError(f"integration bounds must satisfy lo <= hi, got [{lo}, {hi}]")
+def panel_nodes(edges: np.ndarray, nodes_1d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule: nodes_1d points on each panel between ascending edges, equal or not."""
     xg, wg = _leggauss(nodes_1d)
-    edges = np.linspace(lo, hi, panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     return (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()

@@ -308,7 +308,7 @@ def classical_selection_sums_tensor(ch_up: FadingChannel, ch_down: FadingChannel
         return float(kept.sum()), float(kept @ zeta), float(kept @ np.sqrt(zeta))
     down = LinkRule(ch_down, quad)
     t, wt = down.unit
-    d_c = np.full(eta.size, down.span[0])
+    d_c = np.full(eta.size, down.edges[-1])
     if zeta_th > 0.0:
         d_c = np.minimum(d_c, deflection_of_eta(ch_down, np.clip(cut, np.finfo(float).tiny, eta0)))
     sums = np.zeros(3)

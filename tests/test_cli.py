@@ -653,6 +653,18 @@ class TestCommandLine:
         assert err.startswith("numerical error: ")
         assert f"beta/w = {beta_over_w} overflows" in err
 
+    @pytest.mark.parametrize("flags", [(), ("-W", "error::RuntimeWarning")], ids=["default", "warnings-as-errors"])
+    def test_exact_swap_pole_exits_3_cleanly(self, tmp_path, flags):
+        # at beta/W = 5 eta0 rounds to 1 and the far tail of eta to 0, so an
+        # off-pole node pair sits on s = 1 exactly; the sum must not divide there
+        text = ("schemes = swap\nsigma_b.min = 0.5\nsigma_b.max = 1.0\nsigma_b.steps = 2\n"
+                "r.min = 0.5\nr.max = 1.0\nr.steps = 2\n"
+                "beta = 1.0\nbeta_over_w = 5\nk1 = 0.5\nk2 = 0.64\n")
+        res = run_python(*flags, "-m", "cvsat.cli", "effective", scn(tmp_path, text))
+        assert res.returncode == 3
+        assert res.stderr.splitlines() == [
+            "numerical error: an off-pole node pair sits on the swapped-state boundary s = 1"]
+
     def test_non_finite_value_exits_2_naming_key(self, tmp_path):
         # refused while parsing, before an inf grid end reaches np.linspace, which warns
         res = run_cli("sweep", scn(tmp_path, SMALL.replace("sigma_b.max = 0.8", "sigma_b.max = inf")))

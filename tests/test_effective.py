@@ -67,7 +67,7 @@ def split_at_crossing(ch_b, quad, e, w):
     deflection weights.
     """
     rule = LinkRule(ch_b, quad)
-    d_hi, (t01, w01) = rule.span[0], rule.unit
+    d_hi, (t01, w01) = rule.edges[-1], rule.unit
     d0 = np.asarray(deflection_of_eta(ch_b, 1.0 - e), dtype=float)
     d = np.concatenate((d0 * t01, d0 + (d_hi - d0) * t01), axis=1)
     return d0, d, w * np.concatenate((d0 * w01, (d_hi - d0) * w01), axis=1)

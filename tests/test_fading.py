@@ -256,15 +256,18 @@ class TestTransmittanceNodes:
     @pytest.mark.parametrize("sigma,quad", [(0.7, QuadratureSpec()), (22.0, QuadratureSpec(32, 4))])
     def test_cut_weights_sum_to_rayleigh_cdf(self, sigma, quad):
         ch = FadingChannel(sigma, 0.5, 1.0)
-        # 1e-300 ends the rule on the uncut span at sigma_b = 0.7 and inside it at 22
+        # 1e-300 lies past the rule's end at sigma_b = 0.7 and cuts it at 22
         for cut in (1e-300, *(frac * ch.eta0 for frac in (1e-6, 0.05, 0.3, 0.7, 0.95))):
             eta, w = transmittance_nodes(ch, quad, cut)
             d_c = min(D_MAX_SIGMAS * sigma, float(deflection_of_eta(ch, cut)))
             assert float(w.sum()) == pytest.approx(-math.expm1(-0.5 * (d_c / sigma) ** 2), abs=1e-12)
             assert np.all(eta > cut)
-        # a cut at 0 leaves the table uncut, bit for bit; one at or above eta0 keeps no weight
-        uncut, cut_at_zero = LinkRule(ch, quad).table, transmittance_nodes(ch, quad, 0.0)
-        assert all(np.array_equal(a, b) for a, b in zip(uncut, cut_at_zero))
+        # a cut at 0, or below the last node's eta (past the rule's end; at sigma_b = 22
+        # that eta underflows to 0), leaves the table uncut, bit for bit; one at or
+        # above eta0 keeps no weight
+        uncut = LinkRule(ch, quad).table
+        for cut in (0.0, 0.5 * float(uncut[0][-1])):
+            assert all(np.array_equal(a, b) for a, b in zip(uncut, transmittance_nodes(ch, quad, cut)))
         for cut in (ch.eta0, 1.5 * ch.eta0, math.inf):
             assert not np.any(transmittance_nodes(ch, quad, cut)[1])
 
@@ -368,32 +371,49 @@ class TestLinkRule:
         assert len(calls) == 1
 
 
-class TestSpan:
-    """LinkRule.span, (d_hi, panels), and the tables laid out on it."""
+class TestEdges:
+    """LinkRule.edges, the uncut rule's panel edges, and the tables laid out on them."""
 
     QUAD = QuadratureSpec(nodes_1d=32, subdivisions=4)
 
     def test_wide_channels_get_more_panels(self):
         for sigma, panels in ((0.0, 4), (0.3, 4), (0.7, 8), (22.0, 4 * 44)):
-            assert LinkRule(FadingChannel(sigma, 0.5, 1.0), self.QUAD).span == (D_MAX_SIGMAS * sigma, panels)
+            edges = LinkRule(FadingChannel(sigma, 0.5, 1.0), self.QUAD).edges
+            assert np.array_equal(edges, np.linspace(0.0, D_MAX_SIGMAS * sigma, panels + 1))
 
     def test_too_many_nodes_per_axis(self):
         rule = LinkRule(FadingChannel(22.0, 0.5, 1.0), QuadratureSpec(1024, 1))
         with pytest.raises(DomainError, match="1024x1 rule needs 45056 nodes per axis, above the limit 32768"):
-            rule.span
+            rule.edges
 
     @pytest.mark.parametrize("sigma", [0.7, 22.0])
     def test_table_and_unit_rule_share_the_panels(self, sigma):
         ch = FadingChannel(sigma, 0.5, 1.0)
         rule = LinkRule(ch, self.QUAD)
-        d_hi, panels = rule.span
-        # the uncut table is laid out on [0, d_hi] directly, bit for bit
-        d, wd = panel_nodes(0.0, d_hi, 32, panels)
+        # the uncut table is laid out on the edges directly, bit for bit
+        d, wd = panel_nodes(rule.edges, 32)
         assert np.array_equal(rule.table[0], eta_of_deflection(ch, d))
         assert np.array_equal(rule.table[1], wd * rayleigh_pdf(d, sigma))
+        # the unit rule's edges are their own linspace: edges / edges[-1] moves the
+        # unit nodes in the last bits, swap_cosh_avg by up to 5.2e-10 relative on bw0.4
         t, wt = rule.unit
-        assert all(np.array_equal(a, b) for a, b in zip((t, wt), panel_nodes(0.0, 1.0, 32, panels)))
-        np.testing.assert_allclose(d_hi * t, d, rtol=1e-13, atol=0)
+        unit = panel_nodes(np.linspace(0.0, 1.0, rule.edges.size), 32)
+        assert all(np.array_equal(a, b) for a, b in zip((t, wt), unit))
+        np.testing.assert_allclose(rule.edges[-1] * t, d, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("sigma,quad", [(0.7, QuadratureSpec()), (22.0, QuadratureSpec(32, 4))])
+    def test_cut_table_clips_the_edges_and_grades_toward_the_cut(self, sigma, quad):
+        ch = FadingChannel(sigma, 0.5, 1.0)
+        rule = LinkRule(ch, quad)
+        for cut in (1e-6 * ch.eta0, 0.3 * ch.eta0, 0.95 * ch.eta0):
+            d_c = float(deflection_of_eta(ch, cut))
+            # the link's edges below d_c, bit for bit, 4 points graded at ratio 0.15, and d_c
+            kept = rule.edges[rule.edges < d_c]
+            edges = np.concatenate((kept, d_c - (d_c - kept[-1]) * 0.15 ** np.arange(1, 5), [d_c]))
+            d, wd = panel_nodes(edges, quad.nodes_1d)
+            eta, w = transmittance_nodes(ch, quad, cut)
+            assert np.array_equal(eta, eta_of_deflection(ch, d))
+            assert np.array_equal(w, wd * rayleigh_pdf(d, sigma))
 
 
 class TestLossDb:

@@ -1,12 +1,12 @@
 """A link's quadrature layout and its root rule have one owner, fading.LinkRule.
 
-LinkRule decides a link's span, its panels, its unit rule on [0, 1] and its
-Gauss rule in sqrt(eta).  The checks read each module's syntax tree: only
-fading refers to the panel rule builder panel_nodes, to the truncation
-D_MAX_SIGMAS, to the root rule's size _ROOT_NODES or to the QR and eigen
-solvers that build a root rule, and only fading, numerics (which validates a
-QuadratureSpec) and cli (which builds one) read a spec's nodes_1d or
-subdivisions.
+LinkRule decides a link's panel edges, its unit rule on [0, 1] and its Gauss
+rule in sqrt(eta).  The checks read each module's syntax tree: only fading
+refers to the panel rule builder panel_nodes, to the truncation D_MAX_SIGMAS,
+to the grading of a cut table's last panel (_GRADED points at _GRADING_RATIO),
+to the root rule's size _ROOT_NODES or to the QR and eigen solvers that build a
+root rule, and only fading, numerics (which validates a QuadratureSpec) and cli
+(which builds one) read a spec's nodes_1d or subdivisions.
 """
 
 import ast
@@ -14,7 +14,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cvsat"
 
-OWNED_NAMES = {"panel_nodes", "D_MAX_SIGMAS", "_ROOT_NODES", "qr", "eigh"}
+OWNED_NAMES = {"panel_nodes", "D_MAX_SIGMAS", "_GRADED", "_GRADING_RATIO", "_ROOT_NODES", "qr", "eigh"}
 SPEC_FIELDS = {"nodes_1d", "subdivisions"}
 
 
@@ -38,6 +38,14 @@ def test_only_fading_lays_out_a_link():
     assert {module for module, (names, _) in found.items() if names} == {"fading"}
     spec_readers = {module for module, (_, fields) in found.items() if fields}
     assert "fading" in spec_readers and spec_readers <= {"fading", "numerics", "cli"}
+
+
+def test_only_fading_builds_panel_edges():
+    # besides LinkRule's edges and unit rule, np.linspace lays out only cli's scenario axes
+    def calls_linspace(path):
+        return any(isinstance(node, ast.Attribute) and node.attr == "linspace"
+                   for node in ast.walk(ast.parse(path.read_text())))
+    assert {path.stem for path in SRC.glob("*.py") if calls_linspace(path)} == {"fading", "cli"}
 
 
 def test_check_flags_an_injected_read():

@@ -212,6 +212,19 @@ def perfbench_workloads(monkeypatch):
     return module
 
 
+def classical_scenarios(monkeypatch, tmp_path, seed):
+    """The two classical post-selection scenarios, shipped (seed None) or perfbench's at a seed."""
+    if seed is None:
+        paths = sorted((ROOT / "scenarios").glob("postselect_*.scn"))
+    else:
+        invocations = perfbench_workloads(monkeypatch).generate("postselect", seed, tmp_path)
+        paths = [inv.scenario for inv in invocations]
+    scenarios = [parse_scenario(path) for path in paths]
+    scenarios = [scn for scn in scenarios if isinstance(scn.postselect[0], ClassicalPsConfig)]
+    assert len(scenarios) == 2
+    return scenarios
+
+
 class TestSelectionSums:
     """The 1D sums against the 2D form, which pairs each uplink node with its own cut downlink table."""
 
@@ -225,19 +238,31 @@ class TestSelectionSums:
 
     @pytest.mark.parametrize("seed", [None, 0, 5], ids=["shipped", "perfbench-seed0", "perfbench-seed5"])
     def test_scenario_links(self, monkeypatch, tmp_path, seed):
-        if seed is None:
-            paths = sorted((ROOT / "scenarios").glob("postselect_*.scn"))
-        else:
-            invocations = perfbench_workloads(monkeypatch).generate("postselect", seed, tmp_path)
-            paths = [inv.scenario for inv in invocations]
-        scenarios = [parse_scenario(path) for path in paths]
-        scenarios = [scn for scn in scenarios if isinstance(scn.postselect[0], ClassicalPsConfig)]
-        assert len(scenarios) == 2
-        for scn in scenarios:
+        for scn in classical_scenarios(monkeypatch, tmp_path, seed):
             for sigma_b in scn.sigma_b_grid:
                 up, down = direct_cfg(geom=LinkGeometry(sigma_b, scn.k1, scn.k2), beta=scn.beta,
                                       w=scn.w).links()
                 self.assert_matches_tensor(up, down, scn.quad, [ps.zeta_th for ps in scn.postselect])
+
+    # Each classical scenario's rule, its fine reference rule and the relative tolerance.
+    # On equal panels the outer rule's kink at the cut left 64x8 3.0e-11 and 32x4 1.9e-12
+    # off; graded toward the cut they read 3.6e-15 and 5.8e-14, and 32x4 reads 1.1e-13 at
+    # zeta_th = 0, where the sums are products of the uncut tables' moments.
+    REFERENCES = {QuadratureSpec(64, 8): (QuadratureSpec(64, 256), 1e-13),
+                  QuadratureSpec(32, 4): (QuadratureSpec(64, 16), 2e-13)}
+
+    @pytest.mark.parametrize("seed", [None, 0, 5], ids=["shipped", "perfbench-seed0", "perfbench-seed5"])
+    def test_scenario_sums_match_a_fine_graded_rule(self, monkeypatch, tmp_path, seed):
+        for scn in classical_scenarios(monkeypatch, tmp_path, seed):
+            fine, rtol = self.REFERENCES[scn.quad]
+            for sigma_b in scn.sigma_b_grid:
+                up, down = direct_cfg(geom=LinkGeometry(sigma_b, scn.k1, scn.k2), beta=scn.beta,
+                                      w=scn.w).links()
+                rules, fine_rules = ((LinkRule(up, quad), LinkRule(down, quad)) for quad in (scn.quad, fine))
+                for ps in scn.postselect:
+                    np.testing.assert_allclose(postselect._selection_sums(*rules, ps.zeta_th),
+                                               postselect._selection_sums(*fine_rules, ps.zeta_th),
+                                               rtol=rtol, atol=0)
 
     @pytest.mark.parametrize("sigma_up,sigma_down,beta_over_w", [
         (0.0, 0.5, 0.5), (1.0, 0.0, 0.5), (0.0, 0.0, 0.5), (1.0, 0.32, 0.2), (1.0, 0.32, 2.0),
@@ -249,7 +274,7 @@ class TestSelectionSums:
 
     def test_oracle_refuses_an_under_resolved_row(self):
         # a point-mass uplink leaves one row, whose downlink rule at sigma_b = 0.1
-        # ends on the uncut span: 8x1 misses its Rayleigh mass, 16x2 holds it
+        # ends on the uncut edges: 8x1 misses its Rayleigh mass, 16x2 holds it
         up, down = FadingChannel(0.0, 1.0, 1.0), FadingChannel(0.1, 1.0, 1.0)
         with pytest.raises(NumericalError, match="weights miss by 7.29e-03"):
             classical_selection_sums_tensor(up, down, QuadratureSpec(8, 1), 0.01)
