@@ -32,29 +32,26 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
-# The CLI computes whole columns and calls neither ordering_check nor
-# classical_postselect nor quantum_postselect nor loss_db; they stay imported
-# because perfbench/replay.py wraps them by attribute lookup in this module.
-from .effective import ordering_check, ordering_column, try_effective  # noqa: F401
+# The CLI computes whole columns and calls neither ordering_check nor loss_db; they stay
+# imported because perfbench/replay.py wraps them by attribute lookup in this module.
+from .effective import ordering_check, ordering_column, standard_rows, try_effective  # noqa: F401
 from .errors import ConfigError, DomainError, NumericalError
-from .fading import LinkGeometry, expand_links, loss_db, mean_transmittance, sample  # noqa: F401
+from .fading import LinkGeometry, LinkRule, expand_links, loss_db, mean_transmittance, sample  # noqa: F401
 from .gaussian import Squeezing, log_negativity
 from .numerics import McSpec, QuadratureSpec, mc_expectation
-from .postselect import (  # noqa: F401
+from .postselect import (
     ClassicalPsConfig,
-    PostSelectionResult,
     QuantumPsConfig,
     classical_postselect,
     postselect_column,
     quantum_postselect,
 )
-from .schemes import KINDS, SchemeConfig, ensemble_cm, ensemble_column
+from .schemes import KINDS, SchemeConfig, ensemble_cm, ensemble_column, scheme_links
 
 CSV_COLUMNS = (
     "scheme", "sigma_b", "r", "chi", "e_ln", "p_success",
@@ -250,22 +247,15 @@ def write_csv(rows: list[dict], stream) -> None:
         writer.writerow([format_value(row[col]) for col in CSV_COLUMNS])
 
 
-def _postselect_point(cfg: SchemeConfig, res: PostSelectionResult, losses: list[float]) -> dict:
-    """One CSV row; a sweep row is the selection that keeps everything."""
-    eff = try_effective(res.cm)
-    return {
-        "scheme": cfg.kind, "sigma_b": cfg.geometry.sigma_b, "r": cfg.squeezing.r, "chi": cfg.chi,
-        "e_ln": res.e_ln, "p_success": res.p_success,
-        "eff_r": eff.r_e if eff is not None else None,
-        "eff_eta_a": eff.eta_a if eff is not None else None,
-        "eff_eta_b": eff.eta_b if eff is not None else None,
-        "mean_loss_up_db": losses[0], "mean_loss_down_db": losses[1],
-    }
+def _postselect_point(kind: str, sigma_b: float, r: float, chi: float, row, losses: list[float]) -> dict:
+    """One CSV row from row = (e_ln, p_success, eff_r, eff_eta_a, eff_eta_b); NaN eff_r: eff_* empty."""
+    return dict(zip(CSV_COLUMNS, (kind, sigma_b, r, chi, *row[:2],
+                                  *([None] * 3 if math.isnan(row[2]) else row[2:]), *losses)))
 
 
-def _sweep_point(cfg: SchemeConfig, cm, losses: list[float]) -> dict:
-    return _postselect_point(cfg, PostSelectionResult(cm=cm, p_success=1.0, e_ln=log_negativity(cm)),
-                             losses)
+def _sweep_point(kind: str, sigma_b: float, r: float, chi: float, row, losses: list[float]) -> dict:
+    """One CSV row of a sweep: the selection that keeps everything, so row's p_success is 1."""
+    return _postselect_point(kind, sigma_b, r, chi, row, losses)
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -281,6 +271,8 @@ def _map_tasks(fn, tasks: list[tuple], workers: int) -> list[dict]:
     if size <= 1:
         columns = [fn(*task) for task in tasks]
     else:
+        # Imported here: multiprocessing costs every other run 20-30 ms of start-up.
+        from concurrent.futures import ProcessPoolExecutor
         # About four chunks per worker: a message per task costs more than a fast task.
         with ProcessPoolExecutor(max_workers=size) as pool:
             columns = list(pool.map(fn, *zip(*tasks), chunksize=max(1, len(tasks) // (4 * size))))
@@ -296,22 +288,38 @@ def _scheme_config(scenario: Scenario, kind: str, sigma_b: float, r: float) -> S
 
 
 def _column(scenario: Scenario, kind: str, sigma_b: float):
-    """The configs of one (scheme, sigma_b) column, one per r, its link rules and their losses in dB."""
-    cfgs = [_scheme_config(scenario, kind, sigma_b, r) for r in scenario.r_grid]
-    rules = cfgs[0].rules()
-    return cfgs, rules, [rule.loss_db for rule in rules]
+    """The link rules of one (scheme, sigma_b) column and their mean losses in dB."""
+    links = expand_links(LinkGeometry(sigma_b, scenario.k1, scenario.k2), scenario.beta, scenario.w)
+    rules = tuple(LinkRule(ch, scenario.quad) for ch in scheme_links(kind, links))
+    return rules, [rule.loss_db for rule in rules]
+
+
+def _rows(excess, p_success: float = 1.0) -> list[tuple]:
+    """Rows (e_ln, p_success, eff_r, eff_eta_a, eff_eta_b) of standard-form CMs in excess form."""
+    e_ln, *eff = (x.tolist() for x in standard_rows(*excess))
+    return list(zip(e_ln, [p_success] * len(e_ln), *eff))
 
 
 def _sweep_column(scenario: Scenario, kind: str, sigma_b: float) -> list[dict]:
-    cfgs, rules, losses = _column(scenario, kind, sigma_b)
-    cms = ensemble_column(kind, rules, [cfg.squeezing for cfg in cfgs], scenario.chi)
-    return [_sweep_point(cfg, cm, losses) for cfg, cm in zip(cfgs, cms)]
+    rules, losses = _column(scenario, kind, sigma_b)
+    rows = _rows(ensemble_column(kind, rules, scenario.r_grid, scenario.chi))
+    return [_sweep_point(kind, sigma_b, r, scenario.chi, row, losses)
+            for r, row in zip(scenario.r_grid, rows)]
 
 
 def _postselect_column(scenario: Scenario, sigma_b: float) -> list[dict]:
-    cfgs, rules, losses = _column(scenario, "direct", sigma_b)
-    results = postselect_column([cfg.squeezing for cfg in cfgs], *rules, scenario.postselect, scenario.chi)
-    return [_postselect_point(cfg, res, losses) for cfg, row in zip(cfgs, results) for res in row]
+    """Rows r by r, thresholds ascending within each r; a quantum row alone builds a CM."""
+    rules, losses = _column(scenario, "direct", sigma_b)
+    columns = []
+    for selected in postselect_column(scenario.r_grid, *rules, scenario.postselect, scenario.chi):
+        if isinstance(selected, tuple):
+            columns.append(_rows(selected[1], selected[0]))
+        else:
+            effs = [try_effective(res.cm) for res in selected]
+            columns.append([(res.e_ln, res.p_success, *(astuple(eff) if eff else [math.nan] * 3))
+                            for res, eff in zip(selected, effs)])
+    return [_postselect_point("direct", sigma_b, r, scenario.chi, row, losses)
+            for r, *rows in zip(scenario.r_grid, *columns) for row in rows]
 
 
 def run_sweep(scenario: Scenario, workers: int = 1) -> list[dict]:
@@ -439,7 +447,8 @@ def run_validate(scenario: Scenario) -> dict:
         kind, threshold = ("classical", ps.zeta_th) if classical else ("quantum", ps.q_th)
         name = f"postselect/{kind}/threshold={threshold:g}"
         try:
-            (res,), = postselect_column((probe.squeezing,), *probe.rules(), (ps,), scenario.chi)
+            select = classical_postselect if classical else quantum_postselect
+            res = select(probe.squeezing, *probe.links(), ps, scenario.quad, scenario.chi)
         except (DomainError, NumericalError) as exc:
             record(name, False, f"evaluation failed: {exc}")
         else:

@@ -51,7 +51,7 @@ from .fading import (  # noqa: F401
     rayleigh_pdf,
     transmittance_nodes,
 )
-from .gaussian import Squeezing, TwoModeCM, standard_form
+from .gaussian import TOL_PHYS, Squeezing, TwoModeCM, standard_form
 from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums
 from .schemes import KINDS, SchemeConfig, path_moments, scheme_links
 
@@ -65,34 +65,60 @@ class EffectiveParams:
     eta_b: float
 
 
+def _rounding_error(a, b, p):
+    """a b - p exactly, p being a b rounded (Dekker: each factor splits into halves of 26 bits)."""
+    a_hi, b_hi = (134217729.0 * x - (134217729.0 * x - x) for x in (a, b))
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def standard_rows(alpha, beta, c) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays (e_ln, r_e, eta_a, eta_b) over rows of the a I, b I, diag(c, -c) family in excess form.
+
+    alpha = a - 1, beta = b - 1 and c hold one entry per row; m, M = min, max(alpha, beta).  An
+    unphysical row raises TwoModeCM's DomainError: a variance or det Q not positive, or nu_- - 1 =
+    2 (m (M + 2) - c^2) / (sqrt((2 + alpha + beta)^2 - 4 c^2) + 2 + M - m) below -TOL_PHYS.  A
+    row is entangled where m and d = c^2 - alpha beta are positive, d formed exactly, since near a
+    pure state its two terms share most digits.  Then nu~_- - 1 = -2 d / (alpha + beta +
+    sqrt((alpha - beta)^2 + 4 c^2)), E_LN = -log1p(nu~_- - 1) / ln 2, and the reduction to a
+    two-mode squeezed vacuum through pure losses has cosh(2 r_e) - 1 = x = 2 alpha beta / d,
+    eta_a = d / (2 beta) and eta_b = d / (2 alpha); other rows get E_LN 0 and NaN there.
+    Physicality, c^2 <= m (M + 2), bounds eta_a by (m (M + 2) - alpha beta) / (2 beta), which is
+    m / M if beta = M and 1 if beta = m, and eta_b likewise; min(., 1) clamps the TOL_PHYS slack.
+    """
+    c_sq, ab = c * c, alpha * beta
+    lo, hi = np.minimum(alpha, beta), np.maximum(alpha, beta)
+    if not (np.all(lo > -1.0) and np.all(1.0 + alpha + beta + ab > c_sq)):
+        raise DomainError("unphysical covariance matrix: a variance or det Q is not positive")
+    nu_1 = 2.0 * (lo * (hi + 2.0) - c_sq) / (np.sqrt((2.0 + alpha + beta) ** 2 - 4.0 * c_sq) + 2.0 + hi - lo)
+    if not np.all(nu_1 >= -TOL_PHYS):
+        raise DomainError("unphysical covariance matrix: smallest squared symplectic eigenvalue "
+                          f"{(1.0 + np.min(nu_1)) ** 2:.12g} < 1")
+    d = (c_sq - ab) + (_rounding_error(c, c, c_sq) - _rounding_error(alpha, beta, ab))
+    entangled = (d > 0.0) & (lo > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nu_pt_1 = -2.0 * d / (alpha + beta + np.sqrt((alpha - beta) ** 2 + 4.0 * c_sq))
+        x = 2.0 * ab / d
+        return (np.where(entangled, -np.log1p(nu_pt_1) / math.log(2.0), 0.0),
+                np.where(entangled, 0.5 * np.log1p(x + np.sqrt(x * (x + 2.0))), np.nan),
+                np.where(entangled, np.minimum(d / (2.0 * beta), 1.0), np.nan),
+                np.where(entangled, np.minimum(d / (2.0 * alpha), 1.0), np.nan))
+
+
 def to_effective(cm: TwoModeCM) -> EffectiveParams:
     """Effective (r_e, eta_a, eta_b) of an entangled phase-symmetric CM.
 
     Defined only for the a*I / b*I / diag(c, -c) family and only when the CM
     is entangled; apply_loss(tmsv_cm(r_e), eta_a, eta_b) reconstructs the
-    input wherever r_e is at most gaussian.MAX_SQUEEZING.
+    input wherever r_e is at most gaussian.MAX_SQUEEZING: standard_rows of its one row.
     """
     sf = standard_form(cm)
-    scale = max(1.0, abs(sf.c_plus))
-    if abs(sf.c_plus + sf.c_minus) > 1e-9 * scale:
+    if abs(sf.c_plus + sf.c_minus) > 1e-9 * max(1.0, abs(sf.c_plus)):
         raise DomainError("effective reduction needs a phase-symmetric cross block (c+ = -c-)")
-    c_sq = -sf.c_plus * sf.c_minus
-    prod = (sf.a - 1.0) * (sf.b - 1.0)
-    if c_sq <= prod:
+    _, r_e, eta_a, eta_b = (float(x) for x in standard_rows(sf.a - 1.0, sf.b - 1.0, sf.c_plus))
+    if math.isnan(r_e):
         raise DomainError("CM is separable; no effective squeezed-state equivalent exists")
-    ch2 = (c_sq + prod) / (c_sq - prod)
-    if ch2 - 1.0 <= 1e-15:
-        raise NumericalError("degenerate reduction: effective squeezing vanishes")
-    eta_a = (sf.a - 1.0) / (ch2 - 1.0)
-    eta_b = (sf.b - 1.0) / (ch2 - 1.0)
-    for name, eta in (("eta_a", eta_a), ("eta_b", eta_b)):
-        if eta > 1.0 + 1e-9:
-            raise NumericalError(f"effective {name}={eta} exceeds 1 beyond tolerance")
-    return EffectiveParams(
-        r_e=0.5 * math.acosh(ch2),
-        eta_a=min(eta_a, 1.0),
-        eta_b=min(eta_b, 1.0),
-    )
+    return EffectiveParams(r_e=r_e, eta_a=eta_a, eta_b=eta_b)
 
 
 def try_effective(cm: TwoModeCM) -> EffectiveParams | None:
@@ -227,7 +253,7 @@ def _swap_pole_sums(rules: tuple[LinkRule, LinkRule]) -> tuple[float, float, boo
     pole = (eta_a > 1.0 - ch_b.eta0) & (eta_a < 1.0 - eta_b_floor)
     # A side of the split with no rows sums to 0.
     mass = float(w_a[~pole].sum()) * float(w_b.sum())
-    # Where eta0 rounds to 1 and the far tail to 0, an off-pole pair can sit on s = 1 exactly.
+    # Where eta0 rounds to 1 and the far tail to 0, a node pair can sit on s = 1 exactly.
     with np.errstate(all="ignore"):
         try:
             pv_sum, = pair_sums((eta_a[~pole], w_a[~pole]), (eta_b, w_b),
@@ -237,8 +263,12 @@ def _swap_pole_sums(rules: tuple[LinkRule, LinkRule]) -> tuple[float, float, boo
     if np.any(pole):
         e, w = eta_a[pole], w_a[pole]
         d0 = crossing(e)
-        below_mass, below_pv, above_mass, above_pv = pair_sums(
-            (e, np.stack((w * d0, w * (d_hi - d0)), axis=1)), rules[1].unit, subtracted)
+        with np.errstate(all="ignore"):
+            try:
+                below_mass, below_pv, above_mass, above_pv = pair_sums(
+                    (e, np.stack((w * d0, w * (d_hi - d0)), axis=1)), rules[1].unit, subtracted)
+            except NumericalError:
+                raise NumericalError("a pole-row node sits on the swapped-state boundary s = 1") from None
         mass += float(below_mass[0] + above_mass[1])
         pv_sum += (float(below_pv[0] + above_pv[1])
                    + float(w @ (residue(e, d0) * np.log((d_hi - d0) / d0))))

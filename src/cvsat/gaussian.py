@@ -148,6 +148,12 @@ class Squeezing:
         return math.cosh(2.0 * self.r)
 
 
+def squeezing_excess(rs) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (u, sinh 2r) over rs, whose range callers check: u = v - 1 = 2 sinh(r)^2, never cosh(2r) - 1."""
+    sh = np.array([math.sinh(r) for r in rs])
+    return 2.0 * sh * sh, np.array([math.sinh(2.0 * r) for r in rs])
+
+
 def tmsv_cm(sq: Squeezing) -> TwoModeCM:
     """CM of a two-mode squeezed vacuum state."""
     v = sq.v

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .fading import FadingChannel, LinkRule, deflection_of_eta, transmittance_nodes
-from .gaussian import Squeezing, StandardFormCM, TwoModeCM, log_negativity
+from .gaussian import Squeezing, StandardFormCM, TwoModeCM, log_negativity, squeezing_excess
 from .numerics import DEFAULT_QUAD, QuadratureSpec
 
 # Selections rarer than this are treated as numerically empty.
@@ -121,29 +121,13 @@ def _selection_sums(up: LinkRule, down: LinkRule, zeta_th: float) -> tuple[float
     return sums
 
 
-def _classical_result(v: float, sums: tuple[float, float, float], chi: float) -> PostSelectionResult:
-    p_s, s_zeta, s_root = sums
-    c = math.sqrt(v * v - 1.0) * s_root / p_s
-    cm = StandardFormCM(a=v, b=1.0 + (v - 1.0) * s_zeta / p_s + chi, c_plus=c, c_minus=-c).to_cm()
+def classical_postselect(sq: Squeezing, ch_up: FadingChannel, ch_down: FadingChannel, cfg: ClassicalPsConfig,
+                         quad: QuadratureSpec = DEFAULT_QUAD, chi: float = 0.0) -> PostSelectionResult:
+    """Conditional CM and success probability of threshold post-selection: postselect_column's row as a CM."""
+    (p_s, ((alpha,), (beta,), (c,))), = postselect_column(
+        (sq.r,), LinkRule(ch_up, quad), LinkRule(ch_down, quad), (cfg,), chi)
+    cm = StandardFormCM(a=1.0 + alpha, b=1.0 + beta, c_plus=c, c_minus=-c).to_cm()
     return PostSelectionResult(cm=cm, p_success=p_s, e_ln=log_negativity(cm))
-
-
-def classical_postselect(
-    sq: Squeezing,
-    ch_up: FadingChannel,
-    ch_down: FadingChannel,
-    cfg: ClassicalPsConfig,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-    chi: float = 0.0,
-) -> PostSelectionResult:
-    """Conditional CM and success probability of threshold post-selection.
-
-    The kept region depends only on the links, the threshold and the rule;
-    only the CM assembly depends on the squeezing and chi.  Its sums are one
-    sum over the uplink's node table, with the downlink integrated through
-    its antiderivative tables (LinkRule.antiderivatives).
-    """
-    return postselect_column((sq,), LinkRule(ch_up, quad), LinkRule(ch_down, quad), (cfg,), chi)[0][0]
 
 
 # Elementwise erfc from the standard library, so cvsat needs no scipy; it
@@ -214,41 +198,39 @@ def _quantum_result(v: float, zeta, w_u, w_d, cfg: QuantumPsConfig, chi: float) 
     return PostSelectionResult(cm=cm, p_success=p_s, e_ln=log_negativity(cm))
 
 
-def quantum_postselect(
-    sq: Squeezing,
-    ch_up: FadingChannel,
-    ch_down: FadingChannel,
-    cfg: QuantumPsConfig,
-    quad: QuadratureSpec = DEFAULT_QUAD,
-    chi: float = 0.0,
-) -> PostSelectionResult:
+def quantum_postselect(sq: Squeezing, ch_up: FadingChannel, ch_down: FadingChannel, cfg: QuantumPsConfig,
+                       quad: QuadratureSpec = DEFAULT_QUAD, chi: float = 0.0) -> PostSelectionResult:
     """Distilled CM and success probability of the tap-and-threshold strategy.
 
     The tap moments are analytic in sqrt(zeta), through which alone they
     depend on the links, so _tap_moments summed on the outer product of the
     two links' LinkRule.root reproduces the full node-pair sum.  The q-sector
-    entries are central moments of the kept ensemble (the mean displacement
-    induced by the asymmetric cut is subtracted); the p-sector is untouched by
-    the q measurement apart from the selection reweighting.
+    entries are central moments of the kept ensemble; the p-sector is
+    untouched by the q measurement apart from the selection reweighting.
     """
-    return postselect_column((sq,), LinkRule(ch_up, quad), LinkRule(ch_down, quad), (cfg,), chi)[0][0]
+    return postselect_column((sq.r,), LinkRule(ch_up, quad), LinkRule(ch_down, quad), (cfg,), chi)[0][0]
 
 
-def postselect_column(squeezings, up: LinkRule, down: LinkRule, selections, chi: float = 0.0) -> list[list]:
-    """PostSelectionResult of every (squeezing, selection) pair over the up- and downlink, squeezing outer.
+def postselect_column(rs, up: LinkRule, down: LinkRule, selections, chi: float = 0.0) -> list:
+    """One entry per selection over the up- and downlink: its rows at every squeezing r of rs.
 
-    selections holds ClassicalPsConfig or QuantumPsConfig values.  What does
-    not depend on the squeezing is built once for the column: the kept-region
-    sums of each classical threshold, and the two links' root rules with
-    their combined transmittances for every quantum threshold.
+    A ClassicalPsConfig keeps a standard-form CM; its entry is (P_s, (alpha,
+    beta, c)) in schemes.ensemble_column's excess form: alpha = u, beta =
+    u E[zeta] / P_s + chi, c = sinh(2r) E[sqrt(zeta)] / P_s.  A QuantumPsConfig's
+    CM is outside that family; its entry is a list of PostSelectionResult.
+    What does not depend on r, each threshold's sums or the root rules, is built once.
     """
     if chi < 0.0:
         raise DomainError(f"chi must be >= 0, got {chi}")
-    sums = {cfg: _selection_sums(up, down, cfg.zeta_th)
-            for cfg in selections if isinstance(cfg, ClassicalPsConfig)}
+    u, sinh_2r = squeezing_excess(rs)
     if any(isinstance(cfg, QuantumPsConfig) for cfg in selections):
         (x_u, w_u), (x_d, w_d) = up.root, down.root
         zeta = (x_u[:, None] * x_d) ** 2
-    return [[_classical_result(sq.v, sums[cfg], chi) if cfg in sums
-             else _quantum_result(sq.v, zeta, w_u, w_d, cfg, chi) for cfg in selections]
-            for sq in squeezings]
+    out = []
+    for cfg in selections:
+        if isinstance(cfg, QuantumPsConfig):
+            out.append([_quantum_result(math.cosh(2.0 * r), zeta, w_u, w_d, cfg, chi) for r in rs])
+            continue
+        p_s, s_zeta, s_root = _selection_sums(up, down, cfg.zeta_th)
+        out.append((p_s, (u, u * (s_zeta / p_s) + chi, sinh_2r * (s_root / p_s))))
+    return out

@@ -24,7 +24,7 @@ from .errors import DomainError, NumericalError
 # transmittance_nodes is unused here; perfbench/replay.py wraps it by attribute lookup in this module.
 from .fading import (FadingChannel, LinkGeometry, LinkRule, Links, expand_links,  # noqa: F401
                      transmittance_nodes)
-from .gaussian import Squeezing, StandardFormCM, TwoModeCM
+from .gaussian import Squeezing, StandardFormCM, TwoModeCM, squeezing_excess
 from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums
 
 KINDS = ("direct", "satellite", "swap")
@@ -69,21 +69,14 @@ def _check_transmittance(name: str, eta: float) -> None:
         raise DomainError(f"{name} must lie in [0, 1], got {eta}")
 
 
-def _standard_cm(a: float, b: float, c: float) -> TwoModeCM:
-    return StandardFormCM(a=a, b=b, c_plus=c, c_minus=-c).to_cm()
-
-
 def direct_realization(sq: Squeezing, eta: float, eta_prime: float, chi: float = 0.0) -> TwoModeCM:
     """CM after one mode of a squeezed pair crosses both links with given transmittances."""
     _check_transmittance("eta", eta)
     _check_transmittance("eta_prime", eta_prime)
     v = sq.v
     zeta = eta * eta_prime
-    return _standard_cm(
-        a=v,
-        b=1.0 + zeta * (v - 1.0) + chi,
-        c=math.sqrt(zeta) * math.sqrt(v * v - 1.0),
-    )
+    c = math.sqrt(zeta) * math.sqrt(v * v - 1.0)
+    return StandardFormCM(a=v, b=1.0 + zeta * (v - 1.0) + chi, c_plus=c, c_minus=-c).to_cm()
 
 
 def path_moments(kind: str, rules: tuple[LinkRule, LinkRule]) -> list[tuple[float, float]]:
@@ -205,57 +198,37 @@ def swap_realization(sq: Squeezing, eta: float, eta_prime: float, chi: float = 0
     return swap_ensemble_cm(inp, general_optimal_gains(inp))
 
 
-def _swap_ensemble(rules: tuple[LinkRule, LinkRule], squeezings, chi: float) -> list[TwoModeCM]:
-    """Ensemble CMs of the swapping scheme, averaged over both uplinks, one per squeezing.
+def ensemble_column(kind: str, rules: tuple[LinkRule, LinkRule], rs, chi: float):
+    """Arrays (alpha, beta, c) over the squeezings rs: scheme `kind`'s ensemble CMs in excess form.
 
-    Its entries E[v - eta G], E[v - eta' G] and E[sqrt(eta eta') G] share the
-    factor G = (v^2 - 1)/(2 + s (v - 1) + 2 chi), s = eta + eta'.  Its pole
-    lies at s < 0, so in x = sqrt(eta) every entry is analytic on [0, 1]^2:
-    one pair sum of G on the two links' root rules (LinkRule.root) against
-    weight columns w [1, x^2, x] yields G for every v of the column.  Per v,
-    G = (v + 1)/(s + k) with k = (2 + 2 chi)/(v - 1), and v = 1 gives G = 0.
+    Each CM has blocks (1 + alpha) I, (1 + beta) I and diag(c, -c), built from
+    u = v - 1 and sinh 2r (gaussian.squeezing_excess).  Direct and satellite
+    follow from path_moments (direct station A keeps alpha = u, without chi).
+    Swap does not factorize: per realization, with s = eta + eta' and
+    H = u / (2 + 2 chi + s u), alpha = H (2 chi + 2 (1 - eta) + u eta'), beta
+    likewise with eta and eta' exchanged, and c = (u + 2) sqrt(eta eta') H, no
+    term negative.  H is analytic in x = sqrt(eta): one pair sum on the root
+    rules (LinkRule.root) against w [1, 1 - x^2, x^2, x] gives every r.
     """
-    vs = [sq.v for sq in squeezings]
-    ks = [math.inf if v == 1.0 else (2.0 + 2.0 * chi) / (v - 1.0) for v in vs]
-    (x_a, w_a), (x_b, w_b) = (rule.root for rule in rules)
-
-    def columns(x, w):
-        return np.stack((w, w * x * x, w * x), axis=1)
+    u, sinh_2r = squeezing_excess(rs)
+    if kind != "swap":
+        (mean_a, root_a), (mean_b, root_b) = path_moments(kind, rules)
+        alpha = u if kind == "direct" else mean_a * u + chi
+        return alpha, mean_b * u + chi, root_a * root_b * sinh_2r
+    roots = [(x, np.stack((w, w * (1.0 - x * x), w * x * x, w * x), axis=1))
+             for x, w in (rule.root for rule in rules)]
 
     def integrand(x, y):
         s = x * x + y * y
-        for v, k in zip(vs, ks):
-            yield (v + 1.0) / (s + k)
+        for u_i in u:
+            yield u_i / (s * u_i + (2.0 + 2.0 * chi))
 
-    sums = pair_sums((x_a, columns(x_a, w_a)), (x_b, columns(x_b, w_b)), integrand)
-    mass_a, mass_b = (rule.table[1].sum() for rule in rules)
-    cms = []
-    for v, s in zip(vs, sums):
-        mass = v * mass_a * mass_b
-        cms.append(_standard_cm(a=mass - s[1, 0], b=mass - s[0, 1], c=s[2, 2]))
-    return cms
-
-
-def ensemble_column(kind: str, rules: tuple[LinkRule, LinkRule], squeezings, chi: float) -> list[TwoModeCM]:
-    """Ensemble CMs of scheme `kind` over its link rules (A-side, B-side), one per squeezing.
-
-    Everything that does not depend on the squeezing, the node tables, the
-    root rules and their sums, is built once for the whole column.  Direct
-    and satellite entries follow from path_moments (direct station A keeps v
-    exactly, without chi); swap does not factorize over its links.
-    """
-    if kind == "swap":
-        return _swap_ensemble(rules, squeezings, chi)
-    (mean_a, root_a), (mean_b, root_b) = path_moments(kind, rules)
-    cms = []
-    for sq in squeezings:
-        v = sq.v
-        a = v if kind == "direct" else 1.0 + mean_a * (v - 1.0) + chi
-        cms.append(_standard_cm(a=a, b=1.0 + mean_b * (v - 1.0) + chi,
-                                c=root_a * root_b * math.sqrt(v * v - 1.0)))
-    return cms
+    s = np.array(pair_sums(*roots, integrand))
+    return (2.0 * (chi * s[:, 0, 0] + s[:, 1, 0]) + u * s[:, 0, 2],
+            2.0 * (chi * s[:, 0, 0] + s[:, 0, 1]) + u * s[:, 2, 0], (u + 2.0) * s[:, 3, 3])
 
 
 def ensemble_cm(cfg: SchemeConfig) -> TwoModeCM:
     """Ensemble CM of the scheme cfg.kind, averaged over the fading of its links."""
-    return ensemble_column(cfg.kind, cfg.rules(), (cfg.squeezing,), cfg.chi)[0]
+    (alpha,), (beta,), (c,) = ensemble_column(cfg.kind, cfg.rules(), (cfg.squeezing.r,), cfg.chi)
+    return StandardFormCM(a=1.0 + alpha, b=1.0 + beta, c_plus=c, c_minus=-c).to_cm()

@@ -117,6 +117,27 @@ def log_negativity_decimal(cm: TwoModeCM) -> float:
         return max(0.0, float(-nu_sq.ln() / (2 * decimal.Decimal(2).ln())))
 
 
+def standard_row_decimal(alpha: float, beta: float, c: float) -> tuple[float, float]:
+    """(E_LN, r_e) of the CM with blocks (1 + alpha) I, (1 + beta) I, diag(c, -c), in 60-digit decimal.
+
+    Each float converts to Decimal exactly, so these are the values of the
+    very row given.  From the blocks a = 1 + alpha, b = 1 + beta themselves:
+    nu~_- = (a + b - sqrt((a - b)^2 + 4 c^2)) / 2 and, where c^2 > alpha beta,
+    cosh(2 r_e) = (c^2 + alpha beta) / (c^2 - alpha beta); r_e is NaN for a
+    separable row.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        alpha, beta, c = (decimal.Decimal(float(x)) for x in (alpha, beta, c))
+        a, b = 1 + alpha, 1 + beta
+        nu = (a + b - ((a - b) ** 2 + 4 * c * c).sqrt()) / 2
+        e_ln = max(0.0, float(-nu.ln() / decimal.Decimal(2).ln()))
+        if c * c <= alpha * beta:
+            return e_ln, math.nan
+        ch2 = (c * c + alpha * beta) / (c * c - alpha * beta)
+        return e_ln, float((ch2 + (ch2 * ch2 - 1).sqrt()).ln() / 2)
+
+
 def pair_matrix(inp: GeneralBipartiteInput) -> np.ndarray:
     """8x8 CM of the two input pairs, modes ordered (q1,p1,...,q4,p4)."""
     v = np.zeros((8, 8))
@@ -393,25 +414,22 @@ def swap_eta_integrals_tensor(ch_a: FadingChannel, ch_b: FadingChannel, vs,
     return separable, sums.tolist()
 
 
-def swap_ensemble_tensor(ch_a: FadingChannel, ch_b: FadingChannel, quad: QuadratureSpec, vs,
-                         chi: float = 0.0) -> list[np.ndarray]:
-    """Swap ensemble CMs, one per v, from the shared factor summed over every node pair of the full tables.
+def swap_ensemble_tensor(ch_a: FadingChannel, ch_b: FadingChannel, quad: QuadratureSpec, rs,
+                         chi: float = 0.0) -> np.ndarray:
+    """Swap ensemble CMs in excess form, rows (a - 1, b - 1, c) per r, over every node pair of the full tables.
 
     G = (v^2 - 1)/(2 + s (v - 1) + 2 chi), s = eta + eta', in the form the
     swap reduction first gives it, enters the entries E[v - eta G],
-    E[v - eta' G] and E[sqrt(eta eta') G]; the sums run one A-side node at a
-    time over the whole B-side table, for every v at once.
+    E[v - eta' G] and E[sqrt(eta eta') G], so a - 1 = u M - S[eta G] with
+    u = v - 1 = 2 sinh(r)^2 and M the weight mass; the sums run one A-side
+    node at a time over the whole B-side table, for every r at once.
     """
     eta_a, w_a = LinkRule(ch_a, quad).table
     eta_b, w_b = LinkRule(ch_b, quad).table
-    v = np.asarray(vs, dtype=float)[:, None]
-    sums = np.zeros((v.size, 3))
+    u = 2.0 * np.sinh(np.asarray(rs, dtype=float)[:, None]) ** 2
+    sums = np.zeros((u.size, 3))
     for e, wa in zip(eta_a, w_a):
-        g = (v * v - 1.0) / (2.0 + (e + eta_b) * (v - 1.0) + 2.0 * chi)
+        g = u * (u + 2.0) / (2.0 + (e + eta_b) * u + 2.0 * chi)
         sums += wa * np.stack([g @ (w_b * e), g @ (w_b * eta_b), g @ (w_b * np.sqrt(e * eta_b))], axis=1)
     mass = w_a.sum() * w_b.sum()
-    cms = []
-    for v_i, (s_a, s_b, s_c) in zip(vs, sums):
-        a, b = v_i * mass - s_a, v_i * mass - s_b
-        cms.append(np.array([[a, 0, s_c, 0], [0, a, 0, -s_c], [s_c, 0, b, 0], [0, -s_c, 0, b]]))
-    return cms
+    return np.stack([u[:, 0] * mass - sums[:, 0], u[:, 0] * mass - sums[:, 1], sums[:, 2]], axis=1)

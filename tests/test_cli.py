@@ -35,10 +35,10 @@ from cvsat.cli import (
 )
 from cvsat.errors import ConfigError, DomainError
 from cvsat.fading import FadingChannel
-from cvsat.gaussian import TwoModeCM
+from cvsat.gaussian import Squeezing, StandardFormCM, TwoModeCM
 from cvsat.numerics import QuadratureSpec
-from cvsat.postselect import ClassicalPsConfig, QuantumPsConfig
-from cvsat.schemes import KINDS
+from cvsat.postselect import ClassicalPsConfig, PostSelectionResult, QuantumPsConfig
+from cvsat.schemes import KINDS, SchemeConfig
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -665,6 +665,18 @@ class TestCommandLine:
         assert res.stderr.splitlines() == [
             "numerical error: an off-pole node pair sits on the swapped-state boundary s = 1"]
 
+    @pytest.mark.parametrize("flags", [(), ("-W", "error::RuntimeWarning")], ids=["default", "warnings-as-errors"])
+    def test_exact_pole_on_a_pole_row_exits_3_cleanly(self, tmp_path, flags):
+        # at beta/W = 4 a node of a pole row's split rule sits on s = 1 exactly;
+        # the subtracted sum must not divide there
+        text = ("schemes = swap\nsigma_b.min = 0.2\nsigma_b.max = 0.5\nsigma_b.steps = 2\n"
+                "r.min = 0.5\nr.max = 1.0\nr.steps = 2\n"
+                "beta = 1.0\nbeta_over_w = 4\nk1 = 0.5\nk2 = 0.64\n")
+        res = run_python(*flags, "-m", "cvsat.cli", "effective", scn(tmp_path, text))
+        assert res.returncode == 3
+        assert res.stderr.splitlines() == [
+            "numerical error: a pole-row node sits on the swapped-state boundary s = 1"]
+
     def test_non_finite_value_exits_2_naming_key(self, tmp_path):
         # refused while parsing, before an inf grid end reaches np.linspace, which warns
         res = run_cli("sweep", scn(tmp_path, SMALL.replace("sigma_b.max = 0.8", "sigma_b.max = inf")))
@@ -781,6 +793,13 @@ class TestPoolSize:
             _pool_size(workers, 10)
 
 
+def test_import_leaves_the_process_pool_unloaded():
+    # multiprocessing loads only when --workers starts a pool
+    res = run_python("-c", "import sys, cvsat.cli; print(sorted({'concurrent.futures.process', "
+                           "'multiprocessing'} & set(sys.modules)))")
+    assert (res.returncode, res.stdout) == (0, "[]\n")
+
+
 class TestMainInProcess:
     def test_main_returns_exit_code(self, tmp_path, capsys):
         assert main(["rate", "--p", "0.5", "--tx-hz", "100"]) == 0
@@ -812,19 +831,22 @@ def column_scenario(tmp_path, r_steps, schemes="direct", block=""):
     return parse_scenario(scn(tmp_path, text, f"column-{r_steps}.scn"))
 
 
-class TestOneCmPerRow:
-    """A k-row column validates exactly k CMs: the effective reduction reads them, building none."""
+class TestObjectsPerRow:
+    """Sweep and classical rows are arrays: no CM, config, squeezing or result object is built per row.
+
+    A quantum row's distilled CM is outside the standard-form family, so each
+    of a quantum column's k rows builds one TwoModeCM and its result.
+    """
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        built = []
-        post_init = TwoModeCM.__post_init__
+        built = collections.Counter()
+        for cls in (TwoModeCM, StandardFormCM, SchemeConfig, Squeezing, PostSelectionResult):
+            def counted(obj, *args, _init=cls.__init__, **kwargs):
+                built[type(obj).__name__] += 1
+                _init(obj, *args, **kwargs)
 
-        def counted(cm):
-            built.append(cm)
-            post_init(cm)
-
-        monkeypatch.setattr(TwoModeCM, "__post_init__", counted)
+            monkeypatch.setattr(cls, "__init__", counted)
         return built
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -834,15 +856,35 @@ class TestOneCmPerRow:
         rows = _sweep_column(scenario, kind, 0.4)
         assert len(rows) == 3
         assert all(row["eff_r"] is not None for row in rows)
-        assert len(builds) == 3
+        assert builds == {}
 
-    @pytest.mark.parametrize("block", [CLASSICAL, QUANTUM], ids=["classical", "quantum"])
-    def test_postselect_column(self, tmp_path, builds, block):
+    @pytest.mark.parametrize("block, per_row", [(CLASSICAL, {}),
+                                                (QUANTUM, {"TwoModeCM": 1, "PostSelectionResult": 1})],
+                             ids=["classical", "quantum"])
+    def test_postselect_column(self, tmp_path, builds, block, per_row):
         scenario = column_scenario(tmp_path, 3, block=block)
         builds.clear()
         rows = _postselect_column(scenario, 0.4)
         assert len(rows) == 3 * 3
-        assert len(builds) == 3 * 3
+        assert builds == {name: 3 * 3 * count for name, count in per_row.items()}
+
+
+class TestSmallSqueezing:
+    """sweep keeps the digits of a small squeezing: rows are built from v - 1 = 2 sinh(r)^2, not from v."""
+
+    @pytest.mark.parametrize("r", [1e-8, 1e-4])
+    @pytest.mark.parametrize("sigma_b", [0.0, 0.5], ids=["point-mass", "fading"])
+    def test_sweep_exits_0(self, tmp_path, r, sigma_b):
+        text = (f"schemes = direct, satellite, swap\nr.min = {r}\nsigma_b.min = {sigma_b}\n"
+                "beta = 1.0\nbeta_over_w = 1\nk1 = 0.5\nk2 = 0.64\n")
+        out = tmp_path / "out.csv"
+        assert main(["sweep", scn(tmp_path, text), "--out", str(out)]) == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert [row["scheme"] for row in rows] == ["direct", "satellite", "swap"]
+        assert all(float(row["e_ln"]) > 0.0 and row["eff_r"] != "" for row in rows)
+        if sigma_b == 0.0:
+            # a point-mass direct link is a pure loss on mode B, so its effective squeezing is r itself
+            assert float(rows[0]["eff_r"]) == r
 
 
 class TestColumnWork:

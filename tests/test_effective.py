@@ -21,6 +21,7 @@ from cvsat.effective import (
     ordering_check,
     ordering_column,
     scheme_effective_summary,
+    standard_rows,
     to_effective,
     try_effective,
 )
@@ -36,11 +37,12 @@ from cvsat.fading import (
     rayleigh_pdf,
     sample,
 )
-from cvsat.gaussian import Squeezing, StandardFormCM, apply_loss, log_negativity, tmsv_cm
+from cvsat.gaussian import Squeezing, StandardFormCM, apply_loss, log_negativity, squeezing_excess, tmsv_cm
 from cvsat.numerics import QuadratureSpec, pair_sums
-from cvsat.schemes import KINDS, SchemeConfig, swap_realization
+from cvsat.postselect import postselect_column
+from cvsat.schemes import KINDS, SchemeConfig, ensemble_column, swap_realization
 
-from oracles import cosh_swapped, dense_channel_average, swap_eta_integrals_tensor
+from oracles import cosh_swapped, dense_channel_average, standard_row_decimal, swap_eta_integrals_tensor
 
 GEOM = LinkGeometry(sigma_b=0.7, k1=0.5, k2=0.64)
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -179,9 +181,90 @@ class TestToEffective:
         with pytest.raises(DomainError):
             to_effective(cm)
 
+    def test_weakly_entangled_state_reduces(self):
+        # at r = 3e-8, ch2 - 1 is about 9e-16; the reduction exists and stays a loss
+        eff = to_effective(apply_loss(tmsv_cm(Squeezing(3e-8)), 0.5, 0.5))
+        assert 0.0 < eff.r_e < 1e-7 and 0.0 < eff.eta_a <= 1.0 and 0.0 < eff.eta_b <= 1.0
+
+    def test_rounded_away_excess_is_separable(self):
+        # at r = 1e-8 the stored a and b round to 1: a nonzero c is then only
+        # TOL_PHYS slack, and no reduction exists
+        cm = apply_loss(tmsv_cm(Squeezing(1e-8)), 0.5, 0.5)
+        assert cm.m[0, 0] == 1.0 and cm.m[0, 2] > 0.0
+        assert try_effective(cm) is None
+
     def test_vacuum_rejected(self):
         with pytest.raises(DomainError):
             to_effective(StandardFormCM(a=1.0, b=1.0, c_plus=0.0, c_minus=0.0).to_cm())
+
+
+class TestStandardRows:
+    """standard_rows against the 60-digit E_LN and r_e of the very same float rows, for r from 1e-8 to 3."""
+
+    RS = np.geomspace(1e-8, 3.0, 25)
+
+    @staticmethod
+    def assert_digits(alpha, beta, c):
+        e_ln, r_e, _, _ = standard_rows(alpha, beta, c)
+        for row in zip(e_ln, r_e, alpha, beta, c):
+            ref_e_ln, ref_r_e = standard_row_decimal(*row[2:])
+            assert row[0] == pytest.approx(ref_e_ln, rel=1e-13, abs=0)
+            assert math.isnan(row[1]) == math.isnan(ref_r_e)
+            if not math.isnan(ref_r_e):
+                assert row[1] == pytest.approx(ref_r_e, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("eta_a", [1.0, 0.9, 0.5, 0.1, 0.01])
+    @pytest.mark.parametrize("eta_b", [1.0, 0.9, 0.5, 0.1, 0.01])
+    def test_lossy_tmsv_grid(self, eta_a, eta_b):
+        # apply_loss(tmsv_cm(r), eta_a, eta_b) in excess form; eta = 1 on both sides is the pure state
+        u, sinh_2r = squeezing_excess(self.RS)
+        self.assert_digits(eta_a * u, eta_b * u, math.sqrt(eta_a * eta_b) * sinh_2r)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("beta", [1.0, 4.0])
+    @pytest.mark.parametrize("chi", [0.0, 0.05])
+    def test_point_mass_realizations(self, kind, beta, chi):
+        # sigma_b = 0: each link is one transmittance (0.86 at beta/W = 1, 1 - 1e-14 at 4)
+        rules = config(kind, geom=LinkGeometry(sigma_b=0.0, k1=0.5, k2=0.64), beta=beta).rules()
+        self.assert_digits(*ensemble_column(kind, rules, self.RS, chi))
+
+    @pytest.mark.parametrize("name", ["lowloss_bw0.4", "lowloss_bw0.5", "lowloss_bw1.0",
+                                      "postselect_highloss", "postselect_midloss_classical"])
+    def test_shipped_rows(self, name):
+        scenario = parse_scenario(SCENARIOS / f"{name}.scn")
+        for sigma_b in scenario.sigma_b_grid:
+            for kind in scenario.schemes:
+                rules, _ = _column(scenario, kind, sigma_b)
+                if scenario.postselect is None:
+                    self.assert_digits(*ensemble_column(kind, rules, scenario.r_grid, scenario.chi))
+                    continue
+                for _, excess in postselect_column(scenario.r_grid, *rules, scenario.postselect,
+                                                   scenario.chi):
+                    self.assert_digits(*excess)
+
+    def test_point_mass_direct_keeps_the_squeezing(self):
+        # a point-mass direct link is a pure loss on mode B: r_e = r, eta_a = 1, eta_b = eta
+        rules = config("direct", geom=LinkGeometry(sigma_b=0.0, k1=0.5, k2=0.64)).rules()
+        _, r_e, eta_a, eta_b = standard_rows(*ensemble_column("direct", rules, self.RS, 0.0))
+        # the rounded entries give d = c^2 - alpha beta = 2 eta u to about 100 ulps at r = 3
+        np.testing.assert_allclose(r_e, self.RS, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(eta_a, 1.0, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(eta_b, rules[0].moments[0] * rules[1].moments[0], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("alpha, beta, c", [(-1.0, 0.5, 0.0), (0.5, 0.5, 1.5), (0.0, 0.0, 0.5)])
+    def test_unphysical_rows_raise_as_two_mode_cm(self, alpha, beta, c):
+        with pytest.raises(DomainError) as want:
+            StandardFormCM(a=1.0 + alpha, b=1.0 + beta, c_plus=c, c_minus=-c).to_cm()
+        with pytest.raises(DomainError) as got:
+            standard_rows(*np.array([[0.1, alpha], [0.1, beta], [0.1, c]]))
+        assert str(got.value) == str(want.value)
+
+    def test_separable_and_vacuum_rows(self):
+        # d = c^2 - alpha beta <= 0: E_LN is +0.0 and the reduction NaN; the vacuum row divides 0 by 0 nowhere
+        rows = np.array([[1.0, 0.0, 0.3], [1.0, 0.0, 0.3], [0.9, 0.0, 0.3]])
+        e_ln, r_e, eta_a, eta_b = standard_rows(*rows)
+        assert [repr(x) for x in e_ln.tolist()] == ["0.0"] * 3
+        assert np.isnan(np.stack([r_e, eta_a, eta_b])).all()
 
 
 class TestSwapRealizationReduction:
@@ -477,7 +560,7 @@ class TestPoleSums:
         ("lowloss_bw0.4", 15), ("lowloss_bw0.5", 14), ("lowloss_bw1.0", 14)])
     def test_survey_pole_columns(self, name, pole_columns):
         scenario = parse_scenario(SCENARIOS / f"{name}.scn")
-        columns = [_column(scenario, "swap", sigma_b)[1] for sigma_b in scenario.sigma_b_grid]
+        columns = [_column(scenario, "swap", sigma_b)[0] for sigma_b in scenario.sigma_b_grid]
         assert sum(self.assert_matches_concatenated_split(rules) for rules in columns) == pole_columns
 
     @pytest.mark.parametrize("sigma_b", [0.1, 0.7, 1.5])

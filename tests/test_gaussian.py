@@ -196,8 +196,9 @@ class TestLogNegativityDigits:
         refs = []
         for kind in scenario.schemes:
             for sigma_b in scenario.sigma_b_grid:
-                cfgs, rules, _ = _column(scenario, kind, sigma_b)
-                for cm in ensemble_column(kind, rules, [cfg.squeezing for cfg in cfgs], scenario.chi):
+                rules, _ = _column(scenario, kind, sigma_b)
+                for alpha, beta, c in zip(*ensemble_column(kind, rules, scenario.r_grid, scenario.chi)):
+                    cm = StandardFormCM(a=1.0 + alpha, b=1.0 + beta, c_plus=c, c_minus=-c).to_cm()
                     ref = log_negativity_decimal(cm)
                     if ref > 0.0:
                         assert log_negativity(cm) == pytest.approx(ref, rel=1e-12, abs=0)
@@ -211,13 +212,18 @@ class TestLogNegativityDigits:
         scenario = parse_scenario(SCENARIOS / f"{name}.scn")
         checked = 0
         for sigma_b in scenario.sigma_b_grid:
-            cfgs, rules, _ = _column(scenario, "direct", sigma_b)
-            for row in postselect_column([cfg.squeezing for cfg in cfgs], *rules,
-                                         scenario.postselect, scenario.chi):
-                for res in row:
-                    ref = log_negativity_decimal(res.cm)
+            rules, _ = _column(scenario, "direct", sigma_b)
+            for selected in postselect_column(scenario.r_grid, *rules, scenario.postselect, scenario.chi):
+                if isinstance(selected, tuple):
+                    # a classical threshold's rows, as classical_postselect turns them into CMs
+                    cms = [StandardFormCM(a=1.0 + alpha, b=1.0 + beta, c_plus=c, c_minus=-c).to_cm()
+                           for alpha, beta, c in zip(*selected[1])]
+                else:
+                    cms = [res.cm for res in selected]
+                for cm in cms:
+                    ref = log_negativity_decimal(cm)
                     if ref > 0.0:
-                        assert res.e_ln == pytest.approx(ref, rel=1e-13, abs=0)
+                        assert log_negativity(cm) == pytest.approx(ref, rel=1e-13, abs=0)
                         checked += 1
         assert checked >= 10
 

@@ -187,18 +187,17 @@ class TestClassicalPostselect:
         r_grid = (1.5, 1.75, 2.0)
         cfg = dataclasses.replace(direct_cfg(geom=geom, beta=beta, w=w, chi=chi), quad=quad)
         up, down = links(cfg)
-        column = postselect_column([Squeezing(r) for r in r_grid], LinkRule(up, quad), LinkRule(down, quad),
+        column = postselect_column(r_grid, LinkRule(up, quad), LinkRule(down, quad),
                                    [ClassicalPsConfig(zeta_th) for zeta_th in thresholds], chi)
-        for r, row in zip(r_grid, column):
-            for zeta_th, res in zip(thresholds, row):
+        for zeta_th, (p_success, excess) in zip(thresholds, column):
+            # the 2D form: each uplink node with its own cut downlink table
+            p_s, s_zeta, s_root = classical_selection_sums_tensor(up, down, quad, zeta_th)
+            assert p_success == pytest.approx(p_s, rel=1e-14, abs=0)
+            for r, alpha, beta, c_got in zip(r_grid, *excess):
                 v = Squeezing(r).v
-                # the 2D form: each uplink node with its own cut downlink table
-                p_s, s_zeta, s_root = classical_selection_sums_tensor(up, down, quad, zeta_th)
                 c = s_root / p_s * math.sqrt(v * v - 1.0)
                 b = 1.0 + (v - 1.0) * s_zeta / p_s + chi
-                want = np.array([[v, 0, c, 0], [0, v, 0, -c], [c, 0, b, 0], [0, -c, 0, b]])
-                assert res.p_success == pytest.approx(p_s, rel=1e-14, abs=0)
-                np.testing.assert_allclose(res.cm.m, want, rtol=1e-14, atol=0)
+                np.testing.assert_allclose([1.0 + alpha, 1.0 + beta, c_got], [v, b, c], rtol=1e-14, atol=0)
         # one 1D sum per threshold, shared by every r
         assert len(calls) == len(thresholds)
 
@@ -483,13 +482,19 @@ class TestPostselectColumn:
         r_grid = (0.5, 1.5, 2.5)
         ch_up, ch_down = links(direct_cfg())
         quad = QuadratureSpec(32, 4)
-        column = postselect_column([Squeezing(r) for r in r_grid], LinkRule(ch_up, quad),
-                                   LinkRule(ch_down, quad), selections, chi=0.01)
-        assert len(column) == len(r_grid)
-        for r, row in zip(r_grid, column):
-            assert len(row) == len(selections)
-            for ps, res in zip(selections, row):
+        column = postselect_column(r_grid, LinkRule(ch_up, quad), LinkRule(ch_down, quad), selections,
+                                   chi=0.01)
+        assert len(column) == len(selections)
+        for ps, selected in zip(selections, column):
+            for i, r in enumerate(r_grid):
                 want = select(Squeezing(r), ch_up, ch_down, ps, quad, chi=0.01)
                 # repr compares the floats bit for bit
-                assert (repr((res.cm.m.tolist(), res.p_success, res.e_ln))
-                        == repr((want.cm.m.tolist(), want.p_success, want.e_ln)))
+                if select is classical_postselect:
+                    # (P_s, (alpha, beta, c)): the per-point CM holds 1 + alpha, 1 + beta and c
+                    p_s, excess = selected
+                    got = (p_s, [float(1.0 + excess[0][i]), float(1.0 + excess[1][i]), float(excess[2][i])])
+                    assert repr(got) == repr((want.p_success, want.cm.m[[0, 2, 0], [0, 2, 2]].tolist()))
+                else:
+                    res = selected[i]
+                    assert (repr((res.cm.m.tolist(), res.p_success, res.e_ln))
+                            == repr((want.cm.m.tolist(), want.p_success, want.e_ln)))

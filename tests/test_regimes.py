@@ -1,11 +1,12 @@
 """Regime fuzzing: random inputs beyond the shipped scenario grids.
 
 Every scheme, both post-selections and the effective ordering report run over
-sigma_b <= 30, beta/w in [0.2, 2], r <= 3, chi <= 0.1, classical thresholds
-below zeta_max and q_th <= 6.  Each call must either return a physical CM with
-finite E_LN (and finite effective fields) or raise a typed CvsatError; any
-other exception fails the test, and pytest turns RuntimeWarning into an error,
-so a silent overflow fails too.  A coarse 16x2 rule keeps each example cheap.
+sigma_b <= 30, beta/w in [0.2, 2], r <= 3 (log-uniform from 1e-8 to 1 half the
+time), chi <= 0.1, classical thresholds below zeta_max and q_th <= 6.  Each
+call must either return a physical CM with finite E_LN (and finite effective
+fields) or raise a typed CvsatError; any other exception fails the test, and
+pytest turns RuntimeWarning into an error, so a silent overflow fails too.  A
+coarse 16x2 rule keeps each example cheap.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvsat.effective import ordering_check, try_effective
+from cvsat.effective import ordering_check, standard_rows, try_effective
 from cvsat.errors import CvsatError
 from cvsat.fading import LinkGeometry, LinkRule
 from cvsat.gaussian import OMEGA, TOL_PHYS, Squeezing, TwoModeCM, log_negativity
@@ -27,7 +28,7 @@ from cvsat.postselect import (
     _selection_sums,
     quantum_postselect,
 )
-from cvsat.schemes import KINDS, SchemeConfig, ensemble_cm
+from cvsat.schemes import KINDS, SchemeConfig, ensemble_cm, ensemble_column
 
 from oracles import classical_selection_sums_tensor, swap_ensemble_tensor
 
@@ -48,7 +49,8 @@ def configs(kinds=KINDS):
             beta=BETA, w=BETA / beta_over_w, chi=chi, quad=QUAD),
         kind=st.sampled_from(kinds), sigma_b=wander(30.0),
         beta_over_w=st.floats(0.2, 2.0), k1=wander(1.0), k2=wander(1.0),
-        r=st.floats(0.0, 3.0), chi=st.floats(0.0, 0.1),
+        r=st.one_of(st.floats(0.0, 3.0), st.floats(-8.0, 0.0).map(lambda e: 10.0 ** e)),
+        chi=st.floats(0.0, 0.1),
     )
 
 
@@ -74,14 +76,30 @@ def test_scheme_ensembles(cfg):
 
 
 @FUZZ
+@given(cfg=configs())
+def test_standard_rows(cfg):
+    # the CLI's row path: E_LN finite and >= 0, effective fields finite exactly when E_LN > 0
+    try:
+        (e_ln,), *eff = standard_rows(*ensemble_column(cfg.kind, cfg.rules(), [cfg.squeezing.r], cfg.chi))
+    except CvsatError:
+        return
+    assert math.isfinite(e_ln) and e_ln >= 0.0
+    assert all(math.isfinite(x) == (e_ln > 0.0) for (x,) in eff)
+    if e_ln > 0.0:
+        assert 0.0 <= min(eff[1][0], eff[2][0]) and max(eff[1][0], eff[2][0]) <= 1.0
+
+
+@FUZZ
 @given(cfg=configs(("swap",)))
 def test_swap_ensemble_matches_the_full_table_sum(cfg):
     try:
-        got = ensemble_cm(cfg).m
+        got = np.ravel(ensemble_column("swap", cfg.rules(), [cfg.squeezing.r], cfg.chi))
     except CvsatError:
         return
-    want, = swap_ensemble_tensor(*cfg.links(), QUAD, [cfg.squeezing.v], cfg.chi)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+    want, = swap_ensemble_tensor(*cfg.links(), QUAD, [cfg.squeezing.r], cfg.chi)
+    # relative to the CM's largest entry, as the root-rule tests pin it
+    largest = max(1.0 + want[0], 1.0 + want[1], abs(want[2]))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * largest)
 
 
 @FUZZ

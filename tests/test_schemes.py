@@ -345,38 +345,38 @@ class TestSwapEnsemble:
 class TestSwapEnsembleRootRule:
     """The swap ensemble on the links' root rules against the sum over every node pair of their full tables.
 
-    Both sides use the same rule, and the pin is relative to the CM's largest
-    entry.  The rule's own error is another matter: at beta/W = 13 the 64x8
-    table is 8.9e-6 off a 128x16 one.
+    Both sides use the same rule and the excess form (a - 1, b - 1, c), and
+    the pin is relative to the CM's largest entry.  The rule's own error is
+    another matter: at beta/W = 13 the 64x8 table is 8.9e-6 off a 128x16 one.
     """
 
     @staticmethod
-    def assert_matches_full_tables(cfg, rs, chi):
-        got = ensemble_column("swap", cfg.rules(), [Squeezing(r) for r in rs], chi)
-        want = swap_ensemble_tensor(*cfg.links(), cfg.quad, [Squeezing(r).v for r in rs], chi)
-        for cm, ref in zip(got, want):
-            np.testing.assert_allclose(cm.m, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+    def assert_matches_full_tables(rules, rs, chi):
+        got = np.stack(ensemble_column("swap", rules, rs, chi), axis=1)
+        want = swap_ensemble_tensor(*(rule.ch for rule in rules), rules[0].quad, rs, chi)
+        for row, ref in zip(got, want):
+            largest = max(1.0 + ref[0], 1.0 + ref[1], abs(ref[2]))
+            np.testing.assert_allclose(row, ref, rtol=0, atol=1e-14 * largest)
 
     @pytest.mark.parametrize("chi", [0.0, 0.1])
     @pytest.mark.parametrize("geom,beta", [(GEOM, 1.0), (LinkGeometry(1.5, 0.5, 0.64), 1.0),
                                            (GEOM, 0.4), (LinkGeometry(1.3, 0.5, 0.64), 13.0)])
     def test_geometries(self, geom, beta, chi):
         cfg = config("swap", geom=geom, beta=beta, quad=QuadratureSpec(64, 8))
-        self.assert_matches_full_tables(cfg, (0.0, 1e-8, 0.1, 1.0, 2.0, 3.0), chi)
+        self.assert_matches_full_tables(cfg.rules(), (0.0, 1e-8, 0.1, 1.0, 2.0, 3.0), chi)
 
     @pytest.mark.parametrize("name", ["lowloss_bw0.4", "lowloss_bw0.5", "lowloss_bw1.0"])
     def test_survey_columns(self, name):
         scenario = parse_scenario(SCENARIOS / f"{name}.scn")
         for sigma_b in scenario.sigma_b_grid:
-            cfgs, _, _ = _column(scenario, "swap", sigma_b)
-            self.assert_matches_full_tables(cfgs[0], scenario.r_grid, scenario.chi)
+            rules, _ = _column(scenario, "swap", sigma_b)
+            self.assert_matches_full_tables(rules, scenario.r_grid, scenario.chi)
 
     def test_zero_squeezing_has_no_shared_factor(self):
-        # v = 1 gives G = 0 exactly: the CM is the weight mass times the identity
-        rules = config("swap").rules()
-        cm, = ensemble_column("swap", rules, [Squeezing(0.0)], 0.1)
-        mass = rules[0].table[1].sum() * rules[1].table[1].sum()
-        assert cm.m.tolist() == (mass * np.eye(4)).tolist()
+        # u = 0 gives H = 0 exactly: the CM is the identity, whatever the weight mass and chi
+        alpha, beta, c = ensemble_column("swap", config("swap").rules(), [0.0], 0.1)
+        assert (alpha.tolist(), beta.tolist(), c.tolist()) == ([0.0], [0.0], [0.0])
+        assert ensemble_cm(config("swap", r=0.0, chi=0.1)).m.tolist() == np.eye(4).tolist()
 
 
 class TestEnsembleCmDispatch:
@@ -399,8 +399,8 @@ class TestEnsembleColumn:
     @pytest.mark.parametrize("kind", ["direct", "satellite", "swap"])
     @pytest.mark.parametrize("chi", [0.0, 0.02])
     def test_matches_ensemble_cm_at_every_r(self, kind, chi):
-        cfgs = [config(kind, r=r, chi=chi) for r in (0.1, 0.8, 1.5, 2.9)]
-        cms = ensemble_column(kind, cfgs[0].rules(), [cfg.squeezing for cfg in cfgs], chi)
+        rs = (0.1, 0.8, 1.5, 2.9)
+        alpha, beta, c = ensemble_column(kind, config(kind, chi=chi).rules(), rs, chi)
         # repr of the entries compares the floats bit for bit
-        assert [repr(cm.m.tolist()) for cm in cms] == [repr(ensemble_cm(cfg).m.tolist())
-                                                       for cfg in cfgs]
+        assert [repr(row) for row in zip((1.0 + alpha).tolist(), (1.0 + beta).tolist(), c.tolist())] == [
+            repr(tuple(ensemble_cm(config(kind, r=r, chi=chi)).m[[0, 2, 0], [0, 2, 2]].tolist())) for r in rs]
