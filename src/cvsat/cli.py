@@ -37,21 +37,17 @@ from pathlib import Path
 
 import numpy as np
 
-# The CLI computes whole columns and calls neither ordering_check nor loss_db; they stay
-# imported because perfbench/replay.py wraps them by attribute lookup in this module.
+# The CLI computes whole columns and calls none of ordering_check, loss_db, log_negativity,
+# ensemble_cm, classical_postselect or quantum_postselect; they stay imported because
+# perfbench/replay.py wraps them by attribute lookup in this module.
 from .effective import ordering_check, ordering_column, standard_rows, try_effective  # noqa: F401
 from .errors import ConfigError, DomainError, NumericalError
-from .fading import LinkGeometry, LinkRule, expand_links, loss_db, mean_transmittance, sample  # noqa: F401
-from .gaussian import Squeezing, log_negativity
+from .fading import LinkGeometry, LinkRule, Links, expand_links, loss_db, sample  # noqa: F401
+from .gaussian import Squeezing, log_negativity  # noqa: F401
 from .numerics import McSpec, QuadratureSpec, mc_expectation
-from .postselect import (
-    ClassicalPsConfig,
-    QuantumPsConfig,
-    classical_postselect,
-    postselect_column,
-    quantum_postselect,
-)
-from .schemes import KINDS, SchemeConfig, ensemble_cm, ensemble_column, scheme_links
+from .postselect import (ClassicalPsConfig, QuantumPsConfig, classical_postselect,  # noqa: F401
+                         postselect_column, quantum_postselect)
+from .schemes import KINDS, ensemble_cm, ensemble_column, scheme_links  # noqa: F401
 
 CSV_COLUMNS = (
     "scheme", "sigma_b", "r", "chi", "e_ln", "p_success",
@@ -265,33 +261,22 @@ def _pool_size(workers: int, tasks: int) -> int:
     return min(workers, tasks, os.cpu_count() or 1)
 
 
-def _map_tasks(fn, tasks: list[tuple], workers: int) -> list[dict]:
-    """The rows of fn(*task) for every task, in order, on a process pool when that helps."""
+def _map_tasks(fn, tasks: list[tuple], workers: int) -> list:
+    """fn(*task) for every task, in order, on a process pool when that helps."""
     size = _pool_size(workers, len(tasks))
     if size <= 1:
-        columns = [fn(*task) for task in tasks]
-    else:
-        # Imported here: multiprocessing costs every other run 20-30 ms of start-up.
-        from concurrent.futures import ProcessPoolExecutor
-        # About four chunks per worker: a message per task costs more than a fast task.
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            columns = list(pool.map(fn, *zip(*tasks), chunksize=max(1, len(tasks) // (4 * size))))
-    return [row for column in columns for row in column]
+        return [fn(*task) for task in tasks]
+    # Imported here: multiprocessing costs every other run 20-30 ms of start-up.
+    from concurrent.futures import ProcessPoolExecutor
+    # About four chunks per worker: a message per task costs more than a fast task.
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return list(pool.map(fn, *zip(*tasks), chunksize=max(1, len(tasks) // (4 * size))))
 
 
-def _scheme_config(scenario: Scenario, kind: str, sigma_b: float, r: float) -> SchemeConfig:
-    return SchemeConfig(
-        kind=kind, squeezing=Squeezing(r),
-        geometry=LinkGeometry(sigma_b=sigma_b, k1=scenario.k1, k2=scenario.k2),
-        beta=scenario.beta, w=scenario.w, chi=scenario.chi, quad=scenario.quad,
-    )
-
-
-def _column(scenario: Scenario, kind: str, sigma_b: float):
-    """The link rules of one (scheme, sigma_b) column and their mean losses in dB."""
+def _links(scenario: Scenario, sigma_b: float) -> Links:
+    """The link rules of one sigma_b column, which every scheme, report and audit of it reads."""
     links = expand_links(LinkGeometry(sigma_b, scenario.k1, scenario.k2), scenario.beta, scenario.w)
-    rules = tuple(LinkRule(ch, scenario.quad) for ch in scheme_links(kind, links))
-    return rules, [rule.loss_db for rule in rules]
+    return Links(*(LinkRule(ch, scenario.quad) for ch in links))
 
 
 def _rows(excess, p_success: float = 1.0) -> list[tuple]:
@@ -300,24 +285,37 @@ def _rows(excess, p_success: float = 1.0) -> list[tuple]:
     return list(zip(e_ln, [p_success] * len(e_ln), *eff))
 
 
-def _sweep_column(scenario: Scenario, kind: str, sigma_b: float) -> list[dict]:
-    rules, losses = _column(scenario, kind, sigma_b)
-    rows = _rows(ensemble_column(kind, rules, scenario.r_grid, scenario.chi))
-    return [_sweep_point(kind, sigma_b, r, scenario.chi, row, losses)
-            for r, row in zip(scenario.r_grid, rows)]
-
-
-def _postselect_column(scenario: Scenario, sigma_b: float) -> list[dict]:
-    """Rows r by r, thresholds ascending within each r; a quantum row alone builds a CM."""
-    rules, losses = _column(scenario, "direct", sigma_b)
+def _selected_rows(rs, rules: tuple[LinkRule, LinkRule], selections, chi: float) -> list[list[tuple]]:
+    """Per selection, the rows of every r in rs; a quantum row alone builds a CM."""
     columns = []
-    for selected in postselect_column(scenario.r_grid, *rules, scenario.postselect, scenario.chi):
+    for selected in postselect_column(rs, *rules, selections, chi):
         if isinstance(selected, tuple):
             columns.append(_rows(selected[1], selected[0]))
         else:
             effs = [try_effective(res.cm) for res in selected]
             columns.append([(res.e_ln, res.p_success, *(astuple(eff) if eff else [math.nan] * 3))
                             for res, eff in zip(selected, effs)])
+    return columns
+
+
+def _sweep_column(scenario: Scenario, sigma_b: float) -> list[list[dict]]:
+    """Per scheme, in sorted order, the rows of one sigma_b column; the schemes share its links."""
+    links = _links(scenario, sigma_b)
+    columns = []
+    for kind in sorted(scenario.schemes):
+        rules = scheme_links(kind, links)
+        losses = [rule.loss_db for rule in rules]
+        rows = _rows(ensemble_column(kind, rules, scenario.r_grid, scenario.chi))
+        columns.append([_sweep_point(kind, sigma_b, r, scenario.chi, row, losses)
+                        for r, row in zip(scenario.r_grid, rows)])
+    return columns
+
+
+def _postselect_column(scenario: Scenario, sigma_b: float) -> list[dict]:
+    """Rows r by r, thresholds ascending within each r."""
+    rules = scheme_links("direct", _links(scenario, sigma_b))
+    losses = [rule.loss_db for rule in rules]
+    columns = _selected_rows(scenario.r_grid, rules, scenario.postselect, scenario.chi)
     return [_postselect_point("direct", sigma_b, r, scenario.chi, row, losses)
             for r, *rows in zip(scenario.r_grid, *columns) for row in rows]
 
@@ -327,14 +325,14 @@ def run_sweep(scenario: Scenario, workers: int = 1) -> list[dict]:
 
     Scenarios with a postselect.* block sweep the threshold axis as well; the
     threshold of each row is implicit in its success probability.  Each
-    (scheme, sigma_b) column is one task, which builds its links, node
-    tables and r-independent sums once.
+    sigma_b column is one task, which builds its links and node tables once
+    for every scheme, and each scheme's r-independent sums once for all r.
     """
     if scenario.postselect is not None:
         return run_postselect(scenario, workers=workers)
-    tasks = [(scenario, kind, sigma_b)
-             for kind in sorted(scenario.schemes) for sigma_b in scenario.sigma_b_grid]
-    return _map_tasks(_sweep_column, tasks, workers)
+    columns = _map_tasks(_sweep_column, [(scenario, sigma_b) for sigma_b in scenario.sigma_b_grid],
+                         workers)
+    return [row for k in range(len(scenario.schemes)) for column in columns for row in column[k]]
 
 
 def run_postselect(scenario: Scenario, workers: int = 1) -> list[dict]:
@@ -347,8 +345,9 @@ def run_postselect(scenario: Scenario, workers: int = 1) -> list[dict]:
         raise ConfigError("scenario has no postselect.* section")
     if scenario.schemes != ("direct",):
         raise ConfigError("post-selection applies to the direct scheme only; set schemes = direct")
-    return _map_tasks(_postselect_column, [(scenario, sigma_b) for sigma_b in scenario.sigma_b_grid],
-                      workers)
+    columns = _map_tasks(_postselect_column, [(scenario, sigma_b) for sigma_b in scenario.sigma_b_grid],
+                         workers)
+    return [row for column in columns for row in column]
 
 
 def rate_estimate(p_success: float, tx_rate_hz: float) -> float:
@@ -372,13 +371,9 @@ def run_effective(scenario: Scenario) -> dict:
     """Effective-channel report: per-point scheme summaries plus ordering flags, column by column."""
     if scenario.chi > 0.0:
         raise ConfigError(f"scenario key 'chi' = {scenario.chi}: effective reduces noiseless links only")
-    points = []
-    for sigma_b in scenario.sigma_b_grid:
-        reports = ordering_column(LinkGeometry(sigma_b=sigma_b, k1=scenario.k1, k2=scenario.k2),
-                                  [Squeezing(r) for r in scenario.r_grid],
-                                  scenario.beta, scenario.w, scenario.quad)
-        points += [{"sigma_b": sigma_b, "r": r, **report}
-                   for r, report in zip(scenario.r_grid, reports)]
+    points = [{"sigma_b": sigma_b, "r": r, **report} for sigma_b in scenario.sigma_b_grid
+              for r, report in zip(scenario.r_grid,
+                                   ordering_column(_links(scenario, sigma_b), scenario.r_grid))]
     return _jsonable({
         "beta": scenario.beta, "w": scenario.w,
         "k1": scenario.k1, "k2": scenario.k2, "chi": scenario.chi,
@@ -392,49 +387,55 @@ def _grid_probes(grid: tuple[float, ...]) -> list[float]:
 
 
 def run_validate(scenario: Scenario) -> dict:
-    """Self-consistency audit: quadrature convergence, physicality, MC agreement."""
+    """Self-consistency audit: quadrature convergence, physicality, MC agreement.
+
+    Every probe reads the rows sweep and postselect print, from the links of
+    its sigma_b column, built once per quadrature rule.
+    """
     checks: list[dict] = []
 
     def record(name: str, passed: bool, detail: str) -> None:
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    fine = QuadratureSpec(
-        nodes_1d=scenario.quad.nodes_1d, subdivisions=2 * scenario.quad.subdivisions
-    )
+    fine = dataclasses.replace(scenario, quad=QuadratureSpec(
+        nodes_1d=scenario.quad.nodes_1d, subdivisions=2 * scenario.quad.subdivisions))
+    sigma_probes, r_probes = _grid_probes(scenario.sigma_b_grid), _grid_probes(scenario.r_grid)
+    columns = {sigma_b: [_links(s, sigma_b) for s in (scenario, fine)] for sigma_b in sigma_probes}
     for kind in sorted(scenario.schemes):
-        for sigma_b in _grid_probes(scenario.sigma_b_grid):
-            for r in _grid_probes(scenario.r_grid):
-                name = f"convergence/{kind}/sigma_b={sigma_b:g}/r={r:g}"
-                try:
-                    cfg = _scheme_config(scenario, kind, sigma_b, r)
-                    e_coarse = log_negativity(ensemble_cm(cfg))
-                    e_fine = log_negativity(ensemble_cm(dataclasses.replace(cfg, quad=fine)))
-                except (DomainError, NumericalError) as exc:
+        for sigma_b in sigma_probes:
+            names = [f"convergence/{kind}/sigma_b={sigma_b:g}/r={r:g}" for r in r_probes]
+            try:
+                coarse, refined = (standard_rows(*ensemble_column(
+                    kind, scheme_links(kind, links), r_probes, scenario.chi))[0]
+                    for links in columns[sigma_b])
+            except (DomainError, NumericalError) as exc:
+                # one failure fails every r probe of the column
+                for name in names:
                     record(name, False, f"evaluation failed: {exc}")
-                    continue
-                diff = abs(e_coarse - e_fine)
+                continue
+            for name, diff in zip(names, np.abs(coarse - refined).tolist()):
                 gap = f"< {ROUND_OFF_GAP:g}" if diff < ROUND_OFF_GAP else f"= {diff:.3e}"
                 record(name, diff < CONVERGENCE_TOL,
-                       f"|E_LN({scenario.quad.subdivisions} subdiv) - E_LN({fine.subdivisions})| {gap}")
+                       f"|E_LN({scenario.quad.subdivisions} subdiv) - E_LN({fine.quad.subdivisions})| {gap}")
 
     # The direct scheme at the grid's last point probes MC agreement and post-selection.
-    probe = _scheme_config(scenario, "direct", scenario.sigma_b_grid[-1], scenario.r_grid[-1])
+    rules = scheme_links("direct", columns[scenario.sigma_b_grid[-1]][0])
+    r = scenario.r_grid[-1]
     if scenario.mc is not None:
-        links = expand_links(probe.geometry, scenario.beta, scenario.w)
-        for label, ch in (("uplink", links.a_s), ("downlink", links.s_b)):
-            if ch.point_mass:
+        for label, rule in zip(("uplink", "downlink"), rules):
+            if rule.ch.point_mass:
                 continue
-            quad_mean = mean_transmittance(ch, scenario.quad)
+            quad_mean = rule.moments[0]
             mc_mean, se = mc_expectation(
-                lambda rng, n, _ch=ch: sample(_ch, rng, n), lambda e: e, scenario.mc
+                lambda rng, n, _ch=rule.ch: sample(_ch, rng, n), lambda e: e, scenario.mc
             )
             err = abs(quad_mean - mc_mean)
             record(f"mc/{label}-mean-transmittance", err <= 4.0 * se + 1e-12,
                    f"quadrature {quad_mean:.9g} vs MC {mc_mean:.9g} (stderr {se:.2e})")
-        v = probe.squeezing.v
-        b_quad = float(ensemble_cm(probe).m[2, 2])
+        v = Squeezing(r).v
+        b_quad = 1.0 + float(ensemble_column("direct", rules, (r,), scenario.chi)[1][0])
         b_mc, se = mc_expectation(
-            lambda rng, n: (sample(links.a_s, rng, n), sample(links.s_b, rng, n)),
+            lambda rng, n: tuple(sample(rule.ch, rng, n) for rule in rules),
             lambda e, ep: 1.0 + e * ep * (v - 1.0) + scenario.chi,
             scenario.mc,
         )
@@ -447,13 +448,12 @@ def run_validate(scenario: Scenario) -> dict:
         kind, threshold = ("classical", ps.zeta_th) if classical else ("quantum", ps.q_th)
         name = f"postselect/{kind}/threshold={threshold:g}"
         try:
-            select = classical_postselect if classical else quantum_postselect
-            res = select(probe.squeezing, *probe.links(), ps, scenario.quad, scenario.chi)
+            ((e_ln, p_s, *_),), = _selected_rows((r,), rules, (ps,), scenario.chi)
         except (DomainError, NumericalError) as exc:
             record(name, False, f"evaluation failed: {exc}")
         else:
-            ok = 0.0 < res.p_success <= 1.0 + 1e-9 and res.e_ln >= 0.0
-            record(name, ok, f"P_s = {res.p_success:.6g}, E_LN = {res.e_ln:.6g}")
+            ok = 0.0 < p_s <= 1.0 + 1e-9 and e_ln >= 0.0
+            record(name, ok, f"P_s = {p_s:.6g}, E_LN = {e_ln:.6g}")
 
     return {"passed": all(c["passed"] for c in checks), "checks": checks}
 

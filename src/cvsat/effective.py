@@ -19,10 +19,12 @@ realization, with s = eta + eta',
 so the pole carries no squeezing beyond the factor v + 1, and the average is
 -M + (v + 1) P - (v^2 - 1) C(v).  The weight mass M and the principal value P
 depend only on the links and the rule, so a sigma_b column computes them
-once for all its r.  The smooth kernel C(v) of every r is summed on the
-links' Gauss rules in sqrt(eta); the transmittivities and, once, the
-separable mass are summed over the node tables, their clipped parts only on
-the rectangle of nodes that can reach the entangled side.
+once for all its r.  With u = v - 1, (v^2 - 1) C(v) = (u + 2) E[eta eta' H]
+for the swap ensemble's H = u / (s u + 2) at chi = 0, so every r reads its
+smooth part from the ensemble's root-rule pass (schemes.swap_moments); the
+transmittivities and, once, the separable mass are summed over the node
+tables, their clipped parts only on the rectangle of nodes that can reach
+the entangled side.
 
 The per-realization effective transmittivities are defined only on the
 entangled side; their closed forms vanish on the boundary and turn negative
@@ -41,19 +43,11 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 # transmittance_nodes is unused here; perfbench/replay.py wraps it by attribute lookup in this module.
-from .fading import (  # noqa: F401
-    LinkGeometry,
-    LinkRule,
-    Links,
-    deflection_of_eta,
-    eta_of_deflection,
-    expand_links,
-    rayleigh_pdf,
-    transmittance_nodes,
-)
-from .gaussian import TOL_PHYS, Squeezing, TwoModeCM, standard_form
+from .fading import (LinkGeometry, LinkRule, Links, deflection_of_eta, eta_of_deflection,  # noqa: F401
+                     expand_links, rayleigh_pdf, transmittance_nodes)
+from .gaussian import TOL_PHYS, Squeezing, TwoModeCM, squeezing_excess, standard_form
 from .numerics import DEFAULT_QUAD, QuadratureSpec, pair_sums
-from .schemes import KINDS, SchemeConfig, path_moments, scheme_links
+from .schemes import KINDS, SchemeConfig, path_moments, scheme_links, swap_moments
 
 
 @dataclass(frozen=True)
@@ -129,36 +123,31 @@ def try_effective(cm: TwoModeCM) -> EffectiveParams | None:
         return None
 
 
-def _swap_eta_integrals(rules: tuple[LinkRule, LinkRule], vs) -> tuple[float, list[list[float]]]:
-    """The separable mass and the squeezing-dependent swap sums of every v in vs.
+def _swap_eta_integrals(rules: tuple[LinkRule, LinkRule], us) -> tuple[float, list[list[float]]]:
+    """The separable mass and the squeezing-dependent swap transmittivities of every u = v - 1 in us.
 
     rules are those of the A and B links.  Returns
-    (separable_mass, [[eta_a, eta_b, signed_eta_a, signed_eta_b, kernel] per
-    v]).  separable_mass is the weight of the separable side s < 1,
+    (separable_mass, [[eta_a, eta_b, signed_eta_a, signed_eta_b] per u]).
+    separable_mass is the weight of the separable side s < 1,
     s = eta + eta'.  eta_a and eta_b average the per-realization values over
     the region where the reduction exists (the entangled side s > 1) and count
     the separable side as zero, which is the continuous extension: the closed
     forms vanish on the boundary.  The signed fields keep the closed forms
     integrated over the whole square; they go negative once the separable
     side carries mass and are reported for diagnosis, never used as
-    transmittivities.  kernel is C(v), the smooth part of the cosh(2 r'')
-    average that _summary completes with _swap_pole_sums.
+    transmittivities.
 
-    With u = v - 1, k = 2/u, x = eta / (1 - eta') and y = eta' / (1 - eta)
+    With k = 2/u, x = eta / (1 - eta') and y = eta' / (1 - eta)
     the closed forms read num_a = (x - 1) / (x + k) and num_b = (y - 1) / (y + k);
-    each block forms x - 1 and y - 1 once, so each v costs one add and one
+    each block forms x - 1 and y - 1 once, so each u costs one add and one
     divide per side.  Both are bounded, so they run over the tables without
     their far tails (LinkRule.trimmed); the separable mass, which can be
     smaller than a tail, adds the trimmed pairs back.  max(num, 0) is 0 unless
     x > 1 or y > 1; the tables descend in eta, so those pairs lie in a prefix
-    rectangle, and only there is the clip formed.  The kernel
-    eta eta' / (s u + 2) is analytic in sqrt(eta), so it is summed as the swap
-    ensemble is: on the links' root rules (LinkRule.root) against the weight
-    columns w eta.
+    rectangle, and only there is the clip formed.
     """
     (eta_a, w_a), (eta_b, w_b) = (rule.table for rule in rules)
     (ea, wa), (eb, wb) = (rule.trimmed for rule in rules)
-    us = [v - 1.0 for v in vs]
 
     def minus_1(e, ep):
         # x - 1 and y - 1.  A transmittance that rounds to 1 makes x or y 1e300
@@ -194,20 +183,12 @@ def _swap_eta_integrals(rules: tuple[LinkRule, LinkRule], vs) -> tuple[float, li
     separable_mass = (clipped[0] + signed[0] + w_a[n_a:] @ ((eta_a[n_a:, None] + eta_b) < 1.0) @ w_b
                       + wa @ ((ea[:, None] + eta_b[n_b:]) < 1.0) @ w_b[n_b:])
 
-    (x_a, r_a), (x_b, r_b) = (rule.root for rule in rules)
-
-    def kernel(x, y):
-        s = x * x + y * y
-        for u in us:
-            yield 1.0 / (s * u + 2.0)
-
-    kernels = pair_sums((x_a, r_a * x_a * x_a), (x_b, r_b * x_b * x_b), kernel)
-    # After the indicator, each v yielded max(num_a, 0), num_a, max(num_b, 0),
+    # After the indicator, each u yielded max(num_a, 0), num_a, max(num_b, 0),
     # num_b in the rectangle and num_a, num_b elsewhere.
     return float(separable_mass), [
         [clipped[4 * i + 1], clipped[4 * i + 3], clipped[4 * i + 2] + signed[2 * i + 1],
-         clipped[4 * i + 4] + signed[2 * i + 2], kernels[i]]
-        for i in range(len(vs))]
+         clipped[4 * i + 4] + signed[2 * i + 2]]
+        for i in range(len(us))]
 
 
 def _swap_pole_sums(rules: tuple[LinkRule, LinkRule]) -> tuple[float, float, bool]:
@@ -275,23 +256,25 @@ def _swap_pole_sums(rules: tuple[LinkRule, LinkRule]) -> tuple[float, float, boo
     return mass, pv_sum, bool(np.any(pole))
 
 
-def _summary(kind: str, rules: tuple[LinkRule, LinkRule], squeezings) -> list[tuple[EffectiveParams, dict]]:
-    """Per squeezing, scheme-level effective parameters and the diagnostics ordering_check reports.
+def _summary(kind: str, rules: tuple[LinkRule, LinkRule], rs) -> list[tuple[EffectiveParams, dict]]:
+    """Per squeezing r in rs, scheme-level effective parameters and the diagnostics ordering_check reports.
 
     Direct and satellite realizations are literal loss channels, so their
     effective squeezing equals the source squeezing, only the
     transmittivities average and there are no diagnostics.  Swapping
-    averages both; its pole sums are computed once for all squeezings.
+    averages both; its pole sums are computed once for all squeezings, and
+    E[eta eta' H] of every u = 2 sinh(r)^2 in one swap_moments pass at chi = 0.
     """
     if kind != "swap":
         (eta_a, _), (eta_b, _) = path_moments(kind, rules)
-        return [(EffectiveParams(r_e=sq.r, eta_a=eta_a, eta_b=eta_b), {}) for sq in squeezings]
-    vs = [sq.v for sq in squeezings]
-    separable_mass, integrals = _swap_eta_integrals(rules, vs)
+        return [(EffectiveParams(r_e=r, eta_a=eta_a, eta_b=eta_b), {}) for r in rs]
+    us, _ = squeezing_excess(rs)
+    separable_mass, integrals = _swap_eta_integrals(rules, us)
     mass, pv_sum, pv_used = _swap_pole_sums(rules)
     out = []
-    for v, (eta_a, eta_b, signed_eta_a, signed_eta_b, kernel) in zip(vs, integrals):
-        cosh_avg = -mass + (v + 1.0) * pv_sum - (v * v - 1.0) * kernel
+    for u, smooth, (eta_a, eta_b, signed_eta_a, signed_eta_b) in zip(
+            us.tolist(), swap_moments(rules, us, 0.0)[:, 2, 2].tolist(), integrals):
+        cosh_avg = -mass + (u + 2.0) * (pv_sum - smooth)
         r_e = 0.5 * math.acosh(cosh_avg) if cosh_avg >= 1.0 else float("nan")
         out.append((EffectiveParams(r_e=r_e, eta_a=eta_a, eta_b=eta_b), {
             "swap_separable_mass": separable_mass,
@@ -305,18 +288,16 @@ def _summary(kind: str, rules: tuple[LinkRule, LinkRule], squeezings) -> list[tu
 
 def scheme_effective_summary(cfg: SchemeConfig) -> EffectiveParams:
     """Scheme-level effective parameters from per-realization reductions."""
-    return _summary(cfg.kind, cfg.rules(), (cfg.squeezing,))[0][0]
+    return _summary(cfg.kind, cfg.rules(), (cfg.squeezing.r,))[0][0]
 
 
-def ordering_column(geometry: LinkGeometry, squeezings, beta: float, w: float,
-                    quad: QuadratureSpec = DEFAULT_QUAD) -> list[dict]:
-    """ordering_check of every squeezing in one sigma_b column.
+def ordering_column(links: Links, rs) -> list[dict]:
+    """ordering_check of every squeezing r in rs, over one sigma_b column's link rules.
 
-    The links are expanded once into rules the schemes share, and each
-    scheme's r-independent sums are computed once for all squeezings.
+    The schemes share the rules, and each scheme's r-independent sums are
+    computed once for all r.
     """
-    rules = Links(*(LinkRule(ch, quad) for ch in expand_links(geometry, beta, w)))
-    summaries = [_summary(kind, scheme_links(kind, rules), squeezings) for kind in KINDS]
+    summaries = [_summary(kind, scheme_links(kind, links), rs) for kind in KINDS]
     reports = []
     for point in zip(*summaries):
         report: dict = {}
@@ -345,4 +326,5 @@ def ordering_check(
     genuinely fade less than the uplink.  Violations are reported in the
     returned dict, never raised.
     """
-    return ordering_column(geometry, (sq,), beta, w, quad)[0]
+    return ordering_column(Links(*(LinkRule(ch, quad) for ch in expand_links(geometry, beta, w))),
+                           (sq.r,))[0]

@@ -135,26 +135,29 @@ def classical_postselect(sq: Squeezing, ch_up: FadingChannel, ch_down: FadingCha
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
 
-def _tap_moments(v: float, zeta, tap_t: float, q_th: float, chi: float):
+def _tap_moments(u: float, sinh_2r: float, zeta, tap_t: float, q_th: float, chi: float):
     """Vectorized selection-weighted moments for given combined transmittances.
 
     After the tap, (q_A, q_B', q_t) are jointly Gaussian and zero-mean; the
     moments under the cut q_t > q_th follow from one-variable truncated
-    Gaussian identities applied along the regression on q_t.
+    Gaussian identities applied along the regression on q_t.  The squeezing
+    enters in excess form (gaussian.squeezing_excess): b_q - 1 = zeta u + chi
+    and c_q = sqrt(zeta) sinh 2r, which keep their digits at small r.
     """
     zeta = np.asarray(zeta, dtype=float)
     t, r = tap_t, 1.0 - tap_t
-    b_q = 1.0 + zeta * (v - 1.0) + chi
-    c_q = np.sqrt(zeta * (v * v - 1.0))
+    b_q_1 = zeta * u + chi
+    b_q = 1.0 + b_q_1
+    c_q = np.sqrt(zeta) * sinh_2r
     v_t = r * b_q + t
     p_sel = 0.5 * _erfc(q_th / np.sqrt(2.0 * v_t))
     # E[q_t * 1{q_t > q_th}] for a centered Gaussian of variance v_t.
     gauss = np.exp(-q_th * q_th / (2.0 * v_t)) / np.sqrt(2.0 * math.pi * v_t)
     q_a = math.sqrt(r) * c_q * gauss
-    q_b = math.sqrt(t * r) * (b_q - 1.0) * gauss
-    q_a_sq = r * c_q**2 * q_th * gauss / v_t + v * p_sel
-    q_b_sq = t * r * (b_q - 1.0) ** 2 * q_th * gauss / v_t + (t * b_q + r) * p_sel
-    q_ab = math.sqrt(t) * r * (b_q - 1.0) * c_q * q_th * gauss / v_t + math.sqrt(t) * c_q * p_sel
+    q_b = math.sqrt(t * r) * b_q_1 * gauss
+    q_a_sq = r * c_q**2 * q_th * gauss / v_t + (1.0 + u) * p_sel
+    q_b_sq = t * r * b_q_1**2 * q_th * gauss / v_t + (t * b_q + r) * p_sel
+    q_ab = math.sqrt(t) * r * b_q_1 * c_q * q_th * gauss / v_t + math.sqrt(t) * c_q * p_sel
     return q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, b_q, c_q
 
 
@@ -169,8 +172,9 @@ def quantum_moments_realization(
     for name, val in (("eta", eta), ("eta_prime", eta_prime)):
         if not (0.0 <= val <= 1.0):
             raise DomainError(f"{name} must lie in [0, 1], got {val}")
+    (u,), (sinh_2r,) = squeezing_excess((sq.r,))
     q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, _, _ = _tap_moments(
-        sq.v, eta * eta_prime, cfg.tap_t, cfg.q_th, chi
+        u, sinh_2r, eta * eta_prime, cfg.tap_t, cfg.q_th, chi
     )
     return QuantumMoments(
         q_a=float(q_a), q_b=float(q_b), q_a_sq=float(q_a_sq),
@@ -178,10 +182,11 @@ def quantum_moments_realization(
     )
 
 
-def _quantum_result(v: float, zeta, w_u, w_d, cfg: QuantumPsConfig, chi: float) -> PostSelectionResult:
+def _quantum_result(u: float, sinh_2r: float, zeta, w_u, w_d, cfg: QuantumPsConfig,
+                    chi: float) -> PostSelectionResult:
     """Distilled CM of the tap moments summed on the outer product of the links' root rules."""
     t, r = cfg.tap_t, cfg.tap_r
-    q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, b_q, c_q = _tap_moments(v, zeta, t, cfg.q_th, chi)
+    q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, b_q, c_q = _tap_moments(u, sinh_2r, zeta, t, cfg.q_th, chi)
     p_s, s_a, s_b, s_aa, s_bb, s_ab, s_pb, s_pc = (
         float(w_u @ m @ w_d) for m in (p_sel, q_a, q_b, q_a_sq, q_b_sq, q_ab,
                                        p_sel * (t * b_q + r), p_sel * c_q))
@@ -191,7 +196,7 @@ def _quantum_result(v: float, zeta, w_u, w_d, cfg: QuantumPsConfig, chi: float) 
     b_p_d, c_p_d = s_pb / p_s, -math.sqrt(t) * s_pc / p_s
     cm = TwoModeCM(np.array([
         [a_q, 0.0, c_q_d, 0.0],
-        [0.0, v, 0.0, c_p_d],
+        [0.0, 1.0 + u, 0.0, c_p_d],
         [c_q_d, 0.0, b_q_d, 0.0],
         [0.0, c_p_d, 0.0, b_p_d],
     ]))
@@ -229,7 +234,8 @@ def postselect_column(rs, up: LinkRule, down: LinkRule, selections, chi: float =
     out = []
     for cfg in selections:
         if isinstance(cfg, QuantumPsConfig):
-            out.append([_quantum_result(math.cosh(2.0 * r), zeta, w_u, w_d, cfg, chi) for r in rs])
+            out.append([_quantum_result(u_i, s_i, zeta, w_u, w_d, cfg, chi)
+                        for u_i, s_i in zip(u.tolist(), sinh_2r.tolist())])
             continue
         p_s, s_zeta, s_root = _selection_sums(up, down, cfg.zeta_th)
         out.append((p_s, (u, u * (s_zeta / p_s) + chi, sinh_2r * (s_root / p_s))))

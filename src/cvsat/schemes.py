@@ -92,6 +92,24 @@ def path_moments(kind: str, rules: tuple[LinkRule, LinkRule]) -> list[tuple[floa
             for path in paths]
 
 
+def swap_moments(rules: tuple[LinkRule, LinkRule], u, chi: float) -> np.ndarray:
+    """The swap pass: per u, the 4x4 sums of H = u / (2 + 2 chi + s u), s = eta + eta', over the links.
+
+    Entry [k, i, j] weighs H at u[k] by column i of [1, 1 - eta, eta, sqrt(eta)] on the A
+    side and column j on the B side, so [:, 2, 2] is E[eta eta' H].  H is analytic in
+    x = sqrt(eta): one pair sum on the root rules (LinkRule.root) gives every u.
+    """
+    roots = [(x, np.stack((w, w * (1.0 - x * x), w * x * x, w * x), axis=1))
+             for x, w in (rule.root for rule in rules)]
+
+    def integrand(x, y):
+        s = x * x + y * y
+        for u_i in u:
+            yield u_i / (s * u_i + (2.0 + 2.0 * chi))
+
+    return np.array(pair_sums(*roots, integrand))
+
+
 @dataclass(frozen=True)
 class SwapGains:
     """Displacement gains applied by stations A (g1) and B (g4)."""
@@ -207,23 +225,14 @@ def ensemble_column(kind: str, rules: tuple[LinkRule, LinkRule], rs, chi: float)
     Swap does not factorize: per realization, with s = eta + eta' and
     H = u / (2 + 2 chi + s u), alpha = H (2 chi + 2 (1 - eta) + u eta'), beta
     likewise with eta and eta' exchanged, and c = (u + 2) sqrt(eta eta') H, no
-    term negative.  H is analytic in x = sqrt(eta): one pair sum on the root
-    rules (LinkRule.root) against w [1, 1 - x^2, x^2, x] gives every r.
+    term negative; swap_moments sums them.
     """
     u, sinh_2r = squeezing_excess(rs)
     if kind != "swap":
         (mean_a, root_a), (mean_b, root_b) = path_moments(kind, rules)
         alpha = u if kind == "direct" else mean_a * u + chi
         return alpha, mean_b * u + chi, root_a * root_b * sinh_2r
-    roots = [(x, np.stack((w, w * (1.0 - x * x), w * x * x, w * x), axis=1))
-             for x, w in (rule.root for rule in rules)]
-
-    def integrand(x, y):
-        s = x * x + y * y
-        for u_i in u:
-            yield u_i / (s * u_i + (2.0 + 2.0 * chi))
-
-    s = np.array(pair_sums(*roots, integrand))
+    s = swap_moments(rules, u, chi)
     return (2.0 * (chi * s[:, 0, 0] + s[:, 1, 0]) + u * s[:, 0, 2],
             2.0 * (chi * s[:, 0, 0] + s[:, 0, 1]) + u * s[:, 2, 0], (u + 2.0) * s[:, 3, 3])
 

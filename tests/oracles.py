@@ -26,7 +26,7 @@ from cvsat.fading import (
     rayleigh_pdf,
     transmittance_nodes,
 )
-from cvsat.gaussian import Squeezing, TwoModeCM, add_excess_noise, apply_loss, tmsv_cm
+from cvsat.gaussian import Squeezing, TwoModeCM, add_excess_noise, apply_loss, squeezing_excess, tmsv_cm
 from cvsat.numerics import QuadratureSpec
 from cvsat.postselect import _tap_moments
 from cvsat.schemes import GeneralBipartiteInput
@@ -346,7 +346,13 @@ def classical_selection_sums_tensor(ch_up: FadingChannel, ch_down: FadingChannel
     return tuple(sums.tolist())
 
 
-def quantum_postselect_tensor(v: float, ch_up: FadingChannel, ch_down: FadingChannel,
+def excess(r: float) -> tuple[float, float]:
+    """(u, sinh 2r) of one squeezing r, as gaussian.squeezing_excess forms them."""
+    (u,), (sinh_2r,) = squeezing_excess((r,))
+    return float(u), float(sinh_2r)
+
+
+def quantum_postselect_tensor(r: float, ch_up: FadingChannel, ch_down: FadingChannel,
                               quad: QuadratureSpec, tap_t: float, q_th: float,
                               chi: float = 0.0) -> tuple[float, np.ndarray]:
     """(P_s, distilled CM) of quantum post-selection from the full node-pair sum.
@@ -360,30 +366,31 @@ def quantum_postselect_tensor(v: float, ch_up: FadingChannel, ch_down: FadingCha
     eta_u, w_u = LinkRule(ch_up, quad).table
     eta_d, w_d = LinkRule(ch_down, quad).table
     sums = np.zeros(8)
+    u, sinh_2r = excess(r)
     with mock.patch.object(postselect, "_erfc", special.erfc):
         for eu, wu in zip(eta_u, w_u):
             q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, b_q, c_q = _tap_moments(
-                v, eu * eta_d, tap_t, q_th, chi)
+                u, sinh_2r, eu * eta_d, tap_t, q_th, chi)
             vals = (p_sel, q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel * (tap_t * b_q + 1.0 - tap_t),
                     -p_sel * math.sqrt(tap_t) * c_q)
             sums += wu * (np.array(vals) @ w_d)
     p_s, s_a, s_b, s_aa, s_bb, s_ab, s_pb, s_pab = sums
     mean_a, mean_b = s_a / p_s, s_b / p_s
     a_q, b_q, c_q = s_aa / p_s - mean_a**2, s_bb / p_s - mean_b**2, s_ab / p_s - mean_a * mean_b
-    return float(p_s), np.array([[a_q, 0, c_q, 0], [0, v, 0, s_pab / p_s],
+    return float(p_s), np.array([[a_q, 0, c_q, 0], [0, 1.0 + u, 0, s_pab / p_s],
                                  [c_q, 0, b_q, 0], [0, s_pab / p_s, 0, s_pb / p_s]])
 
 
-def swap_eta_integrals_tensor(ch_a: FadingChannel, ch_b: FadingChannel, vs,
+def swap_eta_integrals_tensor(ch_a: FadingChannel, ch_b: FadingChannel, us,
                               quad: QuadratureSpec) -> tuple[float, list[list[float]]]:
     """The swap transmittivity pass summed over every node pair of the full tables.
 
     Returns (separable_mass, [[eta_a, eta_b, signed_eta_a, signed_eta_b,
-    kernel] per v]) from the closed forms as the reduction first gives them,
-    num_a = -(s - 1)(v - 1) / (eta (1 - v) + 2 (eta' - 1)), its mirror num_b,
-    and the kernel eta eta' / (s (v - 1) + 2), s = eta + eta', one A-side
-    node at a time.  At v = 1 the closed forms vanish wherever they are
-    defined, so they are taken as 0 there.
+    kernel] per u = v - 1]) from the closed forms as the reduction first gives
+    them, num_a = -(s - 1) u / (-eta u + 2 (eta' - 1)), its mirror num_b, and
+    the kernel C(v) = eta eta' / (s u + 2), s = eta + eta', one A-side node at
+    a time.  At u = 0 the closed forms vanish wherever they are defined, so
+    they are taken as 0 there.
 
     1 - eta and 1 - eta' enter as c = max(1 - eta, 1e-300), with s - 1 =
     eta - c' in num_a and eta' - c in num_b.  The subtraction is exact where
@@ -397,18 +404,18 @@ def swap_eta_integrals_tensor(ch_a: FadingChannel, ch_b: FadingChannel, vs,
     eta_b, w_b = LinkRule(ch_b, quad).table
     c_b = np.maximum(1.0 - eta_b, 1e-300)
     separable = 0.0
-    sums = np.zeros((len(vs), 5))
+    sums = np.zeros((len(us), 5))
     for e, wa in zip(eta_a, w_a):
         s = e + eta_b
         c_a = max(1.0 - e, 1e-300)
         separable += wa * float(w_b @ (s < 1.0))
-        for i, v in enumerate(vs):
-            if v == 1.0:
+        for i, u in enumerate(us):
+            if u == 0.0:
                 num_a = num_b = np.zeros_like(s)
             else:
-                num_a = -(e - c_b) * (v - 1.0) / (e * (1.0 - v) - 2.0 * c_b)
-                num_b = -(eta_b - c_a) * (v - 1.0) / (eta_b * (1.0 - v) - 2.0 * c_a)
-            kernel = e * eta_b / (s * (v - 1.0) + 2.0)
+                num_a = -(e - c_b) * u / (-e * u - 2.0 * c_b)
+                num_b = -(eta_b - c_a) * u / (-eta_b * u - 2.0 * c_a)
+            kernel = e * eta_b / (s * u + 2.0)
             sums[i] += wa * np.array([w_b @ f for f in (
                 np.maximum(num_a, 0.0), np.maximum(num_b, 0.0), num_a, num_b, kernel)])
     return separable, sums.tolist()

@@ -31,7 +31,7 @@ from cvsat.schemes import (
     swap_ensemble_cm,
     swap_realization,
 )
-from oracles import random_standard_input, tap_moments_wigner
+from oracles import excess, random_standard_input, tap_moments_wigner
 
 R_SET = (0.1, 0.5, 1.0, 1.5, 2.0)
 
@@ -355,7 +355,7 @@ def test_a8_monte_carlo_and_wigner_oracles():
     t = cfg_q.tap_t
     qu = quantum_postselect(sq, up, down, cfg_q)
     q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, b_q, c_q = _tap_moments(
-        v, zeta, t, cfg_q.q_th, 0.0)
+        *excess(sq.r), zeta, t, cfg_q.q_th, 0.0)
     b_p_w = p_sel * (t * b_q + (1.0 - t))
     c_p_w = p_sel * (-math.sqrt(t) * c_q)
 
@@ -380,7 +380,7 @@ def test_a8_monte_carlo_and_wigner_oracles():
     for z in (0.2, 0.5, 0.8):
         for r in (0.5, 1.0, 1.5):
             for q_th in (0.0, 1.0, 2.0):
-                got = _tap_moments(Squeezing(r).v, z, 0.93, q_th, 0.0)[:6]
+                got = _tap_moments(*excess(r), z, 0.93, q_th, 0.0)[:6]
                 ref = tap_moments_wigner(Squeezing(r).v, z, 0.93, q_th, nodes=240)
                 worst = max(worst, max(abs(float(g) - ref[k])
                                        for g, k in zip(got, keys)))

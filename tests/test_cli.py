@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import cvsat
-from cvsat import effective, fading, numerics, postselect, schemes
+from cvsat import cli, effective, fading, numerics, postselect, schemes
 from cvsat.cli import (
     CSV_COLUMNS,
     _pool_size,
@@ -853,7 +853,7 @@ class TestObjectsPerRow:
     def test_sweep_column(self, tmp_path, builds, kind):
         scenario = column_scenario(tmp_path, 3, kind)
         builds.clear()
-        rows = _sweep_column(scenario, kind, 0.4)
+        (rows,) = _sweep_column(scenario, 0.4)
         assert len(rows) == 3
         assert all(row["eff_r"] is not None for row in rows)
         assert builds == {}
@@ -938,10 +938,29 @@ class TestColumnWork:
 
     def test_sweep(self, counts, tmp_path):
         work = self.work(counts, tmp_path, run_sweep, schemes="direct, satellite, swap")
-        # 6 columns: one expand_links (4 channels) and two link tables each,
-        # read by the mean losses and the ensemble; each swap column reduces
+        # 2 columns, one per sigma_b: one expand_links (4 channels) each and
+        # one table for each of the four links, shared by the schemes that use
+        # it and read by the mean losses and the ensembles; the swap reduces
         # its two tables to root rules and sums them in one pair sum
-        assert work == {"channels": 6 * 4, "uncut tables": 6 * 2, "root rules": 2 * 2, "pair sums": 2}
+        assert work == {"channels": 2 * 4, "uncut tables": 2 * 4, "root rules": 2 * 2, "pair sums": 2}
+
+    def test_validate(self, counts, tmp_path, monkeypatch):
+        expansions = collections.Counter()
+        expand = cli.expand_links
+
+        def counted(geom, beta, w):
+            expansions[geom.sigma_b] += 1
+            return expand(geom, beta, w)
+
+        monkeypatch.setattr(cli, "expand_links", counted)
+        text = BASE.replace("r.steps = 2", "r.steps = 5").replace("sigma_b.steps = 2", "sigma_b.steps = 3")
+        assert run_validate(parse_scenario(scn(tmp_path, text)))["passed"]
+        # the 3 sigma_b probes, each expanded once per quadrature rule and
+        # shared by the three schemes and their three r probes; the swap sums
+        # all r probes of a column in one pair sum per rule
+        assert sorted(expansions.values()) == [2] * 3
+        assert counts == {"channels": 3 * 2 * 4, "uncut tables": 3 * 2 * 4, "root rules": 3 * 2 * 2,
+                          "pair sums": 3 * 2}
 
     def test_effective(self, counts, tmp_path):
         work = self.work(counts, tmp_path, run_effective, schemes="direct, satellite, swap")

@@ -13,7 +13,7 @@ import pytest
 from scipy import integrate
 
 from cvsat import effective
-from cvsat.cli import _column, parse_scenario
+from cvsat.cli import _links, parse_scenario
 from cvsat.effective import (
     EffectiveParams,
     _swap_eta_integrals,
@@ -27,11 +27,12 @@ from cvsat.effective import (
 )
 from cvsat.errors import DomainError, NumericalError
 from cvsat.fading import (
-    _ROOT_NODES,
     D_MAX_SIGMAS,
     FadingChannel,
     LinkGeometry,
     LinkRule,
+    Links,
+    expand_links,
     deflection_of_eta,
     eta_of_deflection,
     rayleigh_pdf,
@@ -40,7 +41,7 @@ from cvsat.fading import (
 from cvsat.gaussian import Squeezing, StandardFormCM, apply_loss, log_negativity, squeezing_excess, tmsv_cm
 from cvsat.numerics import QuadratureSpec, pair_sums
 from cvsat.postselect import postselect_column
-from cvsat.schemes import KINDS, SchemeConfig, ensemble_column, swap_realization
+from cvsat.schemes import KINDS, SchemeConfig, ensemble_column, scheme_links, swap_moments, swap_realization
 
 from oracles import cosh_swapped, dense_channel_average, standard_row_decimal, swap_eta_integrals_tensor
 
@@ -52,12 +53,13 @@ def config(kind, r=1.0, geom=GEOM, beta=1.0, w=1.0):
     return SchemeConfig(kind=kind, squeezing=Squeezing(r), geometry=geom, beta=beta, w=w)
 
 
-def cosh_average(ch_a, ch_b, v, quad):
-    """(cosh(2 r'') average, pv_used) as _summary builds it: the per-r kernel plus the pole sums."""
+def cosh_average(ch_a, ch_b, r, quad):
+    """(cosh(2 r'') average, pv_used) as _summary builds it from the pole sums and the swap pass."""
     rules = (LinkRule(ch_a, quad), LinkRule(ch_b, quad))
-    kernel = _swap_eta_integrals(rules, (v,))[1][0][4]
+    u, _ = squeezing_excess((r,))
+    (smooth,) = swap_moments(rules, u, 0.0)[:, 2, 2]
     mass, pv_sum, pv_used = _swap_pole_sums(rules)
-    return -mass + (v + 1.0) * pv_sum - (v * v - 1.0) * kernel, pv_used
+    return -mass + (u[0] + 2.0) * (pv_sum - smooth), pv_used
 
 
 def split_at_crossing(ch_b, quad, e, w):
@@ -234,7 +236,7 @@ class TestStandardRows:
         scenario = parse_scenario(SCENARIOS / f"{name}.scn")
         for sigma_b in scenario.sigma_b_grid:
             for kind in scenario.schemes:
-                rules, _ = _column(scenario, kind, sigma_b)
+                rules = scheme_links(kind, _links(scenario, sigma_b))
                 if scenario.postselect is None:
                     self.assert_digits(*ensemble_column(kind, rules, scenario.r_grid, scenario.chi))
                     continue
@@ -334,7 +336,8 @@ class TestSchemeEffectiveSummary:
         cfg = config("swap", r=1.0)
         ch_a, ch_b = cfg.links()
         v = cfg.squeezing.v
-        separable_mass, ((eta_a, _, signed_eta_a, _, _),) = _swap_eta_integrals(cfg.rules(), (v,))
+        separable_mass, ((eta_a, _, signed_eta_a, _),) = _swap_eta_integrals(
+            cfg.rules(), squeezing_excess((cfg.squeezing.r,))[0])
         rng = np.random.default_rng(77)
         n = 400_000
         e = sample(ch_a, rng, n)
@@ -359,7 +362,7 @@ class TestSwapCoshAverage:
         ch_a = FadingChannel(0.0, 1.0, 1.0)
         ch_b = FadingChannel(0.0, 1.0, 1.0)
         v = Squeezing(1.0).v
-        got, pv_used = cosh_average(ch_a, ch_b, v, config("swap").quad)
+        got, pv_used = cosh_average(ch_a, ch_b, 1.0, config("swap").quad)
         assert not pv_used
         assert got == pytest.approx(float(cosh_swapped(ch_a.eta0, ch_b.eta0, v)), rel=1e-12)
 
@@ -370,7 +373,7 @@ class TestSwapCoshAverage:
         beta_b = math.sqrt(-0.5 * math.log(1.0 - target * target))
         ch_b = FadingChannel(0.0, beta_b, 1.0)
         with pytest.raises(NumericalError):
-            cosh_average(ch_a, ch_b, Squeezing(1.0).v, config("swap").quad)
+            cosh_average(ch_a, ch_b, 1.0, config("swap").quad)
 
     def test_principal_value_against_scipy_cauchy(self):
         # point-mass A side inside the pole window reduces the average to a
@@ -380,7 +383,7 @@ class TestSwapCoshAverage:
         v = Squeezing(1.0).v
         e = ch_a.eta0
         assert 1.0 - ch_b.eta0 < e < 1.0
-        got, pv_used = cosh_average(ch_a, ch_b, v, config("swap").quad)
+        got, pv_used = cosh_average(ch_a, ch_b, 1.0, config("swap").quad)
         assert pv_used
 
         d_hi = D_MAX_SIGMAS * ch_b.sigma_b
@@ -410,25 +413,28 @@ class TestSwapCoshAverage:
         # with tight wander around high eta0 it is all entangled side
         ch_a = FadingChannel(0.05, 1.5, 1.0)
         ch_b = FadingChannel(0.05, 1.5, 1.0)
-        got, pv_used = cosh_average(ch_a, ch_b, Squeezing(1.0).v, config("swap").quad)
+        got, pv_used = cosh_average(ch_a, ch_b, 1.0, config("swap").quad)
         assert not pv_used
         assert got > 1.0
 
 
 class TestSwapEtaIntegrals:
-    """The split pass over tail-trimmed tables and the root-rule kernel against the closed forms on full tables."""
+    """The split pass on tail-trimmed tables and the swap pass's E[eta eta' H] against full-table closed forms."""
 
     R_GRID = (0.0, 1e-8, 0.1, 2.0, 3.0)
 
     @staticmethod
-    def assert_matches_full_tables(ch_a, ch_b, vs, quad):
-        separable, got = _swap_eta_integrals((LinkRule(ch_a, quad), LinkRule(ch_b, quad)), vs)
-        want_separable, want = swap_eta_integrals_tensor(ch_a, ch_b, vs, quad)
+    def assert_matches_full_tables(ch_a, ch_b, us, quad):
+        rules = (LinkRule(ch_a, quad), LinkRule(ch_b, quad))
+        separable, got = _swap_eta_integrals(rules, us)
+        smooth = swap_moments(rules, us, 0.0)[:, 2, 2]
+        want_separable, want = swap_eta_integrals_tensor(ch_a, ch_b, us, quad)
         assert separable == pytest.approx(want_separable, rel=1e-13, abs=0.0)
-        for row, want_row in zip(got, want):
-            eta_a, eta_b, signed_a, signed_b, kernel = row
+        for row, e_h, u, want_row in zip(got, smooth, us, want):
+            eta_a, eta_b, signed_a, signed_b = row
             w_eta_a, w_eta_b, w_signed_a, w_signed_b, w_kernel = want_row
-            for value, reference in ((eta_a, w_eta_a), (eta_b, w_eta_b), (kernel, w_kernel)):
+            # E[eta eta' H] = u C(v)
+            for value, reference in ((eta_a, w_eta_a), (eta_b, w_eta_b), (e_h, u * w_kernel)):
                 assert value == pytest.approx(reference, rel=1e-13, abs=0.0)
             # the signed sums cancel; measure them against E|num| = 2 E[max(num, 0)] - E[num]
             for value, reference, positive in ((signed_a, w_signed_a, w_eta_a),
@@ -447,8 +453,8 @@ class TestSwapEtaIntegrals:
         (FadingChannel(0.0, 1.0, 1.0), FadingChannel(0.0, 0.4, 1.0)),
     ], ids=["bw0.4-wide", "bw1", "bw1-wide", "bw13", "point-a", "point-b", "point-both"])
     def test_matches_full_table_closed_forms(self, ch_a, ch_b):
-        vs = [Squeezing(r).v for r in self.R_GRID]
-        got = self.assert_matches_full_tables(ch_a, ch_b, vs, QuadratureSpec(64, 8))
+        us, _ = squeezing_excess(self.R_GRID)
+        got = self.assert_matches_full_tables(ch_a, ch_b, us, QuadratureSpec(64, 8))
         assert got[0][:4] == [0.0] * 4
 
     def test_empty_entangled_prefix(self):
@@ -456,8 +462,8 @@ class TestSwapEtaIntegrals:
         # clipped sums run over no pair and are exactly 0
         ch_a, ch_b = FadingChannel(0.3, 0.3, 1.0), FadingChannel(0.192, 0.3, 1.0)
         assert ch_a.eta0 + ch_b.eta0 < 1.0
-        vs = [Squeezing(r).v for r in self.R_GRID]
-        got = self.assert_matches_full_tables(ch_a, ch_b, vs, QuadratureSpec(64, 8))
+        us, _ = squeezing_excess(self.R_GRID)
+        got = self.assert_matches_full_tables(ch_a, ch_b, us, QuadratureSpec(64, 8))
         assert all(row[0] == row[1] == 0.0 for row in got)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -469,18 +475,18 @@ class TestSwapEtaIntegrals:
             beta_over_w = math.exp(rng.uniform(math.log(0.3), math.log(13.0)))
             ch_a, ch_b = (FadingChannel(0.0 if rng.random() < 0.2 else rng.uniform(0.01, 3.0),
                                         beta_over_w, 1.0) for _ in range(2))
-            vs = [Squeezing(r).v for r in (0.0, *rng.uniform(0.0, 3.0, 2), 3.0)]
-            self.assert_matches_full_tables(ch_a, ch_b, vs, QuadratureSpec(16, 2))
+            us, _ = squeezing_excess((0.0, *rng.uniform(0.0, 3.0, 2), 3.0))
+            self.assert_matches_full_tables(ch_a, ch_b, us, QuadratureSpec(16, 2))
 
 
 class TestSwapEtaPassWork:
-    """The clipped sums cover only the entangled prefix, and the kernel only the root rules."""
+    """The clipped sums cover only the entangled prefix."""
 
     @staticmethod
     def pair_points(monkeypatch, sigma_b):
         """Points of each pair sum of the pass, in order, and of the trimmed grid.
 
-        The sums are the rectangle, the two blocks beside it and the kernel.
+        The sums are the rectangle and the two blocks beside it.
         """
         points = []
 
@@ -490,21 +496,19 @@ class TestSwapEtaPassWork:
 
         monkeypatch.setattr(effective, "pair_sums", counting)
         rules = config("swap", geom=LinkGeometry(sigma_b=sigma_b, k1=0.5, k2=0.64)).rules()
-        _swap_eta_integrals(rules, [Squeezing(r).v for r in (0.1, 1.0)])
+        _swap_eta_integrals(rules, squeezing_excess((0.1, 1.0))[0])
         (ea, _), (eb, _) = (rule.trimmed for rule in rules)
         return points, ea.size * eb.size
 
     def test_wide_wander(self, monkeypatch):
-        (clipped, below, beside, kernel), grid = self.pair_points(monkeypatch, 1.5)
+        (clipped, below, beside), grid = self.pair_points(monkeypatch, 1.5)
         assert clipped + below + beside == grid
         assert clipped <= 0.05 * grid
-        assert kernel == _ROOT_NODES**2
 
     def test_narrow_wander(self, monkeypatch):
         # at sigma_b = 0.1 every trimmed pair is entangled
-        (clipped, below, beside, kernel), grid = self.pair_points(monkeypatch, 0.1)
+        (clipped, below, beside), grid = self.pair_points(monkeypatch, 0.1)
         assert (clipped, below, beside) == (grid, 0, 0)
-        assert kernel == _ROOT_NODES**2
 
 
 class TestPoleDecomposition:
@@ -514,7 +518,7 @@ class TestPoleDecomposition:
     def assert_matches_per_node_sum(ch_a, ch_b, r):
         v = Squeezing(r).v
         quad = QuadratureSpec(64, 8)
-        got, _ = cosh_average(ch_a, ch_b, v, quad)
+        got, _ = cosh_average(ch_a, ch_b, r, quad)
         assert got == pytest.approx(per_node_cosh_average(ch_a, ch_b, v, quad), rel=1e-12)
 
     @pytest.mark.parametrize("r", [0.1, 1.0, 2.0])
@@ -560,7 +564,7 @@ class TestPoleSums:
         ("lowloss_bw0.4", 15), ("lowloss_bw0.5", 14), ("lowloss_bw1.0", 14)])
     def test_survey_pole_columns(self, name, pole_columns):
         scenario = parse_scenario(SCENARIOS / f"{name}.scn")
-        columns = [_column(scenario, "swap", sigma_b)[0] for sigma_b in scenario.sigma_b_grid]
+        columns = [scheme_links("swap", _links(scenario, sigma_b)) for sigma_b in scenario.sigma_b_grid]
         assert sum(self.assert_matches_concatenated_split(rules) for rules in columns) == pole_columns
 
     @pytest.mark.parametrize("sigma_b", [0.1, 0.7, 1.5])
@@ -580,7 +584,8 @@ class TestOrderingColumn:
     def test_matches_per_point_functions(self):
         # sigma_b = 0.7 straddles the swap pole, so the column shares a pole split
         r_grid = (0.1, 0.5, 1.0, 1.5, 2.0)
-        reports = ordering_column(GEOM, [Squeezing(r) for r in r_grid], beta=1.0, w=1.0)
+        links = Links(*(LinkRule(ch) for ch in expand_links(GEOM, 1.0, 1.0)))
+        reports = ordering_column(links, r_grid)
         assert reports[0]["swap_pv_used"]
         for r, report in zip(r_grid, reports):
             # repr compares floats bit for bit and a NaN r_e equal to itself

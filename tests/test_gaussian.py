@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvsat.cli import _column, parse_scenario
+from cvsat.cli import _links, parse_scenario
 from cvsat.errors import DomainError
 from cvsat.fading import LinkGeometry
 from cvsat.gaussian import (
@@ -25,7 +25,7 @@ from cvsat.gaussian import (
 )
 from cvsat.numerics import QuadratureSpec
 from cvsat.postselect import QuantumPsConfig, postselect_column, quantum_postselect
-from cvsat.schemes import SchemeConfig, ensemble_column, swap_conditional
+from cvsat.schemes import SchemeConfig, ensemble_column, scheme_links, swap_conditional
 from oracles import (
     log_negativity_decimal,
     pt_spectrum_bruteforce,
@@ -196,7 +196,7 @@ class TestLogNegativityDigits:
         refs = []
         for kind in scenario.schemes:
             for sigma_b in scenario.sigma_b_grid:
-                rules, _ = _column(scenario, kind, sigma_b)
+                rules = scheme_links(kind, _links(scenario, sigma_b))
                 for alpha, beta, c in zip(*ensemble_column(kind, rules, scenario.r_grid, scenario.chi)):
                     cm = StandardFormCM(a=1.0 + alpha, b=1.0 + beta, c_plus=c, c_minus=-c).to_cm()
                     ref = log_negativity_decimal(cm)
@@ -212,7 +212,7 @@ class TestLogNegativityDigits:
         scenario = parse_scenario(SCENARIOS / f"{name}.scn")
         checked = 0
         for sigma_b in scenario.sigma_b_grid:
-            rules, _ = _column(scenario, "direct", sigma_b)
+            rules = scheme_links("direct", _links(scenario, sigma_b))
             for selected in postselect_column(scenario.r_grid, *rules, scenario.postselect, scenario.chi):
                 if isinstance(selected, tuple):
                     # a classical threshold's rows, as classical_postselect turns them into CMs

@@ -17,7 +17,7 @@ from scipy import special
 
 from cvsat import postselect
 from cvsat.errors import DomainError, NumericalError
-from cvsat.cli import parse_scenario
+from cvsat.cli import parse_scenario, run_postselect, run_sweep
 from cvsat.fading import FadingChannel, LinkGeometry, LinkRule, sample
 from cvsat.gaussian import Squeezing, apply_loss, log_negativity
 from cvsat.numerics import DEFAULT_QUAD, QuadratureSpec
@@ -34,6 +34,7 @@ from cvsat.schemes import SchemeConfig, ensemble_cm
 
 from oracles import (
     classical_selection_sums_tensor,
+    excess,
     fading_cdf,
     mc_ratio,
     quantum_postselect_tensor,
@@ -361,11 +362,11 @@ class TestTapMomentsRealization:
         # They differ by up to 10 ulps of erfc near x = 0.9, where scipy forms
         # 1 - erf(x), but never by more than 2 ulps of 1.
         zeta = np.linspace(0.0, 1.0, 101)
-        for v, tap_t, chi in ((math.cosh(1.0), 0.5, 0.0), (math.cosh(3.0), 0.93, 0.1),
-                              (math.cosh(4.0), 0.99, 0.0)):
+        for r, tap_t, chi in ((0.5, 0.5, 0.0), (1.5, 0.93, 0.1), (2.0, 0.99, 0.0)):
+            u, sinh_2r = excess(r)
             for q_th in np.linspace(-2.0, 6.0, 33):
-                p_sel = _tap_moments(v, zeta, tap_t, q_th, chi)[5]
-                v_t = (1.0 - tap_t) * (1.0 + zeta * (v - 1.0) + chi) + tap_t
+                p_sel = _tap_moments(u, sinh_2r, zeta, tap_t, q_th, chi)[5]
+                v_t = (1.0 - tap_t) * (1.0 + zeta * u + chi) + tap_t
                 want = special.erfc(q_th / np.sqrt(2.0 * v_t))
                 assert np.abs(2.0 * p_sel - want).max() <= 2.0 * np.spacing(1.0)
 
@@ -417,7 +418,7 @@ class TestQuantumPostselect:
         n = 300_000
         zeta = sample(up, rng, n) * sample(down, rng, n)
         q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, _, _ = _tap_moments(
-            cfg.squeezing.v, zeta, ps.tap_t, ps.q_th, 0.0
+            *excess(cfg.squeezing.r), zeta, ps.tap_t, ps.q_th, 0.0
         )
         p_err = p_sel.std(ddof=1) / math.sqrt(n)
         assert abs(res.p_success - p_sel.mean()) < 4.0 * p_err
@@ -452,7 +453,7 @@ class TestQuantumPostselect:
     ], ids=["midloss", "highloss", "small_tap", "near_point_mass", "point_mass"])
     def test_matches_tensor_sum_of_tap_moments(self, cfg, quad, tap_t, q_th, chi):
         up, down = links(cfg)
-        p_s, want = quantum_postselect_tensor(cfg.squeezing.v, up, down, quad, tap_t, q_th, chi)
+        p_s, want = quantum_postselect_tensor(cfg.squeezing.r, up, down, quad, tap_t, q_th, chi)
         res = quantum_postselect(cfg.squeezing, up, down, QuantumPsConfig(tap_t, q_th), quad, chi)
         assert res.p_success == pytest.approx(p_s, rel=1e-13, abs=0)
         np.testing.assert_allclose(res.cm.m, want, rtol=1e-13, atol=0)
@@ -498,3 +499,29 @@ class TestPostselectColumn:
                     res = selected[i]
                     assert (repr((res.cm.m.tolist(), res.p_success, res.e_ln))
                             == repr((want.cm.m.tolist(), want.p_success, want.e_ln)))
+
+
+class TestTapAtFullTransmission:
+    """At tap_t = 1 the tap takes nothing: a quantum row at q_th = 0 keeps half the ensemble, and its
+    E_LN is the unselected direct row's.
+
+    The tap moments read the squeezing in excess form; built from the rounded cosh(2r), the rows missed
+    by 5.4e-2 relative at r = 1e-8 and 1.4e-9 at 1e-4.  Both rows' E_LN are -log2 of a nu_- near 1,
+    whose one ulp is 6.5e-9 of E_LN at r = 1e-8 and 6.5e-13 at 1e-4, so the bounds allow about 1.5
+    ulps there.  The link stays strongly entangled at r = 3 (E_LN 3.55), where a weakly entangled row
+    loses more digits to the distilled CM's sums.
+    """
+
+    RS = (1e-8, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+
+    def test_matches_the_direct_sweep_row(self, tmp_path):
+        path = tmp_path / "tap.scn"
+        path.write_text("schemes = direct\nr.min = 1\nsigma_b.min = 0.15\nbeta = 1\nbeta_over_w = 1\n"
+                        "k1 = 0.5\nk2 = 0.64\n")
+        scenario = dataclasses.replace(parse_scenario(path), r_grid=self.RS)
+        direct = [row["e_ln"] for row in run_sweep(scenario)]
+        quantum = run_postselect(dataclasses.replace(scenario, postselect=(QuantumPsConfig(1.0, 0.0),)))
+        assert [row["p_success"] for row in quantum] == pytest.approx([0.5] * len(self.RS), rel=1e-14)
+        got = [row["e_ln"] for row in quantum]
+        assert got[0] == pytest.approx(direct[0], rel=1e-8, abs=0)
+        np.testing.assert_allclose(got[1:], direct[1:], rtol=1e-12, atol=0)

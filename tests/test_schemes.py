@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvsat.cli import _column, parse_scenario
+from cvsat.cli import _links, parse_scenario
 from cvsat.effective import scheme_effective_summary
 from cvsat.errors import DomainError
 from cvsat.fading import FadingChannel, LinkGeometry, LinkRule, sample
@@ -32,6 +32,7 @@ from cvsat.schemes import (
     ensemble_cm,
     ensemble_column,
     general_optimal_gains,
+    scheme_links,
     swap_conditional,
     swap_ensemble_cm,
     swap_inputs,
@@ -369,7 +370,7 @@ class TestSwapEnsembleRootRule:
     def test_survey_columns(self, name):
         scenario = parse_scenario(SCENARIOS / f"{name}.scn")
         for sigma_b in scenario.sigma_b_grid:
-            rules, _ = _column(scenario, "swap", sigma_b)
+            rules = scheme_links("swap", _links(scenario, sigma_b))
             self.assert_matches_full_tables(rules, scenario.r_grid, scenario.chi)
 
     def test_zero_squeezing_has_no_shared_factor(self):
