@@ -31,6 +31,8 @@ import io
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -254,23 +256,73 @@ def _sweep_point(kind: str, sigma_b: float, r: float, chi: float, row, losses: l
     return _postselect_point(kind, sigma_b, r, chi, row, losses)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool_size(workers: int, tasks: int) -> int:
-    """Worker processes worth starting: never more than the tasks or the CPUs."""
+    """Worker processes worth running: never more than the tasks or the usable CPUs."""
     if workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {workers}")
-    return min(workers, tasks, os.cpu_count() or 1)
+    return min(workers, tasks, _usable_cpus())
 
 
 def _map_tasks(fn, tasks: list[tuple], workers: int) -> list:
-    """fn(*task) for every task, in order, on a process pool when that helps."""
+    """fn(*task) for every task, in task order, on this process and size - 1 forked children.
+
+    Child k computes tasks[k::size] and pickles its results, or its exception,
+    into a pipe; this process computes tasks[0::size] meanwhile.  Shares are
+    strided because a column's cost grows with its sigma_b.  A child that
+    ends without a result raises ChildProcessError, and no child outlives the call.
+    """
     size = _pool_size(workers, len(tasks))
-    if size <= 1:
+    if size <= 1 or not hasattr(os, "fork"):
         return [fn(*task) for task in tasks]
-    # Imported here: multiprocessing costs every other run 20-30 ms of start-up.
-    from concurrent.futures import ProcessPoolExecutor
-    # About four chunks per worker: a message per task costs more than a fast task.
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(fn, *zip(*tasks), chunksize=max(1, len(tasks) // (4 * size))))
+    children, shares, done = {}, [], False  # children: pid -> read end, until reaped
+    try:
+        for k in range(1, size):
+            read_fd, write_fd = os.pipe()
+            if (pid := os.fork()) == 0:
+                code = 1
+                try:
+                    try:
+                        result = True, [fn(*task) for task in tasks[k::size]]
+                    except BaseException as exc:
+                        result = False, exc
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pickle.dump(result, pipe)
+                    code = 0
+                finally:
+                    os._exit(code)  # no atexit handler, no inherited stdio buffer, no return into main
+            os.close(write_fd)
+            children[pid] = os.fdopen(read_fd, "rb")
+        shares.append([fn(*task) for task in tasks[0::size]])
+        for pid, pipe in list(children.items()):
+            payload = pipe.read()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            try:
+                ok, rows = pickle.loads(payload)
+            except Exception:
+                raise ChildProcessError(f"worker process {pid} ended without a result "
+                                        f"(wait status {status})") from None
+            if not ok:
+                raise rows
+            shares.append(rows)
+        done = True
+    finally:
+        for pipe in children.values():
+            pipe.close()
+        if not done:
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+        for pid in children:
+            os.waitpid(pid, 0)
+    return [shares[i % size][i // size] for i in range(len(tasks))]
 
 
 def _links(scenario: Scenario, sigma_b: float) -> Links:
@@ -533,7 +585,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ("postselect", "post-selected entanglement vs success probability (CSV)", run_postselect),
     ):
         scenario_command(name, help_text, _cmd_rows, run=run).add_argument(
-            "--workers", type=int, default=1, help="parallel worker processes (at most one per CPU)")
+            "--workers", type=int, default=1,
+            help="worker processes: this one and a forked child per extra worker "
+                 "(at most one per sigma_b column and per usable CPU)")
     scenario_command("effective", "effective-channel summary and scheme ordering (JSON)", _cmd_effective)
     scenario_command("validate", "numerical self-consistency audit (JSON)", _cmd_validate).add_argument(
         "--seed", type=int, default=None, help="override the Monte Carlo seed of the mc.* block")

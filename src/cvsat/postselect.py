@@ -132,7 +132,37 @@ def classical_postselect(sq: Squeezing, ch_up: FadingChannel, ch_down: FadingCha
 
 # Elementwise erfc from the standard library, so cvsat needs no scipy; it
 # differs from scipy.special.erfc by at most 2 ulps of 1.
-_erfc = np.vectorize(math.erfc, otypes=[float])
+def _erfc(z):
+    z = np.asarray(z, dtype=float)
+    return np.fromiter(map(math.erfc, z.ravel().tolist()), float, z.size).reshape(z.shape)
+
+
+def _tap_selection(u: float, sinh_2r: float, zeta, tap_t: float, chi: float):
+    """q_th -> _tap_moments(u, sinh_2r, zeta, tap_t, q_th, chi), its threshold-free terms formed once.
+
+    Every moment is a threshold-free factor times gauss, q_th * gauss / v_t
+    or p_sel, each factor formed in the order the moment's product takes.
+    """
+    zeta = np.asarray(zeta, dtype=float)
+    t, r = tap_t, 1.0 - tap_t
+    b_q_1 = zeta * u + chi
+    b_q = 1.0 + b_q_1
+    c_q = np.sqrt(zeta) * sinh_2r
+    v_t = r * b_q + t
+    two_v_t, root_2v_t, root_2pi_v_t = 2.0 * v_t, np.sqrt(2.0 * v_t), np.sqrt(2.0 * math.pi * v_t)
+    a_g, b_g = math.sqrt(r) * c_q, math.sqrt(t * r) * b_q_1
+    aa_g, bb_g, ab_g = r * c_q**2, t * r * b_q_1**2, math.sqrt(t) * r * b_q_1 * c_q
+    aa_p, bb_p, ab_p = 1.0 + u, t * b_q + r, math.sqrt(t) * c_q
+
+    def moments(q_th: float):
+        p_sel = 0.5 * _erfc(q_th / root_2v_t)
+        # E[q_t * 1{q_t > q_th}] for a centered Gaussian of variance v_t.
+        gauss = np.exp(-q_th * q_th / two_v_t) / root_2pi_v_t
+        return (a_g * gauss, b_g * gauss, aa_g * q_th * gauss / v_t + aa_p * p_sel,
+                bb_g * q_th * gauss / v_t + bb_p * p_sel, ab_g * q_th * gauss / v_t + ab_p * p_sel,
+                p_sel, b_q, c_q)
+
+    return moments
 
 
 def _tap_moments(u: float, sinh_2r: float, zeta, tap_t: float, q_th: float, chi: float):
@@ -142,23 +172,18 @@ def _tap_moments(u: float, sinh_2r: float, zeta, tap_t: float, q_th: float, chi:
     moments under the cut q_t > q_th follow from one-variable truncated
     Gaussian identities applied along the regression on q_t.  The squeezing
     enters in excess form (gaussian.squeezing_excess): b_q - 1 = zeta u + chi
-    and c_q = sqrt(zeta) sinh 2r, which keep their digits at small r.
+    and c_q = sqrt(zeta) sinh 2r, which keep their digits at small r.  With
+    t = tap_t, r = 1 - t, v_t = r b_q + t and gauss = exp(-q_th^2 / 2 v_t) /
+    sqrt(2 pi v_t), the 8-tuple is
+
+        q_a    = sqrt(r) c_q gauss
+        q_b    = sqrt(t r) (b_q - 1) gauss
+        q_a_sq = r c_q^2 q_th gauss / v_t + (1 + u) p_sel
+        q_b_sq = t r (b_q - 1)^2 q_th gauss / v_t + (t b_q + r) p_sel
+        q_ab   = sqrt(t) r (b_q - 1) c_q q_th gauss / v_t + sqrt(t) c_q p_sel
+        p_sel  = erfc(q_th / sqrt(2 v_t)) / 2,  b_q,  c_q.
     """
-    zeta = np.asarray(zeta, dtype=float)
-    t, r = tap_t, 1.0 - tap_t
-    b_q_1 = zeta * u + chi
-    b_q = 1.0 + b_q_1
-    c_q = np.sqrt(zeta) * sinh_2r
-    v_t = r * b_q + t
-    p_sel = 0.5 * _erfc(q_th / np.sqrt(2.0 * v_t))
-    # E[q_t * 1{q_t > q_th}] for a centered Gaussian of variance v_t.
-    gauss = np.exp(-q_th * q_th / (2.0 * v_t)) / np.sqrt(2.0 * math.pi * v_t)
-    q_a = math.sqrt(r) * c_q * gauss
-    q_b = math.sqrt(t * r) * b_q_1 * gauss
-    q_a_sq = r * c_q**2 * q_th * gauss / v_t + (1.0 + u) * p_sel
-    q_b_sq = t * r * b_q_1**2 * q_th * gauss / v_t + (t * b_q + r) * p_sel
-    q_ab = math.sqrt(t) * r * b_q_1 * c_q * q_th * gauss / v_t + math.sqrt(t) * c_q * p_sel
-    return q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, b_q, c_q
+    return _tap_selection(u, sinh_2r, zeta, tap_t, chi)(q_th)
 
 
 def quantum_moments_realization(
@@ -182,11 +207,10 @@ def quantum_moments_realization(
     )
 
 
-def _quantum_result(u: float, sinh_2r: float, zeta, w_u, w_d, cfg: QuantumPsConfig,
-                    chi: float) -> PostSelectionResult:
-    """Distilled CM of the tap moments summed on the outer product of the links' root rules."""
+def _quantum_result(u: float, moments, w_u, w_d, cfg: QuantumPsConfig) -> PostSelectionResult:
+    """Distilled CM of one threshold's tap moments summed on the outer product of the links' root rules."""
     t, r = cfg.tap_t, cfg.tap_r
-    q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, b_q, c_q = _tap_moments(u, sinh_2r, zeta, t, cfg.q_th, chi)
+    q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, b_q, c_q = moments
     p_s, s_a, s_b, s_aa, s_bb, s_ab, s_pb, s_pc = (
         float(w_u @ m @ w_d) for m in (p_sel, q_a, q_b, q_a_sq, q_b_sq, q_ab,
                                        p_sel * (t * b_q + r), p_sel * c_q))
@@ -231,11 +255,15 @@ def postselect_column(rs, up: LinkRule, down: LinkRule, selections, chi: float =
     if any(isinstance(cfg, QuantumPsConfig) for cfg in selections):
         (x_u, w_u), (x_d, w_d) = up.root, down.root
         zeta = (x_u[:, None] * x_d) ** 2
+        tapped = {}  # tap_t -> per r, the threshold-free tap terms
     out = []
     for cfg in selections:
         if isinstance(cfg, QuantumPsConfig):
-            out.append([_quantum_result(u_i, s_i, zeta, w_u, w_d, cfg, chi)
-                        for u_i, s_i in zip(u.tolist(), sinh_2r.tolist())])
+            if cfg.tap_t not in tapped:
+                tapped[cfg.tap_t] = [_tap_selection(u_i, s_i, zeta, cfg.tap_t, chi)
+                                     for u_i, s_i in zip(u.tolist(), sinh_2r.tolist())]
+            out.append([_quantum_result(u_i, moments(cfg.q_th), w_u, w_d, cfg)
+                        for u_i, moments in zip(u.tolist(), tapped[cfg.tap_t])])
             continue
         p_s, s_zeta, s_root = _selection_sums(up, down, cfg.zeta_th)
         out.append((p_s, (u, u * (s_zeta / p_s) + chi, sinh_2r * (s_root / p_s))))

@@ -9,8 +9,10 @@ import json
 import math
 import os
 import platform
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -777,15 +779,22 @@ class TestSizeLimits:
 
 class TestPoolSize:
     def test_clamped_to_tasks_and_cpus(self, monkeypatch):
-        monkeypatch.setattr("cvsat.cli.os.cpu_count", lambda: 4)
+        monkeypatch.setattr("cvsat.cli.os.sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         assert _pool_size(1, 100) == 1
         assert _pool_size(2, 100) == 2
         assert _pool_size(10**6, 100) == 4
         assert _pool_size(8, 3) == 3
 
     def test_unknown_cpu_count_means_one(self, monkeypatch):
+        monkeypatch.delattr("cvsat.cli.os.sched_getaffinity", raising=False)
         monkeypatch.setattr("cvsat.cli.os.cpu_count", lambda: None)
         assert _pool_size(16, 100) == 1
+
+    def test_counts_the_cpus_of_the_affinity_mask(self, monkeypatch):
+        # a host's CPU count overstates a process pinned to fewer of them
+        monkeypatch.setattr("cvsat.cli.os.sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr("cvsat.cli.os.cpu_count", lambda: 64)
+        assert _pool_size(8, 100) == 1
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_fewer_than_one(self, workers):
@@ -793,11 +802,99 @@ class TestPoolSize:
             _pool_size(workers, 10)
 
 
-def test_import_leaves_the_process_pool_unloaded():
-    # multiprocessing loads only when --workers starts a pool
+def _in_child(x: int, parent: int) -> tuple[int, bool]:
+    return x * x, os.getpid() != parent
+
+
+def _killed_in_child(parent: int) -> int:
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return 0
+
+
+def _fails_in_parent(parent: int) -> int:
+    if os.getpid() == parent:
+        raise DomainError("the parent's share failed")
+    time.sleep(60.0)
+    return 0
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the fork map needs os.fork")
+class TestForkMap:
+    """_map_tasks: this process computes tasks[0::size], forked child k tasks[k::size]."""
+
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        monkeypatch.setattr("cvsat.cli.os.sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+
+    def test_results_come_back_in_task_order(self):
+        parent = os.getpid()
+        got = cli._map_tasks(_in_child, [(x, parent) for x in range(10)], 3)
+        assert got == [(x * x, x % 3 != 0) for x in range(10)]
+        assert_no_child_left()
+
+    def test_killed_child_raises_child_process_error(self):
+        parent = os.getpid()
+        with pytest.raises(ChildProcessError, match=rf"worker process \d+ ended without a result "
+                                                    rf"\(wait status {int(signal.SIGKILL)}\)"):
+            cli._map_tasks(_killed_in_child, [(parent,)] * 2, 2)
+        assert_no_child_left()
+
+    def test_error_in_own_share_kills_and_reaps_the_children(self):
+        parent = os.getpid()
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError, match="the parent's share failed"):
+            cli._map_tasks(_fails_in_parent, [(parent,)] * 3, 3)
+        assert time.perf_counter() - t0 < 30.0
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("command, text, code, line", [
+        # 64 x 256 nodes fit one panel group, sigma_b = 0.4; sigma_b = 1.4 needs three
+        ("sweep", "schemes = direct\nr.min = 1.0\nsigma_b.min = 0.4\nsigma_b.max = 1.4\n"
+                  "sigma_b.steps = 2\nbeta = 0.5\nbeta_over_w = 1\nk1 = 0.5\nk2 = 0.64\n"
+                  "quad.nodes = 64\nquad.subdiv = 256\n", 2,
+         "domain error: sigma_b=1.4 with the 64x256 rule needs 49152 nodes per axis, "
+         "above the limit 32768"),
+        # the lower transmittance of sigma_b = 1.4 empties the selection that sigma_b = 0.2 keeps
+        ("postselect", "schemes = direct\nr.min = 1.0\nsigma_b.min = 0.2\nsigma_b.max = 1.4\n"
+                       "sigma_b.steps = 2\nbeta = 0.5\nbeta_over_w = 1\nk1 = 0.5\nk2 = 0.64\n"
+                       "quad.nodes = 32\nquad.subdiv = 4\npostselect.type = quantum\n"
+                       "postselect.tap_t = 0.5\npostselect.threshold_min = 9.5\n", 3,
+         "numerical error: selection region is numerically empty: P_s="),
+    ], ids=["domain", "numerical"])
+    def test_child_error_exits_as_one_worker_does(self, tmp_path, capsys, command, text, code, line):
+        path = scn(tmp_path, text)
+        scenario = parse_scenario(path)
+        column = _sweep_column if command == "sweep" else _postselect_column
+        column(scenario, scenario.sigma_b_grid[0])  # the parent's share computes; the child's fails
+        errs = []
+        for workers in ("1", "2"):
+            assert main([command, path, "--workers", workers]) == code
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] and errs[0].startswith(line) and errs[0].count("\n") == 1
+        assert_no_child_left()
+
+
+def test_import_leaves_the_process_pool_unloaded(tmp_path):
+    # cvsat loads neither module, not even for a --workers 2 run, which leaves no child behind
     res = run_python("-c", "import sys, cvsat.cli; print(sorted({'concurrent.futures.process', "
                            "'multiprocessing'} & set(sys.modules)))")
     assert (res.returncode, res.stdout) == (0, "[]\n")
+    path, out = scn(tmp_path, SMALL), tmp_path / "rows.csv"
+    res = run_python("-c", "import os, sys\n"
+                           "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                           "from cvsat.cli import main\n"
+                           f"assert main(['sweep', {path!r}, '--workers', '2', '--out', {str(out)!r}]) == 0\n"
+                           "try:\n    os.waitpid(-1, os.WNOHANG)\nexcept ChildProcessError:\n    pass\n"
+                           "else:\n    sys.exit('a child outlived the run')\n"
+                           "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    assert (res.returncode, res.stdout, res.stderr) == (0, "[]\n", "")
+    assert out.read_text().startswith("scheme,")
 
 
 class TestMainInProcess:
