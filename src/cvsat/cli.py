@@ -34,18 +34,18 @@ import os
 import pickle
 import signal
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-# The CLI computes whole columns and calls none of ordering_check, loss_db, log_negativity,
-# ensemble_cm, classical_postselect or quantum_postselect; they stay imported because
-# perfbench/replay.py wraps them by attribute lookup in this module.
+# The CLI computes whole columns and calls none of ordering_check, try_effective, loss_db,
+# log_negativity, ensemble_cm, classical_postselect or quantum_postselect; they stay imported
+# because perfbench/replay.py wraps them by attribute lookup in this module.
 from .effective import ordering_check, ordering_column, standard_rows, try_effective  # noqa: F401
 from .errors import ConfigError, DomainError, NumericalError
 from .fading import LinkGeometry, LinkRule, Links, expand_links, loss_db, sample  # noqa: F401
-from .gaussian import Squeezing, log_negativity  # noqa: F401
+from .gaussian import block_log_negativity, log_negativity, squeezing_excess  # noqa: F401
 from .numerics import McSpec, QuadratureSpec, mc_expectation
 from .postselect import (ClassicalPsConfig, QuantumPsConfig, classical_postselect,  # noqa: F401
                          postselect_column, quantum_postselect)
@@ -331,22 +331,29 @@ def _links(scenario: Scenario, sigma_b: float) -> Links:
     return Links(*(LinkRule(ch, scenario.quad) for ch in links))
 
 
-def _rows(excess, p_success: float = 1.0) -> list[tuple]:
-    """Rows (e_ln, p_success, eff_r, eff_eta_a, eff_eta_b) of standard-form CMs in excess form."""
-    e_ln, *eff = (x.tolist() for x in standard_rows(*excess))
-    return list(zip(e_ln, [p_success] * len(e_ln), *eff))
+def _rows(readout, p_success=1.0) -> list[tuple]:
+    """Rows (e_ln, p_success, eff_r, eff_eta_a, eff_eta_b) of arrays readout = (e_ln, eff_r, eff_eta_a,
+    eff_eta_b) over r, as standard_rows returns them; a float in p_success or an eff_* holds for every row."""
+    e_ln, *eff = readout
+    return list(zip(*(np.broadcast_to(x, e_ln.shape).tolist() for x in (e_ln, p_success, *eff))))
 
 
 def _selected_rows(rs, rules: tuple[LinkRule, LinkRule], selections, chi: float) -> list[list[tuple]]:
-    """Per selection, the rows of every r in rs; a quantum row alone builds a CM."""
+    """Per selection, the rows of every r in rs, read from postselect_column's arrays without a CM.
+
+    standard_rows reads the a I, b I, diag(c, -c) family: a classical CM, and
+    the q block of a quantum CM at tap_t = 1, where the tap takes nothing.  A
+    quantum row's physicality check and E_LN are block_log_negativity's, and
+    its eff_* stay empty unless tap_t = 1.
+    """
     columns = []
-    for selected in postselect_column(rs, *rules, selections, chi):
-        if isinstance(selected, tuple):
-            columns.append(_rows(selected[1], selected[0]))
+    for cfg, (p_s, q, p) in zip(selections, postselect_column(rs, *rules, selections, chi)):
+        if isinstance(cfg, ClassicalPsConfig):
+            readout = standard_rows(*q)
         else:
-            effs = [try_effective(res.cm) for res in selected]
-            columns.append([(res.e_ln, res.p_success, *(astuple(eff) if eff else [math.nan] * 3))
-                            for res, eff in zip(selected, effs)])
+            e_ln = block_log_negativity(1.0 + q[0], q[2], 1.0 + q[1], 1.0 + p[0], p[2], 1.0 + p[1])
+            readout = (e_ln, *(standard_rows(*q)[1:] if cfg.tap_t == 1.0 else [math.nan] * 3))
+        columns.append(_rows(readout, p_s))
     return columns
 
 
@@ -357,7 +364,7 @@ def _sweep_column(scenario: Scenario, sigma_b: float) -> list[list[dict]]:
     for kind in sorted(scenario.schemes):
         rules = scheme_links(kind, links)
         losses = [rule.loss_db for rule in rules]
-        rows = _rows(ensemble_column(kind, rules, scenario.r_grid, scenario.chi))
+        rows = _rows(standard_rows(*ensemble_column(kind, rules, scenario.r_grid, scenario.chi)))
         columns.append([_sweep_point(kind, sigma_b, r, scenario.chi, row, losses)
                         for r, row in zip(scenario.r_grid, rows)])
     return columns
@@ -484,11 +491,11 @@ def run_validate(scenario: Scenario) -> dict:
             err = abs(quad_mean - mc_mean)
             record(f"mc/{label}-mean-transmittance", err <= 4.0 * se + 1e-12,
                    f"quadrature {quad_mean:.9g} vs MC {mc_mean:.9g} (stderr {se:.2e})")
-        v = Squeezing(r).v
+        (u,), _ = squeezing_excess((r,))
         b_quad = 1.0 + float(ensemble_column("direct", rules, (r,), scenario.chi)[1][0])
         b_mc, se = mc_expectation(
             lambda rng, n: tuple(sample(rule.ch, rng, n) for rule in rules),
-            lambda e, ep: 1.0 + e * ep * (v - 1.0) + scenario.chi,
+            lambda e, ep: 1.0 + e * ep * u + scenario.chi,
             scenario.mc,
         )
         record("mc/direct-b-entry", abs(b_quad - b_mc) <= 4.0 * se + 1e-12,

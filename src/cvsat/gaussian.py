@@ -37,6 +37,8 @@ OMEGA = np.array([
 
 # Entries that pair a q with a p quadrature: (0, 1), (0, 3), (1, 2), (2, 3) and mirrors.
 _QP = np.add.outer(np.arange(4), np.arange(4)) % 2 == 1
+# Index of the entries (q00, q01, q11, p00, p01, p11) of the q block and the p block.
+_BLOCKS = ([0, 0, 2, 1, 1, 3], [0, 2, 2, 1, 3, 3])
 
 
 @dataclass(frozen=True)
@@ -67,20 +69,30 @@ class TwoModeCM:
         m[_QP] = 0.0
         m.flags.writeable = False
         object.__setattr__(self, "m", m)
-        (q00, _, q01, _), (_, p00, _, p01), (_, _, q11, _), (_, _, _, p11) = m.tolist()
-        # Positive variances and det Q > 0 make Q positive definite and P nonzero.
-        if not (min(q00, p00, p11) > 0.0 and q00 * q11 - q01 * q01 > 0.0):
-            raise DomainError("unphysical covariance matrix: a variance or det Q is not positive")
-        lo, _ = _squared_spectrum(q00, q01, q11, p00, p01, p11)
-        if not lo >= (1.0 - TOL_PHYS) ** 2:
-            raise DomainError(
-                f"unphysical covariance matrix: smallest squared symplectic eigenvalue {lo:.12g} < 1"
-            )
+        block_log_negativity(*m[_BLOCKS].tolist())
 
 
-def _squared_spectrum(q00: float, q01: float, q11: float,
-                      p00: float, p01: float, p11: float) -> tuple[float, float]:
-    """Squared symplectic eigenvalues (lo, hi) of the CM with q block Q and p block P.
+def block_log_negativity(q00, q01, q11, p00, p01, p11):
+    """E_LN of the CM with q block [[q00, q01], [q01, q11]] and p block likewise, scalars or arrays over rows.
+
+    Raises DomainError unless every row is physical: positive variances and
+    det Q > 0, which make Q positive definite and P nonzero, and a smallest
+    squared symplectic eigenvalue of at least (1 - TOL_PHYS)^2.  Then det Q
+    det P > 0, so the partial transpose, which negates p01, has nu~_- > 0,
+    and E_LN = max(0, -log2(nu~_-)), formed as 0 - log2(min(nu~_-, 1)) so
+    that it is never -0.
+    """
+    if not np.all((np.minimum(np.minimum(q00, p00), p11) > 0.0) & (q00 * q11 - q01 * q01 > 0.0)):
+        raise DomainError("unphysical covariance matrix: a variance or det Q is not positive")
+    lo, _ = _squared_spectrum(q00, q01, q11, p00, p01, p11)
+    if not np.all(lo >= (1.0 - TOL_PHYS) ** 2):
+        raise DomainError("unphysical covariance matrix: smallest squared symplectic eigenvalue "
+                          f"{np.min(lo):.12g} < 1")
+    return 0.0 - np.log2(np.minimum(np.sqrt(_squared_spectrum(q00, q01, q11, p00, -p01, p11)[0]), 1.0))
+
+
+def _squared_spectrum(q00, q01, q11, p00, p01, p11):
+    """Squared symplectic eigenvalues (lo, hi) of the CM with q block Q and p block P, scalars or arrays.
 
     In the order (q1, q2, p1, p2), (Omega M)^2 = -diag(PQ, QP), so nu^2 runs
     over the eigenvalues of QP, which are those of the symmetric R P R with
@@ -88,15 +100,17 @@ def _squared_spectrum(q00: float, q01: float, q11: float,
     be positive definite.  The discriminant is a hypot, so near-equal roots
     keep their digits, and lo = det Q det P / hi, so near-pure states do.
     """
+    # math's functions keep floats floats, whose arithmetic is far cheaper than numpy scalars'
+    sqrt, hypot = (math.sqrt, math.hypot) if isinstance(q00, float) else (np.sqrt, np.hypot)
     det_q = q00 * q11 - q01 * q01
-    s = math.sqrt(det_q)
-    t = math.sqrt(q00 + q11 + 2.0 * s)
+    s = sqrt(det_q)
+    t = sqrt(q00 + q11 + 2.0 * s)
     r00, r01, r11 = (q00 + s) / t, q01 / t, (q11 + s) / t
     # Rows of R P, then R P R.
     u0, u1 = r00 * p00 + r01 * p01, r00 * p01 + r01 * p11
     w0, w1 = r01 * p00 + r11 * p01, r01 * p01 + r11 * p11
     x, y, z = u0 * r00 + u1 * r01, u0 * r01 + u1 * r11, w0 * r01 + w1 * r11
-    hi = 0.5 * (x + z) + math.hypot(0.5 * (x - z), y)
+    hi = 0.5 * (x + z) + hypot(0.5 * (x - z), y)
     return det_q * (p00 * p11 - p01 * p01) / hi, hi
 
 
@@ -167,17 +181,14 @@ def symplectic_spectrum_pt(cm: TwoModeCM) -> tuple[float, float]:
     Transposing the second mode flips the sign of p2, which negates the cross
     term of the p block.
     """
-    (q00, _, q01, _), (_, p00, _, p01), (_, _, q11, _), (_, _, _, p11) = cm.m.tolist()
+    q00, q01, q11, p00, p01, p11 = cm.m[_BLOCKS].tolist()
     lo, hi = _squared_spectrum(q00, q01, q11, p00, -p01, p11)
     return math.sqrt(lo), math.sqrt(hi)
 
 
 def log_negativity(cm: TwoModeCM) -> float:
-    """Logarithmic negativity E_LN = max(0, -log2(nu_minus)), base-2 logs."""
-    nu_minus, _ = symplectic_spectrum_pt(cm)
-    if nu_minus <= 0.0:
-        raise NumericalError("vanishing symplectic eigenvalue; CM is degenerate")
-    return max(0.0, -math.log2(nu_minus))
+    """Logarithmic negativity E_LN = max(0, -log2(nu_minus)), base-2 logs: block_log_negativity of cm."""
+    return float(block_log_negativity(*cm.m[_BLOCKS].tolist()))
 
 
 def is_entangled(cm: TwoModeCM) -> bool:

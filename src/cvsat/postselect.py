@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 from .fading import FadingChannel, LinkRule, deflection_of_eta, transmittance_nodes
-from .gaussian import Squeezing, StandardFormCM, TwoModeCM, log_negativity, squeezing_excess
+from .gaussian import Squeezing, TwoModeCM, log_negativity, squeezing_excess
 from .numerics import DEFAULT_QUAD, QuadratureSpec
 
 # Selections rarer than this are treated as numerically empty.
@@ -83,9 +83,10 @@ class QuantumMoments:
     p_select: float
 
 
-def _check_success(p_s: float) -> None:
-    if p_s < P_SUCCESS_FLOOR:
-        raise NumericalError(f"selection region is numerically empty: P_s={p_s:.3e}")
+def _check_success(p_s) -> None:
+    """Raise NumericalError where a success probability, a float or an array over r, is below the floor."""
+    if np.any(p_s < P_SUCCESS_FLOOR):
+        raise NumericalError(f"selection region is numerically empty: P_s={np.min(p_s):.3e}")
 
 
 def _selection_sums(up: LinkRule, down: LinkRule, zeta_th: float) -> tuple[float, float, float]:
@@ -121,13 +122,20 @@ def _selection_sums(up: LinkRule, down: LinkRule, zeta_th: float) -> tuple[float
     return sums
 
 
+def _result(sq: Squeezing, ch_up: FadingChannel, ch_down: FadingChannel, cfg, quad: QuadratureSpec,
+            chi: float) -> PostSelectionResult:
+    """The one row of postselect_column at sq over the two channels, as a CM."""
+    (p_s, q, p), = postselect_column((sq.r,), LinkRule(ch_up, quad), LinkRule(ch_down, quad), (cfg,), chi)
+    (qa, qb, qc), (pa, pb, pc) = ([float(x[0]) for x in block] for block in (q, p))
+    cm = TwoModeCM(np.array([[1.0 + qa, 0.0, qc, 0.0], [0.0, 1.0 + pa, 0.0, pc],
+                             [qc, 0.0, 1.0 + qb, 0.0], [0.0, pc, 0.0, 1.0 + pb]]))
+    return PostSelectionResult(cm=cm, p_success=float(p_s[0]), e_ln=log_negativity(cm))
+
+
 def classical_postselect(sq: Squeezing, ch_up: FadingChannel, ch_down: FadingChannel, cfg: ClassicalPsConfig,
                          quad: QuadratureSpec = DEFAULT_QUAD, chi: float = 0.0) -> PostSelectionResult:
     """Conditional CM and success probability of threshold post-selection: postselect_column's row as a CM."""
-    (p_s, ((alpha,), (beta,), (c,))), = postselect_column(
-        (sq.r,), LinkRule(ch_up, quad), LinkRule(ch_down, quad), (cfg,), chi)
-    cm = StandardFormCM(a=1.0 + alpha, b=1.0 + beta, c_plus=c, c_minus=-c).to_cm()
-    return PostSelectionResult(cm=cm, p_success=p_s, e_ln=log_negativity(cm))
+    return _result(sq, ch_up, ch_down, cfg, quad, chi)
 
 
 # Elementwise erfc from the standard library, so cvsat needs no scipy; it
@@ -207,24 +215,16 @@ def quantum_moments_realization(
     )
 
 
-def _quantum_result(u: float, moments, w_u, w_d, cfg: QuantumPsConfig) -> PostSelectionResult:
-    """Distilled CM of one threshold's tap moments summed on the outer product of the links' root rules."""
+def _quantum_blocks(u: np.ndarray, moments, w_u, w_d, cfg: QuantumPsConfig):
+    """(P_s, q, p) of one threshold: its tap moments at every r summed on the outer product of the root rules."""
     t, r = cfg.tap_t, cfg.tap_r
-    q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, b_q, c_q = moments
-    p_s, s_a, s_b, s_aa, s_bb, s_ab, s_pb, s_pc = (
-        float(w_u @ m @ w_d) for m in (p_sel, q_a, q_b, q_a_sq, q_b_sq, q_ab,
-                                       p_sel * (t * b_q + r), p_sel * c_q))
+    p_s, s_a, s_b, s_aa, s_bb, s_ab, s_pb, s_pc = np.array([
+        [w_u @ m @ w_d for m in (p_sel, q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel * (t * b_q + r), p_sel * c_q)]
+        for q_a, q_b, q_a_sq, q_b_sq, q_ab, p_sel, b_q, c_q in moments]).T
     _check_success(p_s)
     mean_a, mean_b = s_a / p_s, s_b / p_s
-    a_q, b_q_d, c_q_d = s_aa / p_s - mean_a**2, s_bb / p_s - mean_b**2, s_ab / p_s - mean_a * mean_b
-    b_p_d, c_p_d = s_pb / p_s, -math.sqrt(t) * s_pc / p_s
-    cm = TwoModeCM(np.array([
-        [a_q, 0.0, c_q_d, 0.0],
-        [0.0, 1.0 + u, 0.0, c_p_d],
-        [c_q_d, 0.0, b_q_d, 0.0],
-        [0.0, c_p_d, 0.0, b_p_d],
-    ]))
-    return PostSelectionResult(cm=cm, p_success=p_s, e_ln=log_negativity(cm))
+    q = (s_aa / p_s - mean_a**2 - 1.0, s_bb / p_s - mean_b**2 - 1.0, s_ab / p_s - mean_a * mean_b)
+    return p_s, q, (u, s_pb / p_s - 1.0, -math.sqrt(t) * s_pc / p_s)
 
 
 def quantum_postselect(sq: Squeezing, ch_up: FadingChannel, ch_down: FadingChannel, cfg: QuantumPsConfig,
@@ -237,16 +237,19 @@ def quantum_postselect(sq: Squeezing, ch_up: FadingChannel, ch_down: FadingChann
     entries are central moments of the kept ensemble; the p-sector is
     untouched by the q measurement apart from the selection reweighting.
     """
-    return postselect_column((sq.r,), LinkRule(ch_up, quad), LinkRule(ch_down, quad), (cfg,), chi)[0][0]
+    return _result(sq, ch_up, ch_down, cfg, quad, chi)
 
 
 def postselect_column(rs, up: LinkRule, down: LinkRule, selections, chi: float = 0.0) -> list:
-    """One entry per selection over the up- and downlink: its rows at every squeezing r of rs.
+    """One entry (P_s, q, p) per selection over the up- and downlink, each an array over the squeezings rs.
 
-    A ClassicalPsConfig keeps a standard-form CM; its entry is (P_s, (alpha,
-    beta, c)) in schemes.ensemble_column's excess form: alpha = u, beta =
-    u E[zeta] / P_s + chi, c = sinh(2r) E[sqrt(zeta)] / P_s.  A QuantumPsConfig's
-    CM is outside that family; its entry is a list of PostSelectionResult.
+    q and p are the kept CM's q and p blocks as (a - 1, b - 1, c): the
+    variances of modes A and B less one and their covariance.  A
+    ClassicalPsConfig keeps the a I, b I, diag(c, -c) family, in
+    schemes.ensemble_column's excess form: q = (u, u E[zeta] / P_s + chi,
+    sinh(2r) E[sqrt(zeta)] / P_s) and p = (u, the same, -c).  A
+    QuantumPsConfig's CM is in that family only at tap_t = 1; its q block
+    holds the kept ensemble's central moments, formed whole and then less one.
     What does not depend on r, each threshold's sums or the root rules, is built once.
     """
     if chi < 0.0:
@@ -262,9 +265,9 @@ def postselect_column(rs, up: LinkRule, down: LinkRule, selections, chi: float =
             if cfg.tap_t not in tapped:
                 tapped[cfg.tap_t] = [_tap_selection(u_i, s_i, zeta, cfg.tap_t, chi)
                                      for u_i, s_i in zip(u.tolist(), sinh_2r.tolist())]
-            out.append([_quantum_result(u_i, moments(cfg.q_th), w_u, w_d, cfg)
-                        for u_i, moments in zip(u.tolist(), tapped[cfg.tap_t])])
+            out.append(_quantum_blocks(u, [moments(cfg.q_th) for moments in tapped[cfg.tap_t]], w_u, w_d, cfg))
             continue
         p_s, s_zeta, s_root = _selection_sums(up, down, cfg.zeta_th)
-        out.append((p_s, (u, u * (s_zeta / p_s) + chi, sinh_2r * (s_root / p_s))))
+        beta, c = u * (s_zeta / p_s) + chi, sinh_2r * (s_root / p_s)
+        out.append((np.full(u.shape, p_s), (u, beta, c), (u, beta, -c)))
     return out

@@ -39,6 +39,7 @@ from cvsat.errors import ConfigError, DomainError
 from cvsat.fading import FadingChannel
 from cvsat.gaussian import Squeezing, StandardFormCM, TwoModeCM
 from cvsat.numerics import QuadratureSpec
+from cvsat.effective import EffectiveParams
 from cvsat.postselect import ClassicalPsConfig, PostSelectionResult, QuantumPsConfig
 from cvsat.schemes import KINDS, SchemeConfig
 
@@ -929,16 +930,14 @@ def column_scenario(tmp_path, r_steps, schemes="direct", block=""):
 
 
 class TestObjectsPerRow:
-    """Sweep and classical rows are arrays: no CM, config, squeezing or result object is built per row.
-
-    A quantum row's distilled CM is outside the standard-form family, so each
-    of a quantum column's k rows builds one TwoModeCM and its result.
-    """
+    """Every row is read from arrays: no CM, config, squeezing, result or effective-parameter object is
+    built per row, neither for a sweep nor for a classical or quantum selection."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
         built = collections.Counter()
-        for cls in (TwoModeCM, StandardFormCM, SchemeConfig, Squeezing, PostSelectionResult):
+        for cls in (TwoModeCM, StandardFormCM, SchemeConfig, Squeezing, PostSelectionResult,
+                    EffectiveParams):
             def counted(obj, *args, _init=cls.__init__, **kwargs):
                 built[type(obj).__name__] += 1
                 _init(obj, *args, **kwargs)
@@ -955,15 +954,32 @@ class TestObjectsPerRow:
         assert all(row["eff_r"] is not None for row in rows)
         assert builds == {}
 
-    @pytest.mark.parametrize("block, per_row", [(CLASSICAL, {}),
-                                                (QUANTUM, {"TwoModeCM": 1, "PostSelectionResult": 1})],
-                             ids=["classical", "quantum"])
-    def test_postselect_column(self, tmp_path, builds, block, per_row):
+    @pytest.mark.parametrize("block", [CLASSICAL, QUANTUM, QUANTUM.replace("tap_t = 0.9", "tap_t = 1")],
+                             ids=["classical", "quantum", "quantum-unit-tap"])
+    def test_postselect_column(self, tmp_path, builds, block):
         scenario = column_scenario(tmp_path, 3, block=block)
         builds.clear()
         rows = _postselect_column(scenario, 0.4)
         assert len(rows) == 3 * 3
-        assert builds == {name: 3 * 3 * count for name, count in per_row.items()}
+        # a unit tap keeps the standard-form family, so its rows read eff_*; a 0.9 tap's do not
+        assert all((row["eff_r"] is None) == ("tap_t = 0.9" in block) for row in rows)
+        assert builds == {}
+
+
+class TestQuantumEffectiveChannel:
+    """A quantum CM is in the a I, b I, diag(c, -c) family only at tap_t = 1, where the tap takes
+    nothing, so no other quantum row prints eff_*, however close its q and p diagonals come."""
+
+    def test_small_squeezing_prints_no_effective_channel(self, tmp_path):
+        # at r = 1e-8 the diagonals differ by far less than 1e-9; a tolerance test printed eff_eta_a = 0.579
+        text = ("schemes = direct\nr.min = 1e-8\nsigma_b.min = 0.5\nbeta = 1.0\nbeta_over_w = 1\n"
+                "k1 = 0.5\nk2 = 0.64\npostselect.type = quantum\npostselect.tap_t = 0.9\n"
+                "postselect.threshold_min = 1\n")
+        out = tmp_path / "out.csv"
+        assert main(["postselect", scn(tmp_path, text), "--out", str(out)]) == 0
+        (row,) = csv.DictReader(io.StringIO(out.read_text()))
+        assert float(row["e_ln"]) > 0.0
+        assert (row["eff_r"], row["eff_eta_a"], row["eff_eta_b"]) == ("", "", "")
 
 
 class TestSmallSqueezing:

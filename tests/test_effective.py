@@ -240,8 +240,8 @@ class TestStandardRows:
                 if scenario.postselect is None:
                     self.assert_digits(*ensemble_column(kind, rules, scenario.r_grid, scenario.chi))
                     continue
-                for _, excess in postselect_column(scenario.r_grid, *rules, scenario.postselect,
-                                                   scenario.chi):
+                for _, excess, _ in postselect_column(scenario.r_grid, *rules, scenario.postselect,
+                                                      scenario.chi):
                     self.assert_digits(*excess)
 
     def test_point_mass_direct_keeps_the_squeezing(self):

@@ -213,13 +213,11 @@ class TestLogNegativityDigits:
         checked = 0
         for sigma_b in scenario.sigma_b_grid:
             rules = scheme_links("direct", _links(scenario, sigma_b))
-            for selected in postselect_column(scenario.r_grid, *rules, scenario.postselect, scenario.chi):
-                if isinstance(selected, tuple):
-                    # a classical threshold's rows, as classical_postselect turns them into CMs
-                    cms = [StandardFormCM(a=1.0 + alpha, b=1.0 + beta, c_plus=c, c_minus=-c).to_cm()
-                           for alpha, beta, c in zip(*selected[1])]
-                else:
-                    cms = [res.cm for res in selected]
+            for _, q, p in postselect_column(scenario.r_grid, *rules, scenario.postselect, scenario.chi):
+                # every row's CM, as classical_postselect and quantum_postselect build it from its blocks
+                cms = [TwoModeCM(np.array([[1.0 + qa, 0.0, qc, 0.0], [0.0, 1.0 + pa, 0.0, pc],
+                                           [qc, 0.0, 1.0 + qb, 0.0], [0.0, pc, 0.0, 1.0 + pb]]))
+                       for qa, qb, qc, pa, pb, pc in zip(*q, *p)]
                 for cm in cms:
                     ref = log_negativity_decimal(cm)
                     if ref > 0.0:

@@ -19,7 +19,7 @@ from cvsat import postselect
 from cvsat.errors import DomainError, NumericalError
 from cvsat.cli import parse_scenario, run_postselect, run_sweep
 from cvsat.fading import FadingChannel, LinkGeometry, LinkRule, sample
-from cvsat.gaussian import Squeezing, apply_loss, log_negativity
+from cvsat.gaussian import Squeezing, apply_loss, log_negativity, squeezing_excess
 from cvsat.numerics import DEFAULT_QUAD, QuadratureSpec
 from cvsat.postselect import (
     ClassicalPsConfig,
@@ -190,10 +190,13 @@ class TestClassicalPostselect:
         up, down = links(cfg)
         column = postselect_column(r_grid, LinkRule(up, quad), LinkRule(down, quad),
                                    [ClassicalPsConfig(zeta_th) for zeta_th in thresholds], chi)
-        for zeta_th, (p_success, excess) in zip(thresholds, column):
+        for zeta_th, (p_success, excess, p_block) in zip(thresholds, column):
             # the 2D form: each uplink node with its own cut downlink table
             p_s, s_zeta, s_root = classical_selection_sums_tensor(up, down, quad, zeta_th)
-            assert p_success == pytest.approx(p_s, rel=1e-14, abs=0)
+            np.testing.assert_allclose(p_success, [p_s] * len(r_grid), rtol=1e-14, atol=0)
+            # a standard-form CM: the p block is the q block with the cross term negated
+            alpha, beta, c = excess
+            assert repr([x.tolist() for x in p_block]) == repr([alpha.tolist(), beta.tolist(), (-c).tolist()])
             for r, alpha, beta, c_got in zip(r_grid, *excess):
                 v = Squeezing(r).v
                 c = s_root / p_s * math.sqrt(v * v - 1.0)
@@ -489,21 +492,22 @@ class TestPostselectColumn:
         for ps, selected in zip(selections, column):
             for i, r in enumerate(r_grid):
                 want = select(Squeezing(r), ch_up, ch_down, ps, quad, chi=0.01)
-                # repr compares the floats bit for bit
-                if select is classical_postselect:
-                    # (P_s, (alpha, beta, c)): the per-point CM holds 1 + alpha, 1 + beta and c
-                    p_s, excess = selected
-                    got = (p_s, [float(1.0 + excess[0][i]), float(1.0 + excess[1][i]), float(excess[2][i])])
-                    assert repr(got) == repr((want.p_success, want.cm.m[[0, 2, 0], [0, 2, 2]].tolist()))
-                else:
-                    res = selected[i]
-                    assert (repr((res.cm.m.tolist(), res.p_success, res.e_ln))
-                            == repr((want.cm.m.tolist(), want.p_success, want.e_ln)))
+                # (P_s, q, p), each block (a - 1, b - 1, c): the per-point CM holds 1 + a - 1, 1 + b - 1
+                # and c of the q block at (q1, q2) and of the p block at (p1, p2); repr compares bit for bit
+                p_s, q, p = selected
+                got = (float(p_s[i]), [[float(1.0 + a[i]), float(1.0 + b[i]), float(c[i])] for a, b, c in (q, p)])
+                assert repr(got) == repr((want.p_success, [want.cm.m[[0, 2, 0], [0, 2, 2]].tolist(),
+                                                           want.cm.m[[1, 3, 1], [1, 3, 3]].tolist()]))
 
 
 class TestTapAtFullTransmission:
     """At tap_t = 1 the tap takes nothing: a quantum row at q_th = 0 keeps half the ensemble, and its
-    E_LN is the unselected direct row's.
+    E_LN and effective channel are the unselected direct row's.
+
+    Its CM is then in the a I, b I, diag(c, -c) family, and eff_* come from standard_rows on its q
+    block.  That block's variances are formed whole, so a - 1 and b - 1 carry a rounding of about
+    one ulp of 1, eps / u relative with u = 2 sinh(r)^2, and eff_* move by up to 1.1 eps / u (2.6e-9
+    at r = 1e-4, where u = 2e-8): they are compared from r = 1e-4 up within max(1e-12, 4 eps / u).
 
     The tap moments read the squeezing in excess form; built from the rounded cosh(2r), the rows missed
     by 5.4e-2 relative at r = 1e-8 and 1.4e-9 at 1e-4.  Both rows' E_LN are -log2 of a nu_- near 1,
@@ -519,9 +523,15 @@ class TestTapAtFullTransmission:
         path.write_text("schemes = direct\nr.min = 1\nsigma_b.min = 0.15\nbeta = 1\nbeta_over_w = 1\n"
                         "k1 = 0.5\nk2 = 0.64\n")
         scenario = dataclasses.replace(parse_scenario(path), r_grid=self.RS)
-        direct = [row["e_ln"] for row in run_sweep(scenario)]
+        sweep = run_sweep(scenario)
+        direct = [row["e_ln"] for row in sweep]
         quantum = run_postselect(dataclasses.replace(scenario, postselect=(QuantumPsConfig(1.0, 0.0),)))
         assert [row["p_success"] for row in quantum] == pytest.approx([0.5] * len(self.RS), rel=1e-14)
         got = [row["e_ln"] for row in quantum]
         assert got[0] == pytest.approx(direct[0], rel=1e-8, abs=0)
         np.testing.assert_allclose(got[1:], direct[1:], rtol=1e-12, atol=0)
+        u, _ = squeezing_excess(self.RS[1:])
+        bound = np.maximum(1e-12, 4.0 * np.finfo(float).eps / u)
+        for key in ("eff_r", "eff_eta_a", "eff_eta_b"):
+            got = np.array([row[key] for row in quantum[1:]]) / [row[key] for row in sweep[1:]] - 1.0
+            assert np.all(np.abs(got) <= bound), (key, got)
