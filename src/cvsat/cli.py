@@ -529,10 +529,22 @@ def _load(args) -> Scenario:
     return dataclasses.replace(scenario, quad=quad)
 
 
+def _to_stdout(text: str) -> None:
+    """Write and flush text; after a failure fd 1 is os.devnull, so the flush at exit cannot fail again."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise
+
+
 def _emit(args, scenario: Scenario, text: str) -> None:
     target = args.out or scenario.output
     if target is None or target == "-":
-        sys.stdout.write(text)
+        _to_stdout(text)
         return
     with open(target, "w", newline="") as stream:
         stream.write(text)
@@ -567,7 +579,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_rate(args) -> int:
     rate = rate_estimate(args.p, args.tx_hz)
-    sys.stdout.write(format_value(rate) + "\n")
+    _to_stdout(format_value(rate) + "\n")
     return 0
 
 
@@ -624,5 +636,20 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """Process entry of ``cvsat`` and ``python -m cvsat.cli``: exit with main()'s code.
+
+    Every exit, argparse's and the typed errors' included, freezes the tracked
+    objects first, so the interpreter's final collections skip them; the
+    atexit handlers, the stdio flush and the exit status still run.  main()
+    leaves the collector alone for in-process callers.
+    """
+    import gc
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,9 +1,11 @@
 """Scenario parsing, CSV formatting, and end-to-end command-line behavior."""
 
+import ast
 import collections
 import csv
 import dataclasses
 import functools
+import gc
 import io
 import json
 import math
@@ -903,6 +905,71 @@ class TestMainInProcess:
         assert main(["rate", "--p", "0.5", "--tx-hz", "100"]) == 0
         assert capsys.readouterr().out == "50\n"
         assert main(["rate", "--p", "2.0", "--tx-hz", "100"]) == 2
+
+    def test_main_leaves_the_collector_alone(self, tmp_path, capsys):
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert main(["sweep", scn(tmp_path, SMALL), "--out", str(tmp_path / "rows.csv")]) == 0
+        assert main(["rate", "--p", "2.0", "--tx-hz", "100"]) == 2
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+# Runs the CLI's __main__ block as `python -m cvsat.cli` does and reports, from an atexit hook
+# registered before it, how many objects the collector holds frozen on the way out.
+FREEZE_PROBE = """\
+import atexit, gc, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+sys.argv = ["cvsat", *sys.argv[1:]]
+runpy.run_module("cvsat.cli", run_name="__main__")
+"""
+
+
+class TestProcessExit:
+    @pytest.mark.parametrize("argv, code", [
+        (["rate", "--p", "0.5", "--tx-hz", "10"], 0),
+        (["rate", "--p", "2.0", "--tx-hz", "10"], 2),
+        (["rate", "--p", "0.5"], 2),
+    ])
+    def test_every_exit_skips_the_final_collections(self, argv, code):
+        res = run_python("-c", FREEZE_PROBE, *argv)
+        assert res.returncode == code
+        frozen = res.stderr.splitlines()[-1].split()
+        assert frozen[0] == "frozen" and int(frozen[1]) > 0
+
+    def test_console_script_is_the_main_block(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(cli.__file__).resolve().parents[2]
+        with open(root / "pyproject.toml", "rb") as stream:
+            module, func = tomllib.load(stream)["project"]["scripts"]["cvsat"].split(":")
+        block, = [node for node in ast.parse(Path(cli.__file__).read_text()).body
+                  if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert module == "cvsat.cli"
+        assert ast.unparse(block.body) == f"{func}()"
+
+    @pytest.mark.parametrize("target", ["full", "closed-pipe"])
+    @pytest.mark.parametrize("report", ["rate", "one-row", "large"])
+    def test_failed_stdout_write_is_an_io_error(self, tmp_path, report, target):
+        # Block-buffered stdout, as without PYTHONUNBUFFERED: a small report fails only in a flush.
+        grid = {"one-row": "r.min = 1\n" + COLUMN.replace("sigma_b.max = 0.8\nsigma_b.steps = 2\n", ""),
+                "large": "r.min = 0.1\nr.max = 2\nr.steps = 200\n" + COLUMN}  # 400 rows, 45 KB
+        argv = (["rate", "--p", "0.5", "--tx-hz", "10"] if report == "rate" else
+                ["sweep", scn(tmp_path, "schemes = direct\n" + grid[report])])
+        src = str(Path(cvsat.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        if target == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            stdout = os.open("/dev/full", os.O_WRONLY)
+        else:
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+        try:
+            res = subprocess.run([sys.executable, "-m", "cvsat.cli", *argv], stdout=stdout,
+                                 stderr=subprocess.PIPE, text=True, env=env)
+        finally:
+            os.close(stdout)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("i/o error: ") and res.stderr.count("\n") == 1, res.stderr
 
 
 COLUMN = """\
